@@ -34,7 +34,7 @@ for code, kind, published in JOBS:
         decoder=BPConfig(max_iterations=30),
     )
     report = qdist.estimate_upper_bound(code, cfg)
-    verified = qdist.verify_witness(code, report.witness, report.upper_bound)
+    verified = qdist.verify_witness(code, report.witness, report.upper_bound, kind)
     status = "matches published" if report.upper_bound == published else (
         f"published value {published}")
     print(f"{code.name}: [[{code.n}, {code.k}]]  d <= {report.upper_bound}  "

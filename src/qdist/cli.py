@@ -226,7 +226,7 @@ def run_spec(spec: RunSpec) -> int:
             file=sys.stderr,
         )
         return 1
-    if not estimator.verify_witness(code, report.witness, report.upper_bound):
+    if not estimator.verify_witness(code, report.witness, report.upper_bound, spec.noise):
         print(f"{code.name}: FATAL - witness failed verification", file=sys.stderr)
         return 1
     print(

@@ -15,7 +15,8 @@ parallel across trials); decode() is the single-syndrome wrapper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,6 +100,12 @@ class DecoderContext:
         self.var_ptr = np.concatenate([[0], np.cumsum(vcounts)])[:-1].astype(np.intp)
         self.packed = gf2.BitMatrix.from_array(hd)
 
+    @cached_property
+    def rank(self) -> int:
+        """GF(2) rank of Hd, where a batched OSD-0 solve stops; computed on
+        first use so building a context stays cheap."""
+        return gf2.rank(self.packed)
+
     @classmethod
     def for_code(cls, code: StabilizerCode) -> "DecoderContext":
         ctx = code.metadata.get("_decoder_ctx")
@@ -112,40 +119,17 @@ def _segment_sum(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     return np.add.reduceat(values, ptr, axis=-1)
 
 
-def hard_decision(posteriors: np.ndarray, n: int) -> pauli.DecoupledPauli:
-    """Constrained per-qubit decision from 3n bit marginals.
+def _decision_bits_from_llr(llr: np.ndarray, n: int) -> np.ndarray:
+    """Constrained per-qubit decision from posterior LLRs; (B, 3n) -> (B, 3n) bits.
 
-    Scores the four options I/X/Z/Y as products of the three bit
-    probabilities and takes the argmax; exact ties resolve in the order
+    Picks the most likely of I/X/Z/Y from the product of the three bit
+    marginals.  Those four scores divided by P(I) are {1, exp(-llr_x),
+    exp(-llr_z), exp(-llr_y)}, so the argmax over stacked [zeros, -llr]
+    decides, and np.argmax's first-wins rule breaks exact ties in the order
     I < X < Z < Y.
     """
-    post = np.asarray(posteriors, dtype=np.float64)
-    if post.shape[-1] != 3 * n:
-        raise ValueError("expected 3n posteriors")
-    px, pz, py = post[:n], post[n : 2 * n], post[2 * n :]
-    scores = np.stack([
-        (1 - px) * (1 - pz) * (1 - py),
-        px * (1 - pz) * (1 - py),
-        (1 - px) * pz * (1 - py),
-        (1 - px) * (1 - pz) * py,
-    ])
-    cls = np.argmax(scores, axis=0)
-    return pauli.DecoupledPauli(
-        n,
-        (cls == 1).astype(np.uint8),
-        (cls == 2).astype(np.uint8),
-        (cls == 3).astype(np.uint8),
-    )
-
-
-def _decision_bits_from_llr(llr: np.ndarray, n: int) -> np.ndarray:
-    """Batched one-hot decision from posterior LLRs; (B, 3n) -> (B, 3n) bits.
-
-    Equivalent to hard_decision on the matching probabilities: the four
-    scores divided by P(I) are {1, exp(-llr_x), exp(-llr_z), exp(-llr_y)},
-    so the argmax over stacked [zeros, -llr] reproduces it, with np.argmax's
-    first-wins rule giving the I < X < Z < Y tie-break.
-    """
+    if llr.ndim != 2 or llr.shape[1] != 3 * n:
+        raise ValueError("expected a (B, 3n) array of posterior LLRs")
     b = llr.shape[0]
     stacked = np.stack([
         np.zeros((b, n), dtype=llr.dtype),
@@ -257,19 +241,22 @@ def bp_decode(hd: np.ndarray, syndrome, prior: ChannelPrior, cfg: BPConfig):
 def osd_post_process(hd, syndrome, posteriors) -> np.ndarray:
     """OSD-0: solve Hd·x = s on the most reliable independent column set.
 
-    Columns are ranked by descending P(bit=1) (ties: ascending index).  The
-    syndrome of a real error always lies in the column space; Infeasible
-    therefore indicates a broken check matrix and is re-raised as such.
+    Columns are ranked by descending P(bit=1) (ties: ascending index).  A
+    single syndrome with 3n posteriors gives 3n bits; a (B, m) batch with
+    (B, 3n) posteriors is solved in one batched elimination and gives
+    (B, 3n) bits, equal row by row to the single form.  The syndrome of a
+    real error always lies in the column space; Infeasible therefore
+    indicates a broken check matrix and is re-raised as such.
     """
     ctx = hd if isinstance(hd, DecoderContext) else DecoderContext(hd)
     s = syndrome.bits if isinstance(syndrome, pauli.Syndrome) else np.asarray(syndrome)
     post = np.asarray(posteriors, dtype=np.float64)
-    order = np.lexsort((np.arange(ctx.nbits), -post))
+    order = np.argsort(-post, axis=-1, kind="stable")
     try:
-        x = gf2.solve_selected(
-            ctx.packed, gf2.BitVector.from_array(s.astype(np.uint8)), order
-        )
-    except gf2.Infeasible as exc:  # pragma: no cover - indicates a code bug
+        if s.ndim == 2:
+            return gf2.solve_selected_batch(ctx.packed, s, order, ctx.rank)
+        x = gf2.solve_selected(ctx.packed, gf2.BitVector.from_array(s.astype(np.uint8)), order)
+    except gf2.Infeasible as exc:
         raise RuntimeError("syndrome outside the column space of Hd") from exc
     return x.to_array()
 

@@ -147,9 +147,20 @@ def classify_residual(code: StabilizerCode, r: pauli.SymplecticPauli) -> Residua
     return ResidualClass.LOGICAL
 
 
-def verify_witness(code: StabilizerCode, w: pauli.SymplecticPauli, expected_weight: int | None = None) -> bool:
-    """True iff w is a genuine logical operator of the stated weight."""
+def verify_witness(
+    code: StabilizerCode,
+    w: pauli.SymplecticPauli,
+    expected_weight: int | None = None,
+    noise_kind: NoiseKind | None = None,
+) -> bool:
+    """True iff w is a genuine logical operator of the stated weight.
+
+    A pure-X bound is a bound on the logical-X weight, so with
+    noise_kind=PURE_X the witness must also be X-type (no Z or Y part).
+    """
     if w is None or w.n != code.n:
+        return False
+    if noise_kind == NoiseKind.PURE_X and w.ez.any():
         return False
     if not code.syndrome(w).is_zero():
         return False
@@ -176,10 +187,13 @@ def _decoupled_bits(ex: np.ndarray, ez: np.ndarray) -> np.ndarray:
 
 
 def _decode_chunk(ctx: DecoderContext, S: np.ndarray, prior: ChannelPrior, cfg: BPConfig):
-    """Decode a syndrome chunk; returns canonical (ex, ez) estimates."""
+    """Decode a syndrome chunk: BP on every trial, then one batched OSD-0
+    solve over the trials BP did not converge on.  Returns canonical
+    (ex, ez) estimates and the convergence flags."""
     bits, post, conv, _ = bp_decode_batch(ctx, S, prior, cfg)
-    for i in np.nonzero(~conv)[0]:
-        bits[i] = osd_post_process(ctx, S[i], post[i])
+    failed = ~conv
+    if failed.any():
+        bits[failed] = osd_post_process(ctx, S[failed], post[failed])
     n = ctx.nbits // 3
     a, b, c = bits[:, :n], bits[:, n : 2 * n], bits[:, 2 * n :]
     return a ^ c, b ^ c, conv

@@ -12,13 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional speedup
-    _HAVE_NUMBA = False
-
 _ONE = np.uint64(1)
 
 
@@ -182,51 +175,63 @@ def _eliminate(data, cols, col_order=None, aug=None):
     return pivots
 
 
-if _HAVE_NUMBA:
+# _eliminate_batch takes at most 256 trials, and at most as many as keep
+# its packed matrices within 4 MiB, so they stay in cache and large codes
+# do not hold a chunk's worth of copies at once.
+_BATCH_TRIALS = 256
+_BATCH_BYTES = 1 << 22
 
-    @njit(cache=True)
-    def _eliminate_jit(data, aug, col_order):  # pragma: no cover - exercised via solve_selected
-        """Compiled Gauss-Jordan sweep for the hot per-trial OSD solve.
 
-        Same pivot rule as _eliminate (topmost available row, columns in
-        the given order); returns parallel pivot row/column arrays.
-        """
-        m, width = data.shape
-        pivot_rows = np.empty(m, np.int64)
-        pivot_cols = np.empty(m, np.int64)
-        npiv = 0
-        r = 0
-        for ci in range(col_order.shape[0]):
-            if r == m:
-                break
-            c = col_order[ci]
-            w = c >> 6
-            b = np.uint64(c & 63)
-            p = -1
-            for i in range(r, m):
-                if (data[i, w] >> b) & np.uint64(1):
-                    p = i
-                    break
-            if p < 0:
-                continue
-            if p != r:
-                for j in range(width):
-                    tmp = data[r, j]
-                    data[r, j] = data[p, j]
-                    data[p, j] = tmp
-                tmp8 = aug[r]
-                aug[r] = aug[p]
-                aug[p] = tmp8
-            for i in range(m):
-                if i != r and ((data[i, w] >> b) & np.uint64(1)):
-                    for j in range(width):
-                        data[i, j] ^= data[r, j]
-                    aug[i] ^= aug[r]
-            pivot_rows[npiv] = r
-            pivot_cols[npiv] = c
-            npiv += 1
-            r += 1
-        return pivot_rows[:npiv], pivot_cols[:npiv]
+def _eliminate_batch(rows, cols, nz_rows, nz_cols, S, orders, r):
+    """Greedy-column solve of one block of trials, vectorized over the block.
+
+    Each trial gets its own copy of M (built from M's nonzeros) with the
+    columns permuted into its order, stored word-major: planes[b, k, i] is
+    word k of row i, and the last plane holds the syndrome bits, so one XOR
+    updates matrix and syndrome together.  Step i pivots every trial at
+    once.  A column that was passed over is zero in rows i.. (it depends on
+    the pivots above), so the trial's next pivot column is the lowest set
+    bit in the OR of rows i.. .  That column is a pivot exactly when it is
+    independent of the columns before it in the order, and x is unique on
+    that basis, so the result equals solve_selected whatever row pivots.
+    Stops after r = rank(M) steps; returns (B, cols) uint8.
+    """
+    B = S.shape[0]
+    w = (cols + 63) // 64
+    pos = np.empty_like(orders)  # pos[b, c]: where column c sits in trial b's order
+    np.put_along_axis(pos, orders, np.arange(cols), axis=1)
+    nz_pos = pos[:, nz_cols]
+    planes = np.zeros((B, w + 1, rows), dtype=np.uint64)
+    # Each nonzero sets a distinct bit of its word, so adding the bits ORs them.
+    words = (np.arange(B)[:, None] * (w + 1) + (nz_pos >> 6)) * rows + nz_rows
+    np.add.at(planes.reshape(-1), words.ravel(), (_ONE << (nz_pos & 63).astype(np.uint64)).ravel())
+    planes[:, w] = S & 1
+    trials = np.arange(B)
+    pivot_pos = np.empty((B, r), dtype=np.intp)  # order position of each row's pivot
+    for i in range(r):
+        rest = np.bitwise_or.reduce(planes[:, :w, i:], axis=2)
+        nonzero = rest != 0
+        if not nonzero.any(axis=1).all():
+            raise ValueError("target_rank exceeds the rank of M")
+        k = nonzero.argmax(axis=1)
+        word = rest[trials, k]
+        shift = np.bitwise_count((word & (0 - word)) - _ONE).astype(np.uint64)
+        colbits = (planes[trials, k] >> shift[:, None]) & _ONE
+        p = i + colbits[:, i:].argmax(axis=1)
+        # Swap the pivot row into row i, then clear the column in every other row.
+        pivot_row = planes[trials, :, p]
+        planes[trials, :, p] = planes[:, :, i]
+        planes[:, :, i] = pivot_row
+        colbits[trials, p] = colbits[:, i]
+        colbits[:, i] = 0
+        planes ^= (0 - colbits)[:, None, :] & pivot_row[:, :, None]
+        pivot_pos[:, i] = 64 * k + shift.astype(np.intp)
+    # Rows r.. of the reduced matrix are zero, so their syndrome bits must be too.
+    if planes[:, w, r:].any():
+        raise Infeasible("syndrome outside the column space")
+    x = np.zeros((B, cols), dtype=np.uint8)
+    x[trials[:, None], np.take_along_axis(orders, pivot_pos, axis=1)] = planes[:, w, :r]
+    return x
 
 
 def row_reduce(M: BitMatrix):
@@ -267,11 +272,7 @@ def solve_selected(M: BitMatrix, s: BitVector, col_order) -> BitVector:
         raise ValueError("col_order must be a permutation of the columns")
     data = M.data.copy()
     aug = s.to_array()
-    if _HAVE_NUMBA:
-        pivot_rows, pivot_cols = _eliminate_jit(data, aug, col_order)
-        pivots = list(zip(pivot_rows.tolist(), pivot_cols.tolist()))
-    else:
-        pivots = _eliminate(data, M.cols, col_order=col_order, aug=aug)
+    pivots = _eliminate(data, M.cols, col_order=col_order, aug=aug)
     nrank = len(pivots)
     if aug[nrank:].any():
         raise Infeasible("syndrome outside the column space")
@@ -279,6 +280,35 @@ def solve_selected(M: BitMatrix, s: BitVector, col_order) -> BitVector:
     for r, c in pivots:
         x[c] = aug[r]
     return BitVector.from_array(x)
+
+
+def solve_selected_batch(M: BitMatrix, S, col_orders, target_rank: int | None = None) -> np.ndarray:
+    """solve_selected for a batch: row b of the result solves M·x = S[b]
+    with x supported on the greedy column set of col_orders[b].
+
+    S is (B, rows) 0/1 and col_orders is (B, cols), each row a permutation
+    of the columns.  Returns (B, cols) uint8, equal row by row to
+    solve_selected.  target_rank must be rank(M); pass it when it is
+    cached, or it is computed here.  Raises Infeasible when any syndrome is
+    outside the column space.
+    """
+    S = np.asarray(S, dtype=np.uint8)
+    orders = np.asarray(col_orders, dtype=np.intp)
+    if S.ndim != 2 or S.shape[1] != M.rows:
+        raise ValueError("syndrome batch does not match the row count")
+    B = S.shape[0]
+    if orders.shape != (B, M.cols):
+        raise ValueError("need one column order per syndrome")
+    if not (np.sort(orders, axis=1) == np.arange(M.cols)).all():
+        raise ValueError("each col_order must be a permutation of the columns")
+    r = rank(M) if target_rank is None else target_rank
+    nz_rows, nz_cols = np.nonzero(M.to_array())
+    block = max(1, min(_BATCH_TRIALS, _BATCH_BYTES // max(1, 8 * (M.data.shape[1] + 1) * M.rows)))
+    out = np.empty((B, M.cols), dtype=np.uint8)
+    for a in range(0, B, block):
+        b = min(a + block, B)
+        out[a:b] = _eliminate_batch(M.rows, M.cols, nz_rows, nz_cols, S[a:b], orders[a:b], r)
+    return out
 
 
 def kernel_basis(M: BitMatrix) -> list[BitVector]:

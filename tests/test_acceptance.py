@@ -23,9 +23,10 @@ pytestmark = pytest.mark.acceptance
 
 MASTER_SEED = 20260823
 
-# Every report produced anywhere in this module lands here; the witness
-# soundness criterion (run last) re-verifies all of them.
-ALL_REPORTS: list[tuple[codes.StabilizerCode, estimator.DistanceReport]] = []
+# Every report produced anywhere in this module lands here, with the noise
+# kind it was swept under; the witness soundness criterion (run last)
+# re-verifies all of them.
+ALL_REPORTS: list[tuple[codes.StabilizerCode, estimator.DistanceReport, NoiseKind]] = []
 
 # Representative suite codes, one per family, used by the randomized
 # equivalence and decoder-contract criteria.
@@ -52,7 +53,7 @@ def _estimate(code, rates, trials, noise=NoiseKind.DEPOLARIZING, seed=MASTER_SEE
         decoder=BPConfig(max_iterations=max_iterations),
     )
     report = estimator.estimate_upper_bound(code, cfg)
-    ALL_REPORTS.append((code, report))
+    ALL_REPORTS.append((code, report, noise))
     return report
 
 
@@ -221,12 +222,13 @@ def test_criterion_8_determinism():
 
 
 def test_criterion_5_witness_soundness():
-    """Runs last: 100% of the reports emitted above verify their witness."""
+    """Runs last: 100% of the reports emitted above verify their witness
+    (X-type under pure-X noise)."""
     assert ALL_REPORTS, "no reports were produced by the earlier criteria"
     bad = [
         (code.name, rep.upper_bound)
-        for code, rep in ALL_REPORTS
-        if not estimator.verify_witness(code, rep.witness, rep.upper_bound)
+        for code, rep, noise in ALL_REPORTS
+        if not estimator.verify_witness(code, rep.witness, rep.upper_bound, noise)
     ]
     ok = not bad
     _line(5, "witness soundness", ok, f"{len(ALL_REPORTS)} reports, {len(bad)} failures")

@@ -3,9 +3,10 @@ artifact layout (volatile metadata kept out of the report body)."""
 
 import json
 
+import numpy as np
 import pytest
 
-from qdist import cli, codes
+from qdist import cli, codes, pauli
 
 
 def run(argv, capsys):
@@ -136,6 +137,31 @@ def test_estimate_no_witness_exits_nonzero(capsys):
     )
     assert code == 1
     assert "no logical operator observed" in err
+
+
+def test_estimate_pure_x_rejects_y_witness(monkeypatch, capsys):
+    # A pure-X report whose witness has a Y component certifies no bound on
+    # the logical-X weight; the real sweep never keeps one, so inject it.
+    code = codes.ztgre(3)
+    x_logical = codes.logical_basis(code)[0]
+    ez = np.zeros(code.n, dtype=np.uint8)
+    ez[np.flatnonzero(x_logical.ex)[0]] = 1
+    witness = pauli.SymplecticPauli.from_arrays(x_logical.ex, ez)
+    argv = ["estimate", "--code", "ztgre", "--params", "3", "--rates", "0.1",
+            "--trials", "50", "--max-iters", "5", "--noise", "pureX"]
+    real = cli.estimator.estimate_upper_bound
+
+    def with_y_witness(code_, cfg, threads=1):
+        report = real(code_, cfg, threads=threads)
+        report.witness, report.upper_bound = witness, pauli.weight(witness)
+        return report
+
+    monkeypatch.setattr(cli.estimator, "estimate_upper_bound", with_y_witness)
+    status, _, err = run(argv, capsys)
+    assert status == 1
+    assert "failed verification" in err
+    status, _, _ = run(argv[:-2], capsys)  # the same witness under depolarizing noise
+    assert status == 0
 
 
 def test_unknown_family_parameters(capsys):

@@ -4,7 +4,8 @@ hard-decision semantics, and OSD behaviour on non-converged syndromes."""
 import numpy as np
 import pytest
 
-from qdist import codes, decoder, estimator, pauli
+from qdist import codes, decoder, estimator, gf2, pauli
+from qdist.estimator import NoiseKind
 
 CODES = [
     lambda: codes.planar_surface(3),
@@ -29,33 +30,52 @@ def test_bp_config_validation():
         decoder.BPConfig(max_iterations=0)
 
 
+def _llr(post):
+    post = np.asarray(post, dtype=np.float64)
+    return np.log((1 - post) / post).astype(np.float32)
+
+
 def test_hard_decision_prefers_identity_on_ties():
     # All three bit marginals at 0.5 score the four classes equally.
-    d = decoder.hard_decision(np.full(3, 0.5), 1)
-    assert not d.to_bits().any()
+    bits = decoder._decision_bits_from_llr(_llr(np.full((1, 3), 0.5)), 1)
+    assert not bits.any()
 
 
 def test_hard_decision_picks_dominant_class():
     # Strong Y marginal on qubit 0, strong X on qubit 1.
-    post = np.array([0.01, 0.9, 0.01, 0.05, 0.95, 0.02])
-    d = decoder.hard_decision(post, 2)
-    assert pauli.to_string(pauli.to_symplectic(d)) == "YX"
+    post = np.array([[0.01, 0.9, 0.01, 0.05, 0.95, 0.02]])
+    bits = decoder._decision_bits_from_llr(_llr(post), 2)
+    assert pauli.to_string(pauli.to_symplectic(bits[0])) == "YX"
 
 
 def test_hard_decision_rejects_bad_shape():
     with pytest.raises(ValueError):
-        decoder.hard_decision(np.zeros(4), 1)
+        decoder._decision_bits_from_llr(np.zeros((1, 4), np.float32), 1)
+    with pytest.raises(ValueError):
+        decoder._decision_bits_from_llr(np.zeros(3, np.float32), 1)
+
+
+def _hard_decision_reference(post, n):
+    """Argmax of the I/X/Z/Y scores as products of the three bit
+    probabilities, ties in the order I < X < Z < Y."""
+    px, pz, py = post[:n], post[n : 2 * n], post[2 * n :]
+    scores = np.stack([
+        (1 - px) * (1 - pz) * (1 - py),
+        px * (1 - pz) * (1 - py),
+        (1 - px) * pz * (1 - py),
+        (1 - px) * (1 - pz) * py,
+    ])
+    cls = np.argmax(scores, axis=0)
+    return np.concatenate([cls == 1, cls == 2, cls == 3]).astype(np.uint8)
 
 
 def test_decision_bits_match_hard_decision():
     rng = np.random.default_rng(7)
     n = 6
     post = rng.uniform(0.01, 0.99, size=(40, 3 * n))
-    llr = np.log((1 - post) / post).astype(np.float32)
-    batched = decoder._decision_bits_from_llr(llr, n)
+    batched = decoder._decision_bits_from_llr(_llr(post), n)
     for i in range(post.shape[0]):
-        expect = decoder.hard_decision(post[i], n).to_bits()
-        assert np.array_equal(batched[i], expect)
+        assert np.array_equal(batched[i], _hard_decision_reference(post[i], n))
 
 
 def test_zero_syndrome_decodes_to_identity():
@@ -131,6 +151,44 @@ def test_osd_output_always_satisfies_syndrome():
         raw = decoder.osd_post_process(ctx, s, post)
         got = pauli.syndrome_decoupled(code.hd, raw)
         assert got == s
+
+
+@pytest.mark.parametrize("make", [lambda: codes.toric(3), lambda: codes.chamon(3, 3, 3), lambda: codes.ztgre(5)])
+def test_batched_osd_matches_single_on_failed_trials(make):
+    # Toric and Chamon have dependent generators (rank(Hd) < m); ztgre is
+    # Z-only, so a third of Hd's columns are zero.  Posteriors are BP's own
+    # from trials it failed to decode, the inputs OSD-0 sees in a sweep.
+    code = make()
+    ctx = decoder.DecoderContext.for_code(code)
+    kind = NoiseKind.PURE_X if code.name.startswith("ztgre") else NoiseKind.DEPOLARIZING
+    ex, ez = estimator._sample_batch(code, 0.12, kind, 5, 0, 120)
+    errors = [pauli.SymplecticPauli.from_arrays(x, z) for x, z in zip(ex, ez)]
+    S = np.array([code.syndrome(e).bits for e in errors], dtype=np.uint8)
+    _, post, conv, _ = decoder.bp_decode_batch(ctx, S, decoder.ChannelPrior(0.12), decoder.BPConfig(max_iterations=8))
+    S, post = S[~conv], post[~conv]
+    assert S.shape[0] >= 10
+    batch = decoder.osd_post_process(ctx, S, post)
+    assert batch.shape == (S.shape[0], ctx.nbits)
+    for i in range(S.shape[0]):
+        # Reference: the serial solve on columns by descending posterior, ties by index.
+        order = np.lexsort((np.arange(ctx.nbits), -post[i]))
+        ref = gf2.solve_selected(ctx.packed, gf2.BitVector.from_array(S[i]), order).to_array()
+        assert np.array_equal(batch[i], ref)
+        assert np.array_equal(decoder.osd_post_process(ctx, S[i], post[i]), ref)
+        assert np.array_equal(pauli.syndrome_decoupled(code.hd, ref).bits, S[i])
+
+
+def test_osd_infeasible_syndrome_raises():
+    code = codes.toric(2)  # dependent generators: some syndromes are unreachable
+    ctx = decoder.DecoderContext.for_code(code)
+    assert ctx.rank < ctx.m
+    s = np.zeros(ctx.m, dtype=np.uint8)
+    s[0] = 1  # a lone violated check cannot happen on a torus
+    post = np.full(ctx.nbits, 0.1)
+    with pytest.raises(RuntimeError):
+        decoder.osd_post_process(ctx, s, post)
+    with pytest.raises(RuntimeError):
+        decoder.osd_post_process(ctx, s[None, :], post[None, :])
 
 
 def test_osd_prefers_reliable_columns():

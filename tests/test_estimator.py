@@ -78,6 +78,24 @@ def test_verify_witness():
     assert not estimator.verify_witness(code, pauli.SymplecticPauli.identity(3))
 
 
+def test_verify_witness_pure_x_requires_x_type():
+    # On a Z-only code, X_L with a Z added on one of its qubits is still a
+    # logical of the same weight, but its Y component makes it no witness
+    # for the minimum logical-X weight a pure-X sweep bounds.
+    code = codes.ztgre(3)
+    x_logical = codes.logical_basis(code)[0]
+    assert not x_logical.ez.any()
+    ez = np.zeros(code.n, dtype=np.uint8)
+    ez[np.flatnonzero(x_logical.ex)[0]] = 1
+    with_y = pauli.SymplecticPauli.from_arrays(x_logical.ex, ez)
+    w = pauli.weight(with_y)
+    assert w == pauli.weight(x_logical)
+    assert estimator.verify_witness(code, with_y, w)
+    assert estimator.verify_witness(code, with_y, w, NoiseKind.DEPOLARIZING)
+    assert not estimator.verify_witness(code, with_y, w, NoiseKind.PURE_X)
+    assert estimator.verify_witness(code, x_logical, w, NoiseKind.PURE_X)
+
+
 def test_trial_rng_streams_are_independent_and_stable():
     a = estimator.trial_rng(42, 0, 0).random(4)
     b = estimator.trial_rng(42, 0, 0).random(4)

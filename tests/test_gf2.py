@@ -146,6 +146,73 @@ def test_solve_selected_infeasible():
         gf2.solve_selected(m, gf2.BitVector.from_array([1, 0]), [0, 1])
 
 
+def _solve_each(a, S, orders):
+    m = gf2.BitMatrix.from_array(a)
+    return np.array([gf2.solve_selected(m, gf2.BitVector.from_array(s), o).to_array()
+                     for s, o in zip(S, orders)], dtype=np.uint8).reshape(len(S), a.shape[1])
+
+
+def test_solve_selected_batch_matches_serial_on_dependent_rows():
+    # Products of random (rows x r) and (r x cols) matrices: rank <= r <
+    # rows except in the square case, some wider than one 64-bit word.
+    # Syndromes are images of random vectors, so every system is feasible,
+    # and each trial has its own column order; 300 trials span two blocks.
+    rng = np.random.default_rng(37)
+    for rows, cols, r, B in [(6, 9, 4, 300), (12, 20, 7, 40), (10, 70, 6, 40), (24, 130, 17, 40), (5, 5, 5, 40)]:
+        a = (rng.integers(0, 2, (rows, r)) @ rng.integers(0, 2, (r, cols)) % 2).astype(np.uint8)
+        m = gf2.BitMatrix.from_array(a)
+        assert gf2.rank(m) <= r
+        S = (rng.integers(0, 2, (B, cols)) @ a.T % 2).astype(np.uint8)
+        orders = np.argsort(rng.random((B, cols)), axis=1)
+        got = gf2.solve_selected_batch(m, S, orders)
+        assert got.shape == (B, cols) and got.dtype == np.uint8
+        assert np.array_equal(got, _solve_each(a, S, orders))
+        assert np.array_equal(gf2.solve_selected_batch(m, S, orders, gf2.rank(m)), got)
+        assert np.array_equal(got @ a.T % 2, S)
+
+
+def test_solve_selected_batch_edge_cases():
+    rng = np.random.default_rng(41)
+    a = rng.integers(0, 2, (8, 12), dtype=np.uint8)
+    a[7] = a[0] ^ a[1]  # a dependent row
+    m = gf2.BitMatrix.from_array(a)
+    # B = 0.
+    empty = gf2.solve_selected_batch(m, np.zeros((0, 8), np.uint8), np.zeros((0, 12), np.intp))
+    assert empty.shape == (0, 12)
+    # B = 1.
+    order = rng.permutation(12)
+    s = a[:, 3] ^ a[:, 5]
+    one = gf2.solve_selected_batch(m, s[None, :], order[None, :])
+    assert np.array_equal(one, _solve_each(a, s[None, :], order[None, :]))
+    # An all-zero syndrome solves to zero.
+    zero = gf2.solve_selected_batch(m, np.zeros((3, 8), np.uint8), np.tile(order, (3, 1)))
+    assert not zero.any()
+    # An all-zero matrix has rank 0: zero syndromes only.
+    z = gf2.BitMatrix.zeros(3, 5)
+    assert not gf2.solve_selected_batch(z, np.zeros((2, 3), np.uint8), np.tile(np.arange(5), (2, 1))).any()
+    with pytest.raises(gf2.Infeasible):
+        gf2.solve_selected_batch(z, np.array([[0, 1, 0]], np.uint8), np.arange(5)[None, :])
+
+
+def test_solve_selected_batch_infeasible_and_bad_input():
+    a = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=np.uint8)
+    m = gf2.BitMatrix.from_array(a)
+    orders = np.tile(np.arange(3), (2, 1))
+    # Rows 0 and 1 of M are equal, so bits 0 and 1 of a reachable syndrome
+    # are too; the second syndrome breaks that.
+    S = np.array([[1, 1, 1], [1, 0, 0]], dtype=np.uint8)
+    with pytest.raises(gf2.Infeasible):
+        gf2.solve_selected_batch(m, S, orders)
+    with pytest.raises(ValueError):
+        gf2.solve_selected_batch(m, S[:, :2], orders)
+    with pytest.raises(ValueError):
+        gf2.solve_selected_batch(m, S, orders[:1])
+    with pytest.raises(ValueError):
+        gf2.solve_selected_batch(m, S, np.array([[0, 0, 1], [0, 1, 2]]))
+    with pytest.raises(ValueError):
+        gf2.solve_selected_batch(m, S[:1], orders[:1], target_rank=3)
+
+
 def test_kernel_basis_trivial_cases():
     assert gf2.kernel_basis(gf2.BitMatrix.identity(4)) == []
     basis = gf2.kernel_basis(gf2.BitMatrix.from_array([[1, 1]]))
