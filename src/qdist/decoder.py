@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -99,12 +98,6 @@ class DecoderContext:
         vcounts = vcounts[vcounts > 0]
         self.var_ptr = np.concatenate([[0], np.cumsum(vcounts)])[:-1].astype(np.intp)
         self.packed = gf2.BitMatrix.from_array(hd)
-
-    @cached_property
-    def rank(self) -> int:
-        """GF(2) rank of Hd, where a batched OSD-0 solve stops; computed on
-        first use so building a context stays cheap."""
-        return gf2.rank(self.packed)
 
     @classmethod
     def for_code(cls, code: StabilizerCode) -> "DecoderContext":
@@ -243,8 +236,8 @@ def osd_post_process(hd, syndrome, posteriors) -> np.ndarray:
 
     Columns are ranked by descending P(bit=1) (ties: ascending index).  A
     single syndrome with 3n posteriors gives 3n bits; a (B, m) batch with
-    (B, 3n) posteriors is solved in one batched elimination and gives
-    (B, 3n) bits, equal row by row to the single form.  The syndrome of a
+    (B, 3n) posteriors gives (B, 3n) bits.  Both run one batched
+    elimination, whose rows equal gf2.solve_selected's.  The syndrome of a
     real error always lies in the column space; Infeasible therefore
     indicates a broken check matrix and is re-raised as such.
     """
@@ -253,12 +246,10 @@ def osd_post_process(hd, syndrome, posteriors) -> np.ndarray:
     post = np.asarray(posteriors, dtype=np.float64)
     order = np.argsort(-post, axis=-1, kind="stable")
     try:
-        if s.ndim == 2:
-            return gf2.solve_selected_batch(ctx.packed, s, order, ctx.rank)
-        x = gf2.solve_selected(ctx.packed, gf2.BitVector.from_array(s.astype(np.uint8)), order)
+        x = gf2.solve_selected_batch(ctx.packed, np.atleast_2d(s), np.atleast_2d(order))
     except gf2.Infeasible as exc:
         raise RuntimeError("syndrome outside the column space of Hd") from exc
-    return x.to_array()
+    return x if s.ndim == 2 else x[0]
 
 
 def decode(

@@ -175,26 +175,25 @@ def _eliminate(data, cols, col_order=None, aug=None):
     return pivots
 
 
-# _eliminate_batch takes at most 256 trials, and at most as many as keep
-# its packed matrices within 4 MiB, so they stay in cache and large codes
-# do not hold a chunk's worth of copies at once.
-_BATCH_TRIALS = 256
+# _eliminate_batch takes as many trials as keep its packed matrices within
+# 4 MiB, so large codes do not hold a chunk's worth of copies at once.
 _BATCH_BYTES = 1 << 22
 
 
-def _eliminate_batch(rows, cols, nz_rows, nz_cols, S, orders, r):
+def _eliminate_batch(rows, cols, nz_rows, nz_cols, S, orders):
     """Greedy-column solve of one block of trials, vectorized over the block.
 
     Each trial gets its own copy of M (built from M's nonzeros) with the
     columns permuted into its order, stored word-major: planes[b, k, i] is
     word k of row i, and the last plane holds the syndrome bits, so one XOR
-    updates matrix and syndrome together.  Step i pivots every trial at
-    once.  A column that was passed over is zero in rows i.. (it depends on
+    updates matrix and syndrome together.  Step r pivots every trial at
+    once.  A column that was passed over is zero in rows r.. (it depends on
     the pivots above), so the trial's next pivot column is the lowest set
-    bit in the OR of rows i.. .  That column is a pivot exactly when it is
+    bit in the OR of rows r.. .  That column is a pivot exactly when it is
     independent of the columns before it in the order, and x is unique on
     that basis, so the result equals solve_selected whatever row pivots.
-    Stops after r = rank(M) steps; returns (B, cols) uint8.
+    Every trial permutes the columns of the same M, so all of them run out
+    of pivots at the same step, rank(M).  Returns (B, cols) uint8.
     """
     B = S.shape[0]
     w = (cols + 63) // 64
@@ -207,28 +206,34 @@ def _eliminate_batch(rows, cols, nz_rows, nz_cols, S, orders, r):
     np.add.at(planes.reshape(-1), words.ravel(), (_ONE << (nz_pos & 63).astype(np.uint64)).ravel())
     planes[:, w] = S & 1
     trials = np.arange(B)
-    pivot_pos = np.empty((B, r), dtype=np.intp)  # order position of each row's pivot
-    for i in range(r):
-        rest = np.bitwise_or.reduce(planes[:, :w, i:], axis=2)
-        nonzero = rest != 0
-        if not nonzero.any(axis=1).all():
-            raise ValueError("target_rank exceeds the rank of M")
-        k = nonzero.argmax(axis=1)
+    # Step r's pivot column is bit pivot_bit[b, r] of word pivot_word[b, r].
+    pivot_word = np.empty((B, min(rows, cols)), dtype=np.intp)
+    pivot_bit = np.empty((B, min(rows, cols)), dtype=np.uint64)
+    r = 0
+    while r < pivot_word.shape[1]:
+        rest = np.bitwise_or.reduce(planes[:, :w, r:], axis=2)
+        k = (rest != 0).argmax(axis=1)
         word = rest[trials, k]
-        shift = np.bitwise_count((word & (0 - word)) - _ONE).astype(np.uint64)
-        colbits = (planes[trials, k] >> shift[:, None]) & _ONE
-        p = i + colbits[:, i:].argmax(axis=1)
-        # Swap the pivot row into row i, then clear the column in every other row.
+        if not word.all():
+            if word.any():
+                raise RuntimeError("trials of one matrix reached different ranks")
+            break
+        bit = word & (0 - word)
+        has = (planes[trials, k] & bit[:, None]) != 0
+        p = r + has[:, r:].argmax(axis=1)
+        # Clear the column from every row (the pivot row too), then swap
+        # the saved pivot row into row r.
         pivot_row = planes[trials, :, p]
-        planes[trials, :, p] = planes[:, :, i]
-        planes[:, :, i] = pivot_row
-        colbits[trials, p] = colbits[:, i]
-        colbits[:, i] = 0
-        planes ^= (0 - colbits)[:, None, :] & pivot_row[:, :, None]
-        pivot_pos[:, i] = 64 * k + shift.astype(np.intp)
+        planes ^= pivot_row[:, :, None] * has[:, None, :]
+        planes[trials, :, p] = planes[:, :, r]
+        planes[:, :, r] = pivot_row
+        pivot_word[:, r] = k
+        pivot_bit[:, r] = bit
+        r += 1
     # Rows r.. of the reduced matrix are zero, so their syndrome bits must be too.
     if planes[:, w, r:].any():
         raise Infeasible("syndrome outside the column space")
+    pivot_pos = 64 * pivot_word[:, :r] + np.bitwise_count(pivot_bit[:, :r] - _ONE)
     x = np.zeros((B, cols), dtype=np.uint8)
     x[trials[:, None], np.take_along_axis(orders, pivot_pos, axis=1)] = planes[:, w, :r]
     return x
@@ -263,7 +268,8 @@ def solve_selected(M: BitMatrix, s: BitVector, col_order) -> BitVector:
 
     Columns are tried in col_order (a permutation of range(M.cols)); the
     first maximal independent set wins and all other bits of x stay zero.
-    Raises Infeasible when s is outside the column space.
+    Raises Infeasible when s is outside the column space.  This serial form
+    is the reference that solve_selected_batch is tested against.
     """
     if s.length != M.rows:
         raise ValueError("syndrome length does not match row count")
@@ -282,15 +288,14 @@ def solve_selected(M: BitMatrix, s: BitVector, col_order) -> BitVector:
     return BitVector.from_array(x)
 
 
-def solve_selected_batch(M: BitMatrix, S, col_orders, target_rank: int | None = None) -> np.ndarray:
+def solve_selected_batch(M: BitMatrix, S, col_orders) -> np.ndarray:
     """solve_selected for a batch: row b of the result solves M·x = S[b]
     with x supported on the greedy column set of col_orders[b].
 
     S is (B, rows) 0/1 and col_orders is (B, cols), each row a permutation
     of the columns.  Returns (B, cols) uint8, equal row by row to
-    solve_selected.  target_rank must be rank(M); pass it when it is
-    cached, or it is computed here.  Raises Infeasible when any syndrome is
-    outside the column space.
+    solve_selected.  Raises Infeasible when any syndrome is outside the
+    column space.
     """
     S = np.asarray(S, dtype=np.uint8)
     orders = np.asarray(col_orders, dtype=np.intp)
@@ -301,13 +306,12 @@ def solve_selected_batch(M: BitMatrix, S, col_orders, target_rank: int | None = 
         raise ValueError("need one column order per syndrome")
     if not (np.sort(orders, axis=1) == np.arange(M.cols)).all():
         raise ValueError("each col_order must be a permutation of the columns")
-    r = rank(M) if target_rank is None else target_rank
     nz_rows, nz_cols = np.nonzero(M.to_array())
-    block = max(1, min(_BATCH_TRIALS, _BATCH_BYTES // max(1, 8 * (M.data.shape[1] + 1) * M.rows)))
+    block = max(1, _BATCH_BYTES // max(1, 8 * (M.data.shape[1] + 1) * M.rows))
     out = np.empty((B, M.cols), dtype=np.uint8)
     for a in range(0, B, block):
         b = min(a + block, B)
-        out[a:b] = _eliminate_batch(M.rows, M.cols, nz_rows, nz_cols, S[a:b], orders[a:b], r)
+        out[a:b] = _eliminate_batch(M.rows, M.cols, nz_rows, nz_cols, S[a:b], orders[a:b])
     return out
 
 

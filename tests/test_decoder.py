@@ -181,7 +181,7 @@ def test_batched_osd_matches_single_on_failed_trials(make):
 def test_osd_infeasible_syndrome_raises():
     code = codes.toric(2)  # dependent generators: some syndromes are unreachable
     ctx = decoder.DecoderContext.for_code(code)
-    assert ctx.rank < ctx.m
+    assert gf2.rank(ctx.packed) < ctx.m
     s = np.zeros(ctx.m, dtype=np.uint8)
     s[0] = 1  # a lone violated check cannot happen on a torus
     post = np.full(ctx.nbits, 0.1)
