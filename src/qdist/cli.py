@@ -60,16 +60,6 @@ def _parse_rates(text: str) -> tuple[float, ...]:
     return rates
 
 
-def _default_threads() -> int:
-    env = os.environ.get("QDIST_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _add_code_selector(sp):
     sp.add_argument("--code", choices=sorted(codes.FAMILIES), help="code family name")
     sp.add_argument("--params", type=_parse_ints, default=(), help="family parameters, e.g. 3,3,3")
@@ -87,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--noise", choices=[k.value for k in NoiseKind], default="depolarizing")
     est.add_argument("--max-iters", type=int, default=100)
-    est.add_argument("--threads", type=int, default=_default_threads())
+    est.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                     help="decoding threads (default: all CPUs); the report does not depend on it")
     est.add_argument("--out", help="write the JSON report here")
     est.add_argument("--csv", help="also write a per-rate CSV here")
 
@@ -119,9 +110,13 @@ def parse_args(argv) -> RunSpec:
     spec.code_file = ns.code_file
     if (spec.code_family is None) == (spec.code_file is None):
         build_parser().error("provide exactly one of --code or --code-file")
+    if ns.subcommand in ("estimate", "decode-one") and ns.max_iters < 1:
+        build_parser().error("--max-iters must be positive")
     if ns.subcommand == "estimate":
         if ns.trials <= 0:
             build_parser().error("--trials must be positive")
+        if ns.threads < 1:
+            build_parser().error("--threads must be positive")
         spec.rates = ns.rates
         spec.trials = ns.trials
         spec.seed = ns.seed
@@ -134,6 +129,8 @@ def parse_args(argv) -> RunSpec:
         spec.max_weight = ns.max_weight
         spec.budget = ns.budget
     elif ns.subcommand == "decode-one":
+        if not 0.0 < ns.rate < 1.0:
+            build_parser().error("--rate must be in (0, 1)")
         spec.error_string = ns.error
         spec.rate = ns.rate
         spec.max_iterations = ns.max_iters

@@ -66,6 +66,8 @@ class StabilizerCode:
         self.n = hx.shape[1]
         self.metadata = dict(metadata or {})
         self._generator_matrix = np.hstack([hx, hz])
+        # [Hz | Hx]^T, so that [ex | ez] times it is Hz·ex + Hx·ez.
+        self._syndrome_matrix = np.vstack([hz.T, hx.T]).astype(np.float32)
         self.k = self.n - gf2.rank(gf2.BitMatrix.from_array(self._generator_matrix))
         self.hd = decoupled_parity_check(hx, hz)
         self._stabilizer_reducer = None
@@ -89,12 +91,26 @@ class StabilizerCode:
             )
         return self._stabilizer_reducer
 
+    def syndromes(self, ex: np.ndarray, ez: np.ndarray) -> np.ndarray:
+        """Syndromes of a batch of Paulis: row b is (Hx·ez[b] + Hz·ex[b]) mod 2.
+
+        ex and ez are (B, n) 0/1 arrays; returns (B, m) uint8.  The product
+        runs in float32, which is exact here: every dot product is an integer
+        of at most 2n.
+        """
+        ex = np.asarray(ex)
+        ez = np.asarray(ez)
+        if ex.ndim != 2 or ex.shape != ez.shape or ex.shape[1] != self.n:
+            raise ValueError(f"expected two (B, {self.n}) arrays ex and ez")
+        dots = np.hstack([ex, ez]) @ self._syndrome_matrix
+        return (dots.astype(np.int32) & 1).astype(np.uint8)
+
     def syndrome(self, e: pauli.SymplecticPauli) -> pauli.Syndrome:
-        return pauli.syndrome_symplectic(self.hx, self.hz, e)
+        return pauli.Syndrome(self.syndromes(e.ex[None, :], e.ez[None, :])[0])
 
     def in_stabilizer_group(self, p: pauli.SymplecticPauli) -> bool:
         vec = np.concatenate([p.ex, p.ez])
-        return self.stabilizer_reducer().contains(gf2.BitVector.from_array(vec))
+        return bool(self.stabilizer_reducer().contains_batch(vec[None, :])[0])
 
     def __repr__(self) -> str:
         return f"StabilizerCode({self.name}: [[{self.n}, {self.k}]])"

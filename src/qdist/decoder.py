@@ -219,19 +219,18 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
     return out_bits, out_post, out_conv, out_iter
 
 
-def bp_decode(hd: np.ndarray, syndrome, prior: ChannelPrior, cfg: BPConfig):
+def bp_decode(ctx: DecoderContext, syndrome, prior: ChannelPrior, cfg: BPConfig):
     """Single-syndrome sum-product; see bp_decode_batch for the semantics.
 
     Returns (raw_bits, posteriors, converged, iterations) where raw_bits is
     the canonical one-hot decision vector of length 3n.
     """
-    ctx = hd if isinstance(hd, DecoderContext) else DecoderContext(hd)
     s = syndrome.bits if isinstance(syndrome, pauli.Syndrome) else np.asarray(syndrome)
     bits, post, conv, iters = bp_decode_batch(ctx, s[None, :], prior, cfg)
     return bits[0], post[0], bool(conv[0]), int(iters[0])
 
 
-def osd_post_process(hd, syndrome, posteriors) -> np.ndarray:
+def osd_post_process(ctx: DecoderContext, syndrome, posteriors) -> np.ndarray:
     """OSD-0: solve Hd·x = s on the most reliable independent column set.
 
     Columns are ranked by descending P(bit=1) (ties: ascending index).  A
@@ -241,7 +240,6 @@ def osd_post_process(hd, syndrome, posteriors) -> np.ndarray:
     real error always lies in the column space; Infeasible therefore
     indicates a broken check matrix and is re-raised as such.
     """
-    ctx = hd if isinstance(hd, DecoderContext) else DecoderContext(hd)
     s = syndrome.bits if isinstance(syndrome, pauli.Syndrome) else np.asarray(syndrome)
     post = np.asarray(posteriors, dtype=np.float64)
     order = np.argsort(-post, axis=-1, kind="stable")

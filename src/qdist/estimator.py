@@ -22,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from . import gf2, pauli
+from . import pauli
 from .codes import StabilizerCode
 from .decoder import BPConfig, ChannelPrior, DecoderContext, bp_decode_batch, osd_post_process
 
@@ -181,11 +181,6 @@ def _sample_batch(code: StabilizerCode, p: float, kind: NoiseKind, seed: int, ra
     return ex, ez
 
 
-def _decoupled_bits(ex: np.ndarray, ez: np.ndarray) -> np.ndarray:
-    y = ex & ez
-    return np.hstack([ex & ~y & 1, ez & ~y & 1, y])
-
-
 def _decode_chunk(ctx: DecoderContext, S: np.ndarray, prior: ChannelPrior, cfg: BPConfig):
     """Decode a syndrome chunk: BP on every trial, then one batched OSD-0
     solve over the trials BP did not converge on.  Returns canonical
@@ -199,61 +194,66 @@ def _decode_chunk(ctx: DecoderContext, S: np.ndarray, prior: ChannelPrior, cfg: 
     return a ^ c, b ^ c, conv
 
 
+# Trials per chunk: at most _CHUNK_TRIALS, and at most _CHUNK_EDGES BP
+# messages (trials times Tanner-graph edges), but never fewer than _CHUNK_MIN.
+_CHUNK_MIN = 256
+_CHUNK_TRIALS = 20_000
+_CHUNK_EDGES = 20_000_000
+
+
 def estimate_upper_bound(code: StabilizerCode, cfg: TrialConfig, threads: int = 1) -> DistanceReport:
     """Sweep rates, decode trials, and track the minimum logical weight.
 
     The running minimum starts at the code length; only logical residuals
     lower it, and in pure-X mode only X-type residuals (ez = 0) count.  The
-    first witness attaining the final minimum is kept.
+    first witness attaining the final minimum is kept.  Each rate's trials
+    are decoded in chunks on a pool of `threads` workers; the report does
+    not depend on the thread count.
     """
+    if threads < 1:
+        raise ValueError("need at least one thread")
     ctx = DecoderContext.for_code(code)
     reducer = code.stabilizer_reducer()
-    hd_t = code.hd.T.astype(np.float64)
     best = code.n
     witness: pauli.SymplecticPauli | None = None
     per_rate: list[RateStats] = []
 
-    chunk_size = max(256, min(20_000, 20_000_000 // max(ctx.num_edges, 1)))
-    prior_cfg = cfg.decoder
+    chunk_size = max(_CHUNK_MIN, min(_CHUNK_TRIALS, _CHUNK_EDGES // max(ctx.num_edges, 1)))
 
-    for rate_idx, p in enumerate(cfg.rates):
-        T = cfg.trials_per_rate
-        ex, ez = _sample_batch(code, p, cfg.noise_kind, cfg.master_seed, rate_idx, T)
-        D = _decoupled_bits(ex, ez)
-        S = ((D.astype(np.float64) @ hd_t) % 2).astype(np.uint8)
-        prior = ChannelPrior(p)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # One worker decodes in the calling thread: a pool thread would get a
+        # malloc arena of its own, which keeps about 5 MB more resident.
+        decode_chunks = map if threads == 1 else pool.map
+        for rate_idx, p in enumerate(cfg.rates):
+            T = cfg.trials_per_rate
+            ex, ez = _sample_batch(code, p, cfg.noise_kind, cfg.master_seed, rate_idx, T)
+            S = code.syndromes(ex, ez)
+            prior = ChannelPrior(p)
+            chunks = [S[a : a + chunk_size] for a in range(0, T, chunk_size)]
+            results = list(decode_chunks(lambda s: _decode_chunk(ctx, s, prior, cfg.decoder), chunks))
+            est_x = np.vstack([r[0] for r in results])
+            est_z = np.vstack([r[1] for r in results])
 
-        chunks = [(start, min(start + chunk_size, T)) for start in range(0, T, chunk_size)]
-        if threads > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(
-                    pool.map(lambda se: _decode_chunk(ctx, S[se[0] : se[1]], prior, prior_cfg), chunks)
-                )
-        else:
-            results = [_decode_chunk(ctx, S[a:b], prior, prior_cfg) for a, b in chunks]
-        est_x = np.vstack([r[0] for r in results])
-        est_z = np.vstack([r[1] for r in results])
-
-        rx = ex ^ est_x
-        rz = ez ^ est_z
-        weights = np.count_nonzero(rx | rz, axis=1)
-        candidates = weights > 0
-        if cfg.noise_kind == NoiseKind.PURE_X:
-            candidates &= ~rz.any(axis=1)
-        idx = np.nonzero(candidates)[0]
-        logical_events = 0
-        rate_min: int | None = None
-        if idx.size:
-            member = reducer.contains_batch(np.hstack([rx[idx], rz[idx]]))
-            logical_idx = idx[~member]
-            logical_events = int(logical_idx.size)
-            for t in logical_idx:
-                w = int(weights[t])
-                rate_min = w if rate_min is None else min(rate_min, w)
-                if w < best:
-                    best = w
-                    witness = pauli.SymplecticPauli.from_arrays(rx[t], rz[t])
-        per_rate.append(RateStats(p=p, trials=T, logical_events=logical_events, min_weight=rate_min))
+            rx = ex ^ est_x
+            rz = ez ^ est_z
+            weights = np.count_nonzero(rx | rz, axis=1)
+            candidates = weights > 0
+            if cfg.noise_kind == NoiseKind.PURE_X:
+                candidates &= ~rz.any(axis=1)
+            idx = np.nonzero(candidates)[0]
+            logical_events = 0
+            rate_min: int | None = None
+            if idx.size:
+                member = reducer.contains_batch(np.hstack([rx[idx], rz[idx]]))
+                logical_idx = idx[~member]
+                logical_events = int(logical_idx.size)
+                for t in logical_idx:
+                    w = int(weights[t])
+                    rate_min = w if rate_min is None else min(rate_min, w)
+                    if w < best:
+                        best = w
+                        witness = pauli.SymplecticPauli.from_arrays(rx[t], rz[t])
+            per_rate.append(RateStats(p=p, trials=T, logical_events=logical_events, min_weight=rate_min))
 
     return DistanceReport(
         code_name=code.name,
@@ -313,7 +313,7 @@ def brute_force_distance(code: StabilizerCode, w_max: int, budget: int = 50_000_
                 vec[q] = 1
             if pc in (2, 3):
                 vec[n + q] = 1
-        return not reducer.contains(gf2.BitVector.from_array(vec))
+        return not reducer.contains_batch(vec[None, :])[0]
 
     found: list = []
 

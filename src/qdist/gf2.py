@@ -258,8 +258,6 @@ def rank(M: BitMatrix) -> int:
 
 def in_row_span(M: BitMatrix, v: BitVector) -> bool:
     """True iff v is a GF(2) combination of the rows of M."""
-    if v.length != M.cols:
-        raise ValueError("vector length does not match column count")
     return RowSpanReducer(M).contains(v)
 
 
@@ -341,24 +339,17 @@ class RowSpanReducer:
         self.pivot_rows = reduced.data[: len(pivot_cols)].copy()
         self.rank = len(pivot_cols)
 
-    def reduce_words(self, words: np.ndarray) -> np.ndarray:
-        """Reduce one packed vector against the pivot rows (copy returned)."""
-        w = words.copy()
-        for i, c in enumerate(self.pivot_cols):
-            if (w[c >> 6] >> np.uint64(c & 63)) & _ONE:
-                w ^= self.pivot_rows[i]
-        return w
-
     def contains(self, v: BitVector) -> bool:
-        if v.length != self.cols:
-            raise ValueError("vector length does not match column count")
-        return not self.reduce_words(v.words).any()
+        return bool(self.contains_batch(v.to_array()[None, :])[0])
 
     def contains_batch(self, bits: np.ndarray) -> np.ndarray:
         """Vectorized membership test for a (batch, cols) 0/1 array."""
+        bits = np.asarray(bits)
+        if bits.ndim != 2 or bits.shape[1] != self.cols:
+            raise ValueError("vector length does not match column count")
         w = _pack_bits(bits)
         for i, c in enumerate(self.pivot_cols):
-            mask = (_column_bits(w, c)).astype(bool)
+            mask = _column_bits(w, c).astype(bool)
             if mask.any():
                 w[mask] ^= self.pivot_rows[i]
         return ~w.any(axis=1) if w.shape[1] else np.ones(bits.shape[0], dtype=bool)

@@ -2,8 +2,10 @@
 
 A phase-free n-qubit Pauli is a pair of bit vectors (ex | ez); the decoupled
 form spreads it over three n-bit blocks (x' | z' | y') with at most one bit
-set per qubit.  Syndromes can be computed in either representation and the
-two must agree, which the test suite checks exhaustively.
+set per qubit.  Syndromes are computed from the symplectic form, in batches,
+by StabilizerCode.syndromes.  syndrome_decoupled (Hd times the decoupled
+vector) is the reference it is tested against: the decoder works on Hd, so
+the two must agree.
 """
 
 from __future__ import annotations
@@ -133,14 +135,6 @@ def mul(a: SymplecticPauli, b: SymplecticPauli) -> SymplecticPauli:
     if a.n != b.n:
         raise ValueError("qubit count mismatch")
     return SymplecticPauli(a.n, a.ex ^ b.ex, a.ez ^ b.ez)
-
-
-def syndrome_symplectic(hx: np.ndarray, hz: np.ndarray, e: SymplecticPauli) -> Syndrome:
-    """s = (Hx·ez + Hz·ex) mod 2."""
-    if hx.shape[1] != e.n or hz.shape[1] != e.n:
-        raise ValueError("check matrix width does not match qubit count")
-    s = (hx.astype(np.int64) @ e.ez + hz.astype(np.int64) @ e.ex) & 1
-    return Syndrome(s.astype(np.uint8))
 
 
 def syndrome_decoupled(hd: np.ndarray, d) -> Syndrome:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from qdist import codes, decoder, estimator, pauli
-from qdist.decoder import BPConfig, ChannelPrior, DecoderContext, bp_decode_batch, osd_post_process
+from qdist.decoder import BPConfig, ChannelPrior, DecoderContext
 from qdist.estimator import NoiseKind, TrialConfig
 
 pytestmark = pytest.mark.acceptance
@@ -142,7 +142,7 @@ def test_criterion_6_representation_equivalence():
             ex = rng.integers(0, 2, code.n, dtype=np.uint8)
             ez = rng.integers(0, 2, code.n, dtype=np.uint8)
             e = pauli.SymplecticPauli.from_arrays(ex, ez)
-            s1 = pauli.syndrome_symplectic(code.hx, code.hz, e)
+            s1 = code.syndrome(e)
             s2 = pauli.syndrome_decoupled(code.hd, pauli.to_decoupled(e))
             total += 1
             mismatches += s1 != s2
@@ -162,12 +162,9 @@ def test_criterion_7_decoder_contract():
         rng = np.random.default_rng(MASTER_SEED + code.n)
         ex = rng.integers(0, 2, (trials, code.n), dtype=np.uint8)
         ez = rng.integers(0, 2, (trials, code.n), dtype=np.uint8)
-        D = estimator._decoupled_bits(ex, ez)
-        S = ((D.astype(np.float64) @ code.hd.T.astype(np.float64)) % 2).astype(np.uint8)
+        S = code.syndromes(ex, ez)
         est_x, est_z, _ = estimator._decode_chunk(ctx, S, ChannelPrior(0.1), cfg)
-        s_of_est = ((est_z @ code.hx.T.astype(np.int64)) + (est_x @ code.hz.T.astype(np.int64))) % 2
-        s_true = ((ez @ code.hx.T.astype(np.int64)) + (ex @ code.hz.T.astype(np.int64))) % 2
-        bad = int(np.count_nonzero(np.any(s_of_est != s_true, axis=1)))
+        bad = int(np.count_nonzero(np.any(code.syndromes(est_x, est_z) != S, axis=1)))
         consistent[code.name] = (trials, bad)
 
     weight1_bad = {}

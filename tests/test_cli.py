@@ -38,6 +38,14 @@ def test_parse_rejects_bad_inputs():
     with pytest.raises(SystemExit):
         cli.parse_args(["estimate", "--code", "toric", "--params", "2",
                         "--trials", "0"])
+    for flags in (["--threads", "0"], ["--threads", "-2"], ["--max-iters", "0"]):
+        with pytest.raises(SystemExit):
+            cli.parse_args(["estimate", "--code", "toric", "--params", "2", *flags])
+    one = ["decode-one", "--code", "toric", "--params", "2", "--error", "XIIIIIII"]
+    for flags in (["--max-iters", "0"], ["--rate", "1.5"], ["--rate", "0"]):
+        with pytest.raises(SystemExit):
+            cli.parse_args([*one, *flags])
+    assert cli.parse_args(one).rate == 0.1
     with pytest.raises(SystemExit):
         cli.parse_args(["bogus-subcommand"])
 

@@ -126,13 +126,33 @@ def test_estimate_reports_are_reproducible():
     assert r1.to_json() == r2.to_json()
 
 
-def test_estimate_independent_of_thread_count():
+def test_estimate_independent_of_thread_count(monkeypatch):
     code = codes.planar_surface(2)
     cfg = TrialConfig(rates=(0.1,), trials_per_rate=600, master_seed=5,
                       decoder=BPConfig(max_iterations=15))
-    r1 = estimator.estimate_upper_bound(code, cfg, threads=1)
-    r2 = estimator.estimate_upper_bound(code, cfg, threads=3)
-    assert r1.to_json() == r2.to_json()
+    whole = estimator.estimate_upper_bound(code, cfg).to_json()  # one chunk
+    chunk_sizes = []
+    real = estimator._decode_chunk
+
+    def counted(ctx, S, prior, bp_cfg):
+        chunk_sizes.append(S.shape[0])
+        return real(ctx, S, prior, bp_cfg)
+
+    # 200-trial chunks: 600 trials run as 3 chunks, so the pool has work to share.
+    monkeypatch.setattr(estimator, "_CHUNK_MIN", 1)
+    monkeypatch.setattr(estimator, "_CHUNK_TRIALS", 200)
+    monkeypatch.setattr(estimator, "_decode_chunk", counted)
+    r1 = estimator.estimate_upper_bound(code, cfg, threads=1).to_json()
+    r3 = estimator.estimate_upper_bound(code, cfg, threads=3).to_json()
+    assert chunk_sizes == [200] * 6
+    assert r1 == r3 == whole
+
+
+def test_estimate_rejects_bad_thread_count():
+    cfg = TrialConfig(rates=(0.1,), trials_per_rate=10)
+    for threads in (0, -1):
+        with pytest.raises(ValueError):
+            estimator.estimate_upper_bound(codes.planar_surface(2), cfg, threads=threads)
 
 
 def test_pure_x_mode_only_counts_x_residuals():

@@ -92,10 +92,10 @@ def test_mul():
 def test_syndrome_symplectic_small_code():
     # Z1Z2, Z2Z3 on three qubits; X on qubit 0 flips only the first check.
     hz = np.array([[1, 1, 0], [0, 1, 1]], np.uint8)
-    hx = np.zeros_like(hz)
-    s = pauli.syndrome_symplectic(hx, hz, pauli.from_string("XII"))
+    code = codes.StabilizerCode("zz_chain", np.zeros_like(hz), hz)
+    s = code.syndrome(pauli.from_string("XII"))
     assert np.array_equal(s.bits, [1, 0])
-    assert pauli.syndrome_symplectic(hx, hz, pauli.SymplecticPauli.identity(3)).is_zero()
+    assert code.syndrome(pauli.SymplecticPauli.identity(3)).is_zero()
 
 
 def test_syndrome_matches_commutation_oracle():
@@ -130,9 +130,42 @@ def test_representation_equivalence(make):
     rng = np.random.default_rng(code.n)
     for _ in range(500):
         e = random_pauli(rng, code.n)
-        s1 = pauli.syndrome_symplectic(code.hx, code.hz, e)
+        s1 = code.syndrome(e)
         s2 = pauli.syndrome_decoupled(code.hd, pauli.to_decoupled(e))
         assert s1 == s2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: codes.toric(3),
+    lambda: codes.chamon(3, 3, 3),  # dependent generators, non-CSS
+    lambda: codes.ztgre(5),  # Z-only checks
+    lambda: codes.xzzx_surface(3),
+])
+def test_batched_syndromes_match_decoupled_reference(make):
+    code = make()
+    rng = np.random.default_rng(code.n + 1)
+    ex = rng.integers(0, 2, (300, code.n), dtype=np.uint8)
+    ez = rng.integers(0, 2, (300, code.n), dtype=np.uint8)
+    ez[:100] = 0  # pure-X rows, as a pure-X sweep samples them
+    S = code.syndromes(ex, ez)
+    assert S.shape == (300, code.num_generators) and S.dtype == np.uint8
+    for b in range(300):
+        d = pauli.to_decoupled(pauli.SymplecticPauli.from_arrays(ex[b], ez[b]))
+        assert np.array_equal(S[b], pauli.syndrome_decoupled(code.hd, d).bits)
+
+    assert code.syndromes(ex[:0], ez[:0]).shape == (0, code.num_generators)
+    one = code.syndromes(ex[:1], ez[:1])
+    assert one.shape == (1, code.num_generators) and np.array_equal(one[0], S[0])
+    assert np.array_equal(code.syndrome(pauli.SymplecticPauli.from_arrays(ex[0], ez[0])).bits, S[0])
+
+    with pytest.raises(ValueError):
+        code.syndromes(ex[:, 1:], ez[:, 1:])  # width n - 1
+    with pytest.raises(ValueError):
+        code.syndromes(ex, ez[:, 1:])
+    with pytest.raises(ValueError):
+        code.syndromes(ex[0], ez[0])  # one Pauli needs a batch axis
+    with pytest.raises(ValueError):
+        code.syndrome(pauli.from_string("X" * (code.n + 1)))
 
 
 def test_string_round_trip():
