@@ -10,6 +10,16 @@ pauli.to_symplectic turns into a valid Pauli with the same syndrome.
 
 The batch entry point decodes many syndromes at once (flooding is data
 parallel across trials); decode() is the single-syndrome wrapper.
+
+BP works batch-minor: messages are (edges + 1, trials) arrays, so every
+per-edge operation runs over contiguous rows of trials, and the last row is
+neutral padding.  A check's (or variable's) sum over its edges is one gather
+through a (degree, owners) slot table followed by a reduction over axis 0.
+That reduction adds in exactly np.add.reduceat's order -- the first term
+plus numpy's pairwise sum of the rest -- which the trial-major kernel this
+one replaced used, so posteriors, decisions and reports are bit-identical to
+it; tests/test_decoder.py keeps that kernel as the reference and pins the
+order against np.add.reduceat.
 """
 
 from __future__ import annotations
@@ -71,32 +81,27 @@ class DecodeOutcome:
 class DecoderContext:
     """Per-code precomputation shared by every decode call.
 
-    Holds the Tanner-graph edge layout of the decoupled matrix and its
-    packed form for OSD.  Immutable once built; safe to share.
+    Holds the Tanner-graph edge layout of the decoupled matrix, the slot
+    tables BP sums over, and the packed matrix for OSD.  Immutable once
+    built; safe to share.
     """
 
     def __init__(self, hd: np.ndarray):
         hd = np.asarray(hd, dtype=np.uint8) & 1
         self.hd = hd
         self.m, self.nbits = hd.shape
-        # Drop all-zero check rows from the graph (vacuous constraints); a
-        # real-error syndrome is always 0 there, which bp_decode_batch asserts.
+        # Drop all-zero check rows from the graph (vacuous constraints); the
+        # parity test still covers them, so a syndrome bit there never converges.
         row_w = hd.sum(axis=1)
         self.active_checks = np.nonzero(row_w)[0]
-        chk, var = np.nonzero(hd[self.active_checks])
-        order = np.lexsort((var, chk))
-        self.edge_check = chk[order]  # index into active_checks
-        self.edge_var = var[order]
+        # Edges in row-major order: by check, then by variable.
+        self.edge_check, self.edge_var = np.divmod(np.flatnonzero(hd[self.active_checks]), self.nbits)
         self.num_edges = self.edge_check.shape[0]
-        counts = np.bincount(self.edge_check, minlength=self.active_checks.shape[0])
-        self.check_ptr = np.concatenate([[0], np.cumsum(counts)])[:-1].astype(np.intp)
-        # Variable-major layout for posterior sums.
-        vorder = np.lexsort((self.edge_check, self.edge_var))
-        self.var_perm = vorder
-        self.used_vars = np.unique(self.edge_var)
-        vcounts = np.bincount(self.edge_var[vorder])
-        vcounts = vcounts[vcounts > 0]
-        self.var_ptr = np.concatenate([[0], np.cumsum(vcounts)])[:-1].astype(np.intp)
+        # Edge ids ascend along each check's and each variable's edge list,
+        # the order the sums must follow.
+        self.check_slots = _slot_tables(self.edge_check, self.num_edges)
+        self.var_slots = _slot_tables(self.edge_var, self.num_edges)
+        self.hd_f32 = hd.astype(np.float32)
         self.packed = gf2.BitMatrix.from_array(hd)
 
     @classmethod
@@ -108,33 +113,97 @@ class DecoderContext:
         return ctx
 
 
-def _segment_sum(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    return np.add.reduceat(values, ptr, axis=-1)
+# Owners of degree <= _SHARED_DEGREE share one slot table: their sums have at
+# most 7 terms after the first, which numpy adds sequentially, so trailing
+# zero padding leaves them unchanged.
+_SHARED_DEGREE = 8
+
+
+def _slot_tables(owner: np.ndarray, pad: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Group edges by owner (check or variable) into (ids, slots) pairs.
+
+    slots is a (D, K) array whose column k lists the edges of owner ids[k] in
+    ascending edge order, padded with the edge id `pad` (an all-neutral row).
+    Owners of degree <= _SHARED_DEGREE share one table; each larger degree
+    gets a table of its own, so its pairwise sum is never padded.
+    """
+    order = np.argsort(owner, kind="stable")
+    deg = np.bincount(owner)
+    ids = np.flatnonzero(deg)
+    deg = deg[ids]
+    group = np.repeat(np.arange(ids.shape[0]), deg)  # owner rank of edge order[i]
+    pos = np.arange(order.shape[0]) - (np.cumsum(deg) - deg)[group]
+    key = np.where(deg <= _SHARED_DEGREE, 0, deg)
+    tables = []
+    for k in np.unique(key):
+        sel = key == k
+        col = np.cumsum(sel) - 1
+        on = sel[group]
+        slots = np.full((deg[sel].max(), col[-1] + 1), pad, dtype=np.intp)
+        slots[pos[on], col[group[on]]] = order[on]
+        tables.append((ids[sel], slots))
+    return tables
+
+
+def _pairwise(a: np.ndarray) -> np.ndarray:
+    """numpy's pairwise float sum over axis 0 of a (n, ...) stack, n >= 1.
+
+    Below 8 terms numpy adds sequentially (from -0.0, which leaves a[0]
+    unchanged); up to 128 it keeps 8 strided accumulators, combines them as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and adds the tail in order; above
+    that it splits at a multiple of 8 and recurses.
+    """
+    n = a.shape[0]
+    if n < 8:
+        res = a[0].copy()
+        for i in range(1, n):
+            res += a[i]
+        return res
+    if n <= 128:
+        r = a[:8].copy()
+        body = n - n % 8
+        for i in range(8, body, 8):
+            r += a[i : i + 8]
+        res = (r[0] + r[1]) + (r[2] + r[3])
+        res += (r[4] + r[5]) + (r[6] + r[7])
+        for i in range(body, n):
+            res += a[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise(a[:half]) + _pairwise(a[half:])
+
+
+def _ordered_sum(g: np.ndarray) -> np.ndarray:
+    """Sum a (D, ...) stack over axis 0 exactly as np.add.reduceat sums one
+    segment: the first term plus the pairwise sum of the rest."""
+    if g.shape[0] == 1:
+        return g[0].copy()
+    res = _pairwise(g[1:])
+    res += g[0]
+    return res
 
 
 def _decision_bits_from_llr(llr: np.ndarray, n: int) -> np.ndarray:
-    """Constrained per-qubit decision from posterior LLRs; (B, 3n) -> (B, 3n) bits.
+    """Constrained per-qubit decision from posterior LLRs; (3n, B) -> (3n, B) bits.
 
     Picks the most likely of I/X/Z/Y from the product of the three bit
     marginals.  Those four scores divided by P(I) are {1, exp(-llr_x),
-    exp(-llr_z), exp(-llr_y)}, so the argmax over stacked [zeros, -llr]
-    decides, and np.argmax's first-wins rule breaks exact ties in the order
-    I < X < Z < Y.
+    exp(-llr_z), exp(-llr_y)}, so a qubit stays I unless its smallest LLR is
+    negative, and exact ties go to the first of X, Z, Y.
     """
-    if llr.ndim != 2 or llr.shape[1] != 3 * n:
-        raise ValueError("expected a (B, 3n) array of posterior LLRs")
-    b = llr.shape[0]
-    stacked = np.stack([
-        np.zeros((b, n), dtype=llr.dtype),
-        -llr[:, :n],
-        -llr[:, n : 2 * n],
-        -llr[:, 2 * n :],
-    ])
-    cls = np.argmax(stacked, axis=0)
-    bits = np.zeros((b, 3 * n), dtype=np.uint8)
-    bits[:, :n] = cls == 1
-    bits[:, n : 2 * n] = cls == 2
-    bits[:, 2 * n :] = cls == 3
+    if llr.ndim != 2 or llr.shape[0] != 3 * n:
+        raise ValueError("expected a (3n, B) array of posterior LLRs")
+    x, z, y = llr[:n], llr[n : 2 * n], llr[2 * n :]
+    low = np.minimum(np.minimum(x, z), y)
+    hit = low < 0
+    bits = np.empty(llr.shape, dtype=np.uint8)
+    bx = hit & (x == low)
+    hit &= ~bx
+    bz = hit & (z == low)
+    bits[:n] = bx
+    bits[n : 2 * n] = bz
+    bits[2 * n :] = hit & ~bz
     return bits
 
 
@@ -155,6 +224,8 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
     out_post = np.full((B, ctx.nbits), prior.bit_prob, dtype=np.float64)
     out_conv = np.zeros(B, dtype=bool)
     out_iter = np.full(B, cfg.max_iterations, dtype=np.int64)
+    if B == 0:
+        return out_bits, out_post, out_conv, out_iter
 
     if ctx.num_edges == 0:
         # No constraints at all: the identity decision stands.
@@ -162,60 +233,78 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
         out_iter[:] = 1
         return out_bits, out_post, out_conv, out_iter
 
+    E = ctx.num_edges
     edge_var = ctx.edge_var
     edge_check = ctx.edge_check
-    inactive = np.setdiff1d(np.arange(ctx.m), ctx.active_checks)
-    # A syndrome bit on an all-zero check row can never be satisfied.
-    vacuous_ok = ~S[:, inactive].any(axis=1) if inactive.size else np.ones(B, dtype=bool)
+    C = ctx.active_checks.shape[0]
 
+    # Batch-minor layout: row e of an (E + 1, B) array holds edge e for every
+    # active trial; row E is padding that slot tables point at.
     active = np.arange(B)
-    s_act = S[:, ctx.active_checks]  # (B, checks)
-    sign_act = (1.0 - 2.0 * s_act).astype(_MSG_DTYPE)
-    vac_ok = vacuous_ok
-    cur_mcv = np.zeros((B, ctx.num_edges), dtype=_MSG_DTYPE)
-
-    def posterior_llr(mcv):
-        tot = np.full((mcv.shape[0], ctx.nbits), prior_llr, dtype=_MSG_DTYPE)
-        tot[:, ctx.used_vars] += _segment_sum(mcv[:, ctx.var_perm], ctx.var_ptr)
-        return tot
+    s_full = np.ascontiguousarray(S.T)  # (m, B)
+    s_act = s_full[ctx.active_checks].astype(bool)  # (C, B)
+    mcv = np.zeros((E + 1, B), dtype=_MSG_DTYPE)
+    tot = np.full((ctx.nbits, B), prior_llr, dtype=_MSG_DTYPE)
 
     for it in range(1, cfg.max_iterations + 1):
-        # Variable-to-check messages from the current posterior totals.
-        mvc = posterior_llr(cur_mcv)[:, edge_var] - cur_mcv
-        # Check-to-variable messages via the log-magnitude / sign split.
-        t = np.tanh(0.5 * mvc)
-        sgn = np.where(t < 0, _MSG_DTYPE(-1.0), _MSG_DTYPE(1.0))
-        lg = np.log(np.clip(np.abs(t), _LOG_FLOOR, 1.0 - _TANH_EPS))
-        lsum = _segment_sum(lg, ctx.check_ptr)
-        neg = _segment_sum((t < 0).astype(np.int64), ctx.check_ptr)
-        sign_tot = 1.0 - 2.0 * (neg & 1).astype(_MSG_DTYPE)
-        prod = (sign_tot[:, edge_check] * sgn) * np.exp(lsum[:, edge_check] - lg)
-        prod *= sign_act[:, edge_check]
+        b = active.shape[0]
+        # Variable-to-check messages from the previous posterior totals; the
+        # new check-to-variable messages are built in place in the same rows.
+        nxt = np.empty((E + 1, b), dtype=_MSG_DTYPE)
+        nxt[E] = 0.0
+        t = np.subtract(tot[edge_var], mcv[:E], out=nxt[:E])
+        t *= 0.5
+        np.tanh(t, out=t)
+        # Check-to-variable messages via the log-magnitude / sign split.  A
+        # check's sign flips with its syndrome bit and with each negative t;
+        # padding is neutral: lg = 0, not negative.
+        neg = np.zeros((E + 1, b), dtype=bool)
+        np.less(t, 0, out=neg[:E])
+        lg = np.zeros((E + 1, b), dtype=_MSG_DTYPE)
+        np.abs(t, out=t)
+        np.clip(t, _LOG_FLOOR, 1.0 - _TANH_EPS, out=t)
+        np.log(t, out=lg[:E])
+        lsum = np.empty((C, b), dtype=_MSG_DTYPE)
+        flip = s_act.copy()
+        for ids, slots in ctx.check_slots:
+            lsum[ids] = _ordered_sum(lg[slots])
+            flip[ids] ^= np.logical_xor.reduce(neg[slots], axis=0)
+        prod = np.subtract(lsum[edge_check], lg[:E], out=t)
+        np.exp(prod, out=prod)
+        # Negate by flipping the sign bit: exact, and cheaper than a masked ufunc.
+        raw = prod.view(np.uint32)
+        raw ^= np.left_shift(flip[edge_check] ^ neg[:E], 31, dtype=np.uint32)
         np.clip(prod, -1.0 + _TANH_EPS, 1.0 - _TANH_EPS, out=prod)
-        cur_mcv = np.clip(2.0 * np.arctanh(prod), -cfg.clip, cfg.clip)
+        np.arctanh(prod, out=prod)
+        prod *= 2.0
+        np.clip(prod, -cfg.clip, cfg.clip, out=prod)
+        mcv = nxt
 
         # Posterior LLRs, constrained decision, convergence test.
-        tot = posterior_llr(cur_mcv)
+        for ids, slots in ctx.var_slots:
+            post = _ordered_sum(mcv[slots])
+            post += prior_llr
+            tot[ids] = post
         bits = _decision_bits_from_llr(tot, n)
-        parity = (_segment_sum(bits[:, edge_var].astype(np.int64), ctx.check_ptr) & 1).astype(np.uint8)
-        ok = ~np.any(parity != s_act, axis=1) & vac_ok
+        parity = ctx.hd_f32 @ bits.astype(_MSG_DTYPE)  # exact: integer sums <= 3n
+        ok = ~np.any((parity.astype(np.int64) & 1) != s_full, axis=0)
 
-        done = ok if it < cfg.max_iterations else np.ones(active.shape[0], dtype=bool)
+        done = ok if it < cfg.max_iterations else np.ones(b, dtype=bool)
         if done.any():
             idx = active[done]
-            out_bits[idx] = bits[done]
+            out_bits[idx] = bits[:, done].T
             with np.errstate(over="ignore"):
-                out_post[idx] = 1.0 / (1.0 + np.exp(tot[done]))
+                out_post[idx] = (1.0 / (1.0 + np.exp(tot[:, done]))).T
             out_conv[idx] = ok[done]
             out_iter[idx] = it
             keep = ~done
             if not keep.any():
                 break
             active = active[keep]
-            cur_mcv = cur_mcv[keep]
-            sign_act = sign_act[keep]
-            s_act = s_act[keep]
-            vac_ok = vac_ok[keep]
+            mcv = mcv[:, keep]
+            tot = tot[:, keep]
+            s_full = s_full[:, keep]
+            s_act = s_act[:, keep]
     return out_bits, out_post, out_conv, out_iter
 
 

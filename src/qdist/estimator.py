@@ -196,9 +196,15 @@ def _decode_chunk(ctx: DecoderContext, S: np.ndarray, prior: ChannelPrior, cfg: 
 
 # Trials per chunk: at most _CHUNK_TRIALS, and at most _CHUNK_EDGES BP
 # messages (trials times Tanner-graph edges), but never fewer than _CHUNK_MIN.
+# _CHUNK_EDGES holds one chunk's BP working set to about _CHUNK_BYTES (256 MiB):
+# bp_decode_batch peaks at 29-31 bytes per trial-edge (tracemalloc at 500
+# trials on surface_7, chamon_3_3_3, ztgre_7 and chamon_4_5_6), bounded here by
+# _BP_BYTES_PER_TRIAL_EDGE, which tests/test_decoder.py checks.
 _CHUNK_MIN = 256
 _CHUNK_TRIALS = 20_000
-_CHUNK_EDGES = 20_000_000
+_CHUNK_BYTES = 256 * 2**20
+_BP_BYTES_PER_TRIAL_EDGE = 32
+_CHUNK_EDGES = _CHUNK_BYTES // _BP_BYTES_PER_TRIAL_EDGE
 
 
 def estimate_upper_bound(code: StabilizerCode, cfg: TrialConfig, threads: int = 1) -> DistanceReport:

@@ -37,20 +37,20 @@ def _llr(post):
 
 def test_hard_decision_prefers_identity_on_ties():
     # All three bit marginals at 0.5 score the four classes equally.
-    bits = decoder._decision_bits_from_llr(_llr(np.full((1, 3), 0.5)), 1)
+    bits = decoder._decision_bits_from_llr(_llr(np.full((3, 1), 0.5)), 1)
     assert not bits.any()
 
 
 def test_hard_decision_picks_dominant_class():
     # Strong Y marginal on qubit 0, strong X on qubit 1.
-    post = np.array([[0.01, 0.9, 0.01, 0.05, 0.95, 0.02]])
+    post = np.array([[0.01, 0.9, 0.01, 0.05, 0.95, 0.02]]).T
     bits = decoder._decision_bits_from_llr(_llr(post), 2)
-    assert pauli.to_string(pauli.to_symplectic(bits[0])) == "YX"
+    assert pauli.to_string(pauli.to_symplectic(bits[:, 0])) == "YX"
 
 
 def test_hard_decision_rejects_bad_shape():
     with pytest.raises(ValueError):
-        decoder._decision_bits_from_llr(np.zeros((1, 4), np.float32), 1)
+        decoder._decision_bits_from_llr(np.zeros((4, 1), np.float32), 1)
     with pytest.raises(ValueError):
         decoder._decision_bits_from_llr(np.zeros(3, np.float32), 1)
 
@@ -73,9 +73,9 @@ def test_decision_bits_match_hard_decision():
     rng = np.random.default_rng(7)
     n = 6
     post = rng.uniform(0.01, 0.99, size=(40, 3 * n))
-    batched = decoder._decision_bits_from_llr(_llr(post), n)
+    batched = decoder._decision_bits_from_llr(_llr(post.T), n)
     for i in range(post.shape[0]):
-        assert np.array_equal(batched[i], _hard_decision_reference(post[i], n))
+        assert np.array_equal(batched[:, i], _hard_decision_reference(post[i], n))
 
 
 def test_zero_syndrome_decodes_to_identity():
@@ -233,3 +233,252 @@ def test_batch_shape_validation():
     with pytest.raises(ValueError):
         decoder.bp_decode_batch(ctx, np.zeros((2, ctx.m + 1), np.uint8),
                                 decoder.ChannelPrior(0.1), decoder.BPConfig())
+
+
+# ---------------------------------------------------------------------------
+# Reference BP kernel: the trial-major segment-sum kernel that
+# bp_decode_batch replaced, kept unchanged apart from building its edge
+# layout from the context's edge lists.  bp_decode_batch must reproduce it
+# bit for bit.
+
+
+def _reference_layout(ctx):
+    counts = np.bincount(ctx.edge_check, minlength=ctx.active_checks.shape[0])
+    check_ptr = np.concatenate([[0], np.cumsum(counts)])[:-1].astype(np.intp)
+    vorder = np.lexsort((ctx.edge_check, ctx.edge_var))
+    used_vars = np.unique(ctx.edge_var)
+    vcounts = np.bincount(ctx.edge_var[vorder])
+    vcounts = vcounts[vcounts > 0]
+    var_ptr = np.concatenate([[0], np.cumsum(vcounts)])[:-1].astype(np.intp)
+    return check_ptr, vorder, var_ptr, used_vars
+
+
+def _segment_sum(values, ptr):
+    return np.add.reduceat(values, ptr, axis=-1)
+
+
+def _decision_reference(llr, n):
+    """(B, 3n) -> (B, 3n): argmax over [0, -llr_x, -llr_z, -llr_y], first wins."""
+    b = llr.shape[0]
+    stacked = np.stack([
+        np.zeros((b, n), dtype=llr.dtype),
+        -llr[:, :n],
+        -llr[:, n : 2 * n],
+        -llr[:, 2 * n :],
+    ])
+    cls = np.argmax(stacked, axis=0)
+    bits = np.zeros((b, 3 * n), dtype=np.uint8)
+    bits[:, :n] = cls == 1
+    bits[:, n : 2 * n] = cls == 2
+    bits[:, 2 * n :] = cls == 3
+    return bits
+
+
+def _bp_reference(ctx, syndromes, prior, cfg):
+    _MSG_DTYPE = decoder._MSG_DTYPE
+    _TANH_EPS = decoder._TANH_EPS
+    _LOG_FLOOR = decoder._LOG_FLOOR
+    check_ptr, var_perm, var_ptr, used_vars = _reference_layout(ctx)
+
+    S = np.asarray(syndromes, dtype=np.uint8)
+    B = S.shape[0]
+    n = ctx.nbits // 3
+    prior_llr = _MSG_DTYPE(prior.llr)
+
+    out_bits = np.zeros((B, ctx.nbits), dtype=np.uint8)
+    out_post = np.full((B, ctx.nbits), prior.bit_prob, dtype=np.float64)
+    out_conv = np.zeros(B, dtype=bool)
+    out_iter = np.full(B, cfg.max_iterations, dtype=np.int64)
+
+    if ctx.num_edges == 0:
+        out_conv[:] = ~S.any(axis=1)
+        out_iter[:] = 1
+        return out_bits, out_post, out_conv, out_iter
+
+    edge_var = ctx.edge_var
+    edge_check = ctx.edge_check
+    inactive = np.setdiff1d(np.arange(ctx.m), ctx.active_checks)
+    vacuous_ok = ~S[:, inactive].any(axis=1) if inactive.size else np.ones(B, dtype=bool)
+
+    active = np.arange(B)
+    s_act = S[:, ctx.active_checks]
+    sign_act = (1.0 - 2.0 * s_act).astype(_MSG_DTYPE)
+    vac_ok = vacuous_ok
+    cur_mcv = np.zeros((B, ctx.num_edges), dtype=_MSG_DTYPE)
+
+    def posterior_llr(mcv):
+        tot = np.full((mcv.shape[0], ctx.nbits), prior_llr, dtype=_MSG_DTYPE)
+        tot[:, used_vars] += _segment_sum(mcv[:, var_perm], var_ptr)
+        return tot
+
+    for it in range(1, cfg.max_iterations + 1):
+        mvc = posterior_llr(cur_mcv)[:, edge_var] - cur_mcv
+        t = np.tanh(0.5 * mvc)
+        sgn = np.where(t < 0, _MSG_DTYPE(-1.0), _MSG_DTYPE(1.0))
+        lg = np.log(np.clip(np.abs(t), _LOG_FLOOR, 1.0 - _TANH_EPS))
+        lsum = _segment_sum(lg, check_ptr)
+        neg = _segment_sum((t < 0).astype(np.int64), check_ptr)
+        sign_tot = 1.0 - 2.0 * (neg & 1).astype(_MSG_DTYPE)
+        prod = (sign_tot[:, edge_check] * sgn) * np.exp(lsum[:, edge_check] - lg)
+        prod *= sign_act[:, edge_check]
+        np.clip(prod, -1.0 + _TANH_EPS, 1.0 - _TANH_EPS, out=prod)
+        cur_mcv = np.clip(2.0 * np.arctanh(prod), -cfg.clip, cfg.clip)
+
+        tot = posterior_llr(cur_mcv)
+        bits = _decision_reference(tot, n)
+        parity = (_segment_sum(bits[:, edge_var].astype(np.int64), check_ptr) & 1).astype(np.uint8)
+        ok = ~np.any(parity != s_act, axis=1) & vac_ok
+
+        done = ok if it < cfg.max_iterations else np.ones(active.shape[0], dtype=bool)
+        if done.any():
+            idx = active[done]
+            out_bits[idx] = bits[done]
+            with np.errstate(over="ignore"):
+                out_post[idx] = 1.0 / (1.0 + np.exp(tot[done]))
+            out_conv[idx] = ok[done]
+            out_iter[idx] = it
+            keep = ~done
+            if not keep.any():
+                break
+            active = active[keep]
+            cur_mcv = cur_mcv[keep]
+            sign_act = sign_act[keep]
+            s_act = s_act[keep]
+            vac_ok = vac_ok[keep]
+    return out_bits, out_post, out_conv, out_iter
+
+
+def _random_hgp(seed):
+    # Dense random classical checks: decoupled check and variable degrees
+    # well above 8, so the per-degree tables and the pairwise sum both run.
+    rng = np.random.default_rng(seed)
+    h1 = (rng.random((5, 8)) < 0.5).astype(np.uint8)
+    h2 = (rng.random((4, 7)) < 0.5).astype(np.uint8)
+    return codes.hypergraph_product(codes.ClassicalCode(h1), codes.ClassicalCode(h2))
+
+
+REFERENCE_CASES = [
+    (lambda: codes.planar_surface(5), NoiseKind.DEPOLARIZING),
+    (lambda: codes.toric(3), NoiseKind.DEPOLARIZING),
+    (lambda: codes.chamon(3, 3, 3), NoiseKind.DEPOLARIZING),
+    (lambda: codes.ztgre(5), NoiseKind.DEPOLARIZING),
+    (lambda: codes.ztgre(5), NoiseKind.PURE_X),
+    (lambda: codes.xzzx_surface(3), NoiseKind.DEPOLARIZING),
+    (lambda: _random_hgp(1), NoiseKind.DEPOLARIZING),
+    (lambda: _random_hgp(2), NoiseKind.DEPOLARIZING),
+]
+
+
+@pytest.mark.parametrize("batch", [0, 1, 300])
+@pytest.mark.parametrize("make,kind", REFERENCE_CASES)
+def test_bp_matches_reference(make, kind, batch):
+    code = make()
+    ctx = decoder.DecoderContext.for_code(code)
+    ex, ez = estimator._sample_batch(code, 0.09, kind, 17, 0, batch)
+    S = code.syndromes(ex, ez)
+    prior = decoder.ChannelPrior(0.09)
+    cfg = decoder.BPConfig(max_iterations=20)
+    got = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    want = _bp_reference(ctx, S, prior, cfg)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert np.array_equal(g, w)
+    if batch == 300:
+        # Both branches of the iteration loop ran: some trials converged early
+        # and some did not converge at all.
+        assert got[2].any() and not got[2].all()
+
+
+def test_random_hgp_has_large_degrees():
+    for seed in (1, 2):
+        ctx = decoder.DecoderContext.for_code(_random_hgp(seed))
+        degrees = {slots.shape[0] for _, slots in ctx.check_slots + ctx.var_slots}
+        assert max(degrees) > 16 and any(8 < d <= 16 for d in degrees)
+
+
+def test_bp_matches_reference_with_vacuous_check():
+    # An all-zero check row is dropped from the graph; a syndrome bit on it
+    # can never be satisfied, so those trials must not converge.
+    code = codes.toric(3)
+    hd = np.vstack([code.hd[:4], np.zeros((1, code.hd.shape[1]), np.uint8), code.hd[4:]])
+    ctx = decoder.DecoderContext(hd)
+    assert ctx.active_checks.shape[0] == ctx.m - 1
+    ex, ez = estimator._sample_batch(code, 0.06, NoiseKind.DEPOLARIZING, 3, 0, 200)
+    S0 = code.syndromes(ex, ez)
+    S = np.hstack([S0[:, :4], (np.arange(200) % 3 == 0)[:, None].astype(np.uint8), S0[:, 4:]])
+    prior = decoder.ChannelPrior(0.06)
+    cfg = decoder.BPConfig(max_iterations=15)
+    got = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    want = _bp_reference(ctx, S, prior, cfg)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert not got[2][S[:, 4] == 1].any() and got[2][S[:, 4] == 0].any()
+
+
+def test_empty_batch_returns_at_once(monkeypatch):
+    code = codes.chamon(2, 2, 2)
+    ctx = decoder.DecoderContext.for_code(code)
+
+    def no_iterations(*args):
+        raise AssertionError("an empty batch ran a BP iteration")
+
+    monkeypatch.setattr(decoder, "_decision_bits_from_llr", no_iterations)
+    bits, post, conv, iters = decoder.bp_decode_batch(
+        ctx, np.zeros((0, ctx.m), np.uint8), decoder.ChannelPrior(0.1), decoder.BPConfig())
+    assert bits.shape == (0, ctx.nbits) and post.shape == (0, ctx.nbits)
+    assert conv.shape == (0,) and iters.shape == (0,)
+
+
+def test_decision_bits_match_argmax_rule_with_ties():
+    # LLRs from a small grid, so exact ties (and zeros) are common.
+    rng = np.random.default_rng(5)
+    n = 7
+    llr = rng.choice(np.array([-2.0, -1.0, -0.0, 0.0, 1.0], np.float32), size=(500, 3 * n))
+    got = decoder._decision_bits_from_llr(np.ascontiguousarray(llr.T), n)
+    assert np.array_equal(got, _decision_reference(llr, n).T)
+
+
+@pytest.mark.parametrize("degree", list(range(1, 41)) + [129, 130, 137, 200, 300])
+def test_ordered_sum_matches_reduceat(degree):
+    # The BP sums rely on adding in np.add.reduceat's order; a numpy that
+    # changes that order must fail here rather than change reports.
+    rng = np.random.default_rng(degree)
+    k, b = 5, 33
+    g = rng.standard_normal((degree, k, b)).astype(np.float32)
+    g *= rng.choice(np.array([1e-6, 1.0, 1e6], np.float32), size=g.shape)
+    g[rng.random(g.shape) < 0.1] = 0.0
+    g[rng.random(g.shape) < 0.05] = -0.0
+    got = decoder._ordered_sum(g)
+    rows = np.ascontiguousarray(g.reshape(degree, -1).T)
+    want = np.add.reduceat(rows, [0], axis=1)[:, 0].reshape(k, b)
+    assert got.dtype == np.float32
+    assert np.array_equal(got, want)
+    if degree <= decoder._SHARED_DEGREE:
+        # Shared tables pad short sums with zero rows at the end.
+        pad = np.zeros((decoder._SHARED_DEGREE - degree, k, b), np.float32)
+        assert np.array_equal(decoder._ordered_sum(np.concatenate([g, pad])), want)
+    else:
+        # From 9 terms on, a sequential float32 sum differs on these inputs,
+        # so the comparison can tell the orders apart.
+        naive = g[0].copy()
+        for i in range(1, degree):
+            naive += g[i]
+        assert not np.array_equal(naive, want)
+
+
+def test_bp_memory_per_trial_edge():
+    # estimator sizes its chunks from this bound on BP's peak working set.
+    import tracemalloc
+
+    code = codes.chamon(3, 3, 3)
+    ctx = decoder.DecoderContext.for_code(code)
+    batch = 500
+    ex, ez = estimator._sample_batch(code, 0.08, NoiseKind.DEPOLARIZING, 9, 0, batch)
+    S = code.syndromes(ex, ez)
+    tracemalloc.start()
+    try:
+        decoder.bp_decode_batch(ctx, S, decoder.ChannelPrior(0.08), decoder.BPConfig(max_iterations=30))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimator._BP_BYTES_PER_TRIAL_EDGE * batch * ctx.num_edges
