@@ -1,7 +1,11 @@
 """Belief propagation on the decoupled check matrix plus OSD-0 fallback.
 
 The 3n decoupled bits are treated as independent binary variables with a
-depolarizing prior of p/3 each.  Messages run in the log domain with a
+prior that matches the noise: p/3 on each X, Z and Y bit for depolarizing
+noise, and p on the X bits and 0 on the Z and Y bits for pure-X noise (a bit
+that cannot flip gets the largest LLR a message can carry, +clip).  Without
+the matched prior, the identical X and Y columns of a Z-only code's Hd keep
+BP from settling on pure-X errors.  Messages run in the log domain with a
 flooding schedule; the per-qubit one-hot constraint is enforced at the hard
 decision, which picks the best of {I, X, Z, Y} from the three bit marginals.
 When BP fails to converge, a reliability-ordered OSD-0 solve on the same
@@ -24,6 +28,7 @@ order against np.add.reduceat.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 
@@ -39,24 +44,46 @@ _TANH_EPS = 1e-7
 _LOG_FLOOR = 1e-37
 
 
+class NoiseKind(str, enum.Enum):
+    DEPOLARIZING = "depolarizing"
+    PURE_X = "pureX"
+
+
 @dataclass(frozen=True)
 class ChannelPrior:
-    """Depolarizing channel at rate p: each of X/Z/Y hits with probability p/3."""
+    """Per-bit prior on the 3n decoupled bits for one noise kind at rate p.
+
+    Depolarizing: the X, Z and Y bits of a qubit each hit with probability
+    p/3.  Pure-X: the X bit hits with probability p; the Z and Y bits never do.
+    """
 
     p: float
+    noise: NoiseKind = NoiseKind.DEPOLARIZING
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
-            raise ValueError("depolarizing rate must be in (0, 1)")
+            raise ValueError("error rate must be in (0, 1)")
+        object.__setattr__(self, "noise", NoiseKind(self.noise))  # ValueError if unknown
 
     @property
-    def bit_prob(self) -> float:
-        return self.p / 3.0
+    def block_probs(self) -> tuple[float, float, float]:
+        """Probability that a qubit's X, Z and Y bit is set."""
+        if self.noise == NoiseKind.PURE_X:
+            return (self.p, 0.0, 0.0)
+        q = self.p / 3.0
+        return (q, q, q)
 
-    @property
-    def llr(self) -> float:
-        q = self.bit_prob
-        return math.log((1.0 - q) / q)
+    def bit_probs(self, n: int) -> np.ndarray:
+        """(3n,) float64 prior probabilities in (x' | z' | y') block order."""
+        return np.repeat(np.array(self.block_probs), n)
+
+    def llrs(self, n: int, clip: float) -> np.ndarray:
+        """(3n,) float32 prior LLRs log((1 - q) / q); a bit with q = 0 gets
+        +clip, the largest magnitude any BP message takes."""
+        # math.log, not np.log: the float32 of the depolarizing LLR must not
+        # move by a last bit, or depolarizing reports would change.
+        blocks = [math.log((1.0 - q) / q) if q > 0.0 else clip for q in self.block_probs]
+        return np.repeat(np.array(blocks, dtype=_MSG_DTYPE), n)
 
 
 @dataclass(frozen=True)
@@ -218,10 +245,11 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
         raise ValueError("syndrome batch shape does not match the check matrix")
     B = S.shape[0]
     n = ctx.nbits // 3
-    prior_llr = _MSG_DTYPE(prior.llr)
+    prior_llr = prior.llrs(n, cfg.clip)[:, None]  # (3n, 1)
 
     out_bits = np.zeros((B, ctx.nbits), dtype=np.uint8)
-    out_post = np.full((B, ctx.nbits), prior.bit_prob, dtype=np.float64)
+    out_post = np.empty((B, ctx.nbits), dtype=np.float64)
+    out_post[:] = prior.bit_probs(n)
     out_conv = np.zeros(B, dtype=bool)
     out_iter = np.full(B, cfg.max_iterations, dtype=np.int64)
     if B == 0:
@@ -244,7 +272,8 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
     s_full = np.ascontiguousarray(S.T)  # (m, B)
     s_act = s_full[ctx.active_checks].astype(bool)  # (C, B)
     mcv = np.zeros((E + 1, B), dtype=_MSG_DTYPE)
-    tot = np.full((ctx.nbits, B), prior_llr, dtype=_MSG_DTYPE)
+    tot = np.repeat(prior_llr, B, axis=1)
+    var_prior = [prior_llr[ids] for ids, _ in ctx.var_slots]
 
     for it in range(1, cfg.max_iterations + 1):
         b = active.shape[0]
@@ -281,9 +310,9 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
         mcv = nxt
 
         # Posterior LLRs, constrained decision, convergence test.
-        for ids, slots in ctx.var_slots:
+        for (ids, slots), pr in zip(ctx.var_slots, var_prior):
             post = _ordered_sum(mcv[slots])
-            post += prior_llr
+            post += pr
             tot[ids] = post
         bits = _decision_bits_from_llr(tot, n)
         parity = ctx.hd_f32 @ bits.astype(_MSG_DTYPE)  # exact: integer sums <= 3n

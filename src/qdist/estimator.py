@@ -1,7 +1,8 @@
 """Monte Carlo upper bound on code distance, plus the brute-force oracle.
 
 For each physical error rate a batch of depolarizing (or pure-X) errors is
-sampled, decoded, and the residual error classified as stabilizer or logical.
+sampled, decoded under the prior of the same noise, and the residual error
+classified as stabilizer or logical.
 Every logical residual is an explicit logical operator, so the running
 minimum weight is a certified upper bound on code distance; the best witness
 travels with the report and can be re-verified independently.
@@ -24,15 +25,10 @@ import numpy as np
 
 from . import pauli
 from .codes import StabilizerCode
-from .decoder import BPConfig, ChannelPrior, DecoderContext, bp_decode_batch, osd_post_process
+from .decoder import BPConfig, ChannelPrior, DecoderContext, NoiseKind, bp_decode_batch, osd_post_process
 
 SCHEMA_VERSION = 1
 DEFAULT_RATES = (0.01, 0.02, 0.05, 0.08, 0.10, 0.12, 0.15)
-
-
-class NoiseKind(str, enum.Enum):
-    DEPOLARIZING = "depolarizing"
-    PURE_X = "pureX"
 
 
 class ResidualClass(enum.Enum):
@@ -127,15 +123,14 @@ def sample_error(n: int, p: float, kind: NoiseKind, rng: np.random.Generator) ->
     """
     if not 0.0 < p < 1.0:
         raise ValueError("error rate must be in (0, 1)")
+    hit = rng.random(n) < p
     if kind == NoiseKind.PURE_X:
-        ex = (rng.random(n) < p).astype(np.uint8)
-        return pauli.SymplecticPauli.from_arrays(ex, np.zeros(n, dtype=np.uint8))
-    u = rng.random(n)
-    hit = u < p
+        return pauli.SymplecticPauli(n, hit.astype(np.uint8), np.zeros(n, dtype=np.uint8))
     which = rng.integers(0, 3, size=n)  # 0=X, 1=Z, 2=Y
-    ex = (hit & ((which == 0) | (which == 2))).astype(np.uint8)
-    ez = (hit & ((which == 1) | (which == 2))).astype(np.uint8)
-    return pauli.SymplecticPauli.from_arrays(ex, ez)
+    # uint8 & bool gives fresh 0/1 uint8 arrays, the bits from_arrays would
+    # make, without its extra passes (and without keeping a bool base alive).
+    hit = hit.view(np.uint8)
+    return pauli.SymplecticPauli(n, hit & (which != 1), hit & (which != 0))
 
 
 def classify_residual(code: StabilizerCode, r: pauli.SymplecticPauli) -> ResidualClass:
@@ -234,7 +229,7 @@ def estimate_upper_bound(code: StabilizerCode, cfg: TrialConfig, threads: int = 
             T = cfg.trials_per_rate
             ex, ez = _sample_batch(code, p, cfg.noise_kind, cfg.master_seed, rate_idx, T)
             S = code.syndromes(ex, ez)
-            prior = ChannelPrior(p)
+            prior = ChannelPrior(p, cfg.noise_kind)
             chunks = [S[a : a + chunk_size] for a in range(0, T, chunk_size)]
             results = list(decode_chunks(lambda s: _decode_chunk(ctx, s, prior, cfg.decoder), chunks))
             est_x = np.vstack([r[0] for r in results])

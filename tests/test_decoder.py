@@ -1,6 +1,8 @@
 """Decoder tests: syndrome consistency as a certified contract, exact
 hard-decision semantics, and OSD behaviour on non-converged syndromes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,34 @@ CODES = [
 
 
 def test_channel_prior_validation_and_llr():
-    p = decoder.ChannelPrior(0.3)
-    assert p.bit_prob == pytest.approx(0.1)
-    assert p.llr == pytest.approx(np.log(9.0))
+    n, clip = 4, 25.0
+    depol = decoder.ChannelPrior(0.3)  # positional rate, depolarizing by default
+    assert depol.noise == NoiseKind.DEPOLARIZING
+    assert np.array_equal(depol.bit_probs(n), np.full(3 * n, 0.3 / 3.0))
+    llr = depol.llrs(n, clip)
+    assert llr.dtype == np.float32 and llr.shape == (3 * n,)
+    # Exactly the float32 of math.log, on which depolarizing reports rest.
+    assert np.array_equal(llr, np.full(3 * n, np.float32(math.log((1.0 - 0.1) / 0.1))))
+
+    pure_x = decoder.ChannelPrior(0.3, NoiseKind.PURE_X)
+    assert np.array_equal(pure_x.bit_probs(n), np.repeat([0.3, 0.0, 0.0], n))
+    llr = pure_x.llrs(n, clip)
+    assert llr.dtype == np.float32
+    assert np.array_equal(llr[:n], np.full(n, np.float32(math.log(0.7 / 0.3))))
+    assert np.array_equal(llr[n:], np.full(2 * n, np.float32(clip)))
     for bad in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             decoder.ChannelPrior(bad)
+        with pytest.raises(ValueError):
+            decoder.ChannelPrior(bad, NoiseKind.PURE_X)
+    # An unknown noise kind must not fall back to the depolarizing prior.
+    assert decoder.ChannelPrior(0.3, "pureX").noise is NoiseKind.PURE_X
+    with pytest.raises(ValueError):
+        decoder.ChannelPrior(0.3, "pure-x")
+
+
+def test_noise_kind_is_reexported_by_estimator():
+    assert estimator.NoiseKind is decoder.NoiseKind
 
 
 def test_bp_config_validation():
@@ -238,8 +262,9 @@ def test_batch_shape_validation():
 # ---------------------------------------------------------------------------
 # Reference BP kernel: the trial-major segment-sum kernel that
 # bp_decode_batch replaced, kept unchanged apart from building its edge
-# layout from the context's edge lists.  bp_decode_batch must reproduce it
-# bit for bit.
+# layout from the context's edge lists and taking the prior as per-bit
+# (3n,) LLRs and probabilities in place of one scalar of each.
+# bp_decode_batch must reproduce it bit for bit.
 
 
 def _reference_layout(ctx):
@@ -274,7 +299,7 @@ def _decision_reference(llr, n):
     return bits
 
 
-def _bp_reference(ctx, syndromes, prior, cfg):
+def _bp_reference(ctx, syndromes, prior_llr, prior_prob, cfg):
     _MSG_DTYPE = decoder._MSG_DTYPE
     _TANH_EPS = decoder._TANH_EPS
     _LOG_FLOOR = decoder._LOG_FLOOR
@@ -283,10 +308,10 @@ def _bp_reference(ctx, syndromes, prior, cfg):
     S = np.asarray(syndromes, dtype=np.uint8)
     B = S.shape[0]
     n = ctx.nbits // 3
-    prior_llr = _MSG_DTYPE(prior.llr)
+    prior_llr = np.asarray(prior_llr, dtype=_MSG_DTYPE)
 
     out_bits = np.zeros((B, ctx.nbits), dtype=np.uint8)
-    out_post = np.full((B, ctx.nbits), prior.bit_prob, dtype=np.float64)
+    out_post = np.tile(np.asarray(prior_prob, dtype=np.float64), (B, 1))
     out_conv = np.zeros(B, dtype=bool)
     out_iter = np.full(B, cfg.max_iterations, dtype=np.int64)
 
@@ -307,7 +332,7 @@ def _bp_reference(ctx, syndromes, prior, cfg):
     cur_mcv = np.zeros((B, ctx.num_edges), dtype=_MSG_DTYPE)
 
     def posterior_llr(mcv):
-        tot = np.full((mcv.shape[0], ctx.nbits), prior_llr, dtype=_MSG_DTYPE)
+        tot = np.tile(prior_llr, (mcv.shape[0], 1))
         tot[:, used_vars] += _segment_sum(mcv[:, var_perm], var_ptr)
         return tot
 
@@ -369,6 +394,11 @@ REFERENCE_CASES = [
 ]
 
 
+def _reference_prior(prior, ctx, cfg):
+    n = ctx.nbits // 3
+    return prior.llrs(n, cfg.clip), prior.bit_probs(n)
+
+
 @pytest.mark.parametrize("batch", [0, 1, 300])
 @pytest.mark.parametrize("make,kind", REFERENCE_CASES)
 def test_bp_matches_reference(make, kind, batch):
@@ -376,10 +406,10 @@ def test_bp_matches_reference(make, kind, batch):
     ctx = decoder.DecoderContext.for_code(code)
     ex, ez = estimator._sample_batch(code, 0.09, kind, 17, 0, batch)
     S = code.syndromes(ex, ez)
-    prior = decoder.ChannelPrior(0.09)
+    prior = decoder.ChannelPrior(0.09, kind)
     cfg = decoder.BPConfig(max_iterations=20)
     got = decoder.bp_decode_batch(ctx, S, prior, cfg)
-    want = _bp_reference(ctx, S, prior, cfg)
+    want = _bp_reference(ctx, S, *_reference_prior(prior, ctx, cfg), cfg)
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.dtype == w.dtype
         assert np.array_equal(g, w)
@@ -387,6 +417,22 @@ def test_bp_matches_reference(make, kind, batch):
         # Both branches of the iteration loop ran: some trials converged early
         # and some did not converge at all.
         assert got[2].any() and not got[2].all()
+
+
+def test_matched_prior_converges_on_pure_x_errors():
+    # In a Z-only code the X and Y columns of Hd are identical; the
+    # depolarizing prior gives BP no reason to prefer X over Y, the pure-X
+    # prior does.
+    code = codes.ztgre(6)
+    ctx = decoder.DecoderContext.for_code(code)
+    ex, ez = estimator._sample_batch(code, 0.08, NoiseKind.PURE_X, 1, 0, 200)
+    S = code.syndromes(ex, ez)
+    cfg = decoder.BPConfig(max_iterations=30)
+    _, _, conv_d, it_d = decoder.bp_decode_batch(ctx, S, decoder.ChannelPrior(0.08), cfg)
+    _, _, conv_x, it_x = decoder.bp_decode_batch(ctx, S, decoder.ChannelPrior(0.08, NoiseKind.PURE_X), cfg)
+    assert conv_x.sum() > 3 * conv_d.sum()
+    assert conv_x.mean() > 0.4
+    assert it_x.mean() < it_d.mean() - 8
 
 
 def test_random_hgp_has_large_degrees():
@@ -409,7 +455,7 @@ def test_bp_matches_reference_with_vacuous_check():
     prior = decoder.ChannelPrior(0.06)
     cfg = decoder.BPConfig(max_iterations=15)
     got = decoder.bp_decode_batch(ctx, S, prior, cfg)
-    want = _bp_reference(ctx, S, prior, cfg)
+    want = _bp_reference(ctx, S, *_reference_prior(prior, ctx, cfg), cfg)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     assert not got[2][S[:, 4] == 1].any() and got[2][S[:, 4] == 0].any()

@@ -43,6 +43,29 @@ def test_sample_error_pure_x_never_sets_z():
         estimator.sample_error(4, 0.0, NoiseKind.PURE_X, rng)
 
 
+def _sample_error_reference(n, p, kind, rng):
+    """The sampler's original formula, kept as the reference for its bits."""
+    if kind == NoiseKind.PURE_X:
+        ex = (rng.random(n) < p).astype(np.uint8)
+        return pauli.SymplecticPauli.from_arrays(ex, np.zeros(n, dtype=np.uint8))
+    hit = rng.random(n) < p
+    which = rng.integers(0, 3, size=n)
+    ex = (hit & ((which == 0) | (which == 2))).astype(np.uint8)
+    ez = (hit & ((which == 1) | (which == 2))).astype(np.uint8)
+    return pauli.SymplecticPauli.from_arrays(ex, ez)
+
+
+@pytest.mark.parametrize("kind", list(NoiseKind))
+def test_sample_error_matches_reference_formula(kind):
+    for seed in range(300):
+        n, p = 20 + seed % 90, (0.02, 0.1, 0.3, 0.7)[seed % 4]
+        got = estimator.sample_error(n, p, kind, estimator.trial_rng(seed, 1, 2))
+        want = _sample_error_reference(n, p, kind, estimator.trial_rng(seed, 1, 2))
+        assert got.n == n
+        assert got.ex.dtype == got.ez.dtype == np.uint8
+        assert np.array_equal(got.ex, want.ex) and np.array_equal(got.ez, want.ez)
+
+
 def test_sample_error_low_rate_limit():
     rng = np.random.default_rng(3)
     total = sum(
@@ -153,6 +176,35 @@ def test_estimate_rejects_bad_thread_count():
     for threads in (0, -1):
         with pytest.raises(ValueError):
             estimator.estimate_upper_bound(codes.planar_surface(2), cfg, threads=threads)
+
+
+def _random_small_hgp(seed):
+    # Classical codes with 3 checks on 4-5 bits, all columns distinct and
+    # nonzero (distance >= 3), half of them with one dependent check added.
+    rng = np.random.default_rng(seed)
+
+    def classical():
+        cols = rng.choice(np.arange(1, 8), size=rng.integers(4, 6), replace=False)
+        h = (cols[None, :] >> np.arange(3)[:, None]) & 1
+        if rng.random() < 0.5:
+            h = np.vstack([h, h[0] ^ h[1]])
+        return codes.ClassicalCode(h.astype(np.uint8))
+
+    return codes.hypergraph_product(classical(), classical())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_hgp_bound_never_below_oracle(seed):
+    code = _random_small_hgp(seed)
+    assert code.n <= 40 and code.k >= 1
+    oracle = estimator.brute_force_distance(code, 4)
+    assert oracle.found_distance is not None
+    for kind in NoiseKind:
+        cfg = TrialConfig(rates=(0.05, 0.1, 0.15), trials_per_rate=200, master_seed=seed,
+                          noise_kind=kind, decoder=BPConfig(max_iterations=20))
+        rep = estimator.estimate_upper_bound(code, cfg)
+        assert rep.upper_bound >= oracle.found_distance
+        assert estimator.verify_witness(code, rep.witness, rep.upper_bound, kind)
 
 
 def test_pure_x_mode_only_counts_x_residuals():
