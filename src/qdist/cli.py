@@ -126,6 +126,10 @@ def parse_args(argv) -> RunSpec:
         spec.out = ns.out
         spec.csv = ns.csv
     elif ns.subcommand == "brute-force":
+        if ns.max_weight < 1:
+            build_parser().error("--max-weight must be positive")
+        if ns.budget < 1:
+            build_parser().error("--budget must be positive")
         spec.max_weight = ns.max_weight
         spec.budget = ns.budget
     elif ns.subcommand == "decode-one":

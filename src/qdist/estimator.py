@@ -192,7 +192,7 @@ def _decode_chunk(ctx: DecoderContext, S: np.ndarray, prior: ChannelPrior, cfg: 
 # Trials per chunk: at most _CHUNK_TRIALS, and at most _CHUNK_EDGES BP
 # messages (trials times Tanner-graph edges), but never fewer than _CHUNK_MIN.
 # _CHUNK_EDGES holds one chunk's BP working set to about _CHUNK_BYTES (256 MiB):
-# bp_decode_batch peaks at 29-31 bytes per trial-edge (tracemalloc at 500
+# bp_decode_batch peaks at 18-25 bytes per trial-edge (tracemalloc at 500
 # trials on surface_7, chamon_3_3_3, ztgre_7 and chamon_4_5_6), bounded here by
 # _BP_BYTES_PER_TRIAL_EDGE, which tests/test_decoder.py checks.
 _CHUNK_MIN = 256
@@ -291,6 +291,8 @@ def brute_force_distance(code: StabilizerCode, w_max: int, budget: int = 50_000_
     operator; independent of the decoder and of any rank shortcuts in the
     sampling path.  Cost grows as C(n, w) * 3^w, hence the budget guard.
     """
+    if w_max < 1:
+        raise ValueError("w_max must be at least 1")
     n = code.n
     total = sum(comb(n, w) * 3**w for w in range(1, w_max + 1))
     if total > budget:

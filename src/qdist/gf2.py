@@ -127,13 +127,6 @@ class BitMatrix:
     def row(self, r: int) -> BitVector:
         return BitVector(self.cols, self.data[r].copy())
 
-    def mul_vector(self, v: BitVector) -> BitVector:
-        """Matrix-vector product M·v over GF(2)."""
-        if v.length != self.cols:
-            raise ValueError("vector length does not match column count")
-        bits = np.bitwise_count(self.data & v.words[None, :]).sum(axis=1) & 1
-        return BitVector.from_array(bits.astype(np.uint8))
-
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
 

@@ -66,14 +66,6 @@ class DecoupledPauli:
         """Concatenated 3n-bit vector in (x' | z' | y') block order."""
         return np.concatenate([self.ex, self.ez, self.ey])
 
-    @classmethod
-    def from_bits(cls, bits) -> "DecoupledPauli":
-        bits = np.asarray(bits, dtype=np.uint8) & 1
-        if bits.ndim != 1 or bits.shape[0] % 3:
-            raise ValueError("expected a flat vector of length 3n")
-        n = bits.shape[0] // 3
-        return cls(n, bits[:n].copy(), bits[n : 2 * n].copy(), bits[2 * n :].copy())
-
 
 @dataclass(frozen=True)
 class Syndrome:

@@ -46,6 +46,11 @@ def test_parse_rejects_bad_inputs():
         with pytest.raises(SystemExit):
             cli.parse_args([*one, *flags])
     assert cli.parse_args(one).rate == 0.1
+    brute = ["brute-force", "--code", "toric", "--params", "2"]
+    for flags in (["--max-weight", "0"], ["--max-weight", "-2"], ["--budget", "0"], ["--budget", "-1"]):
+        with pytest.raises(SystemExit):
+            cli.parse_args([*brute, *flags])
+    assert cli.parse_args(brute).max_weight == 4
     with pytest.raises(SystemExit):
         cli.parse_args(["bogus-subcommand"])
 

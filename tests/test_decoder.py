@@ -419,6 +419,45 @@ def test_bp_matches_reference(make, kind, batch):
         assert got[2].any() and not got[2].all()
 
 
+CLIP_CASES = [
+    (lambda: codes.toric(3), NoiseKind.DEPOLARIZING, 0.09),
+    (lambda: codes.chamon(3, 3, 3), NoiseKind.DEPOLARIZING, 0.09),
+    (lambda: codes.ztgre(5), NoiseKind.PURE_X, 0.09),
+    # p = 0.5: the X bits' prior LLR is exactly 0.
+    (lambda: codes.toric(3), NoiseKind.PURE_X, 0.5),
+    (lambda: codes.chamon(3, 3, 3), NoiseKind.PURE_X, 0.5),
+    (lambda: codes.ztgre(5), NoiseKind.PURE_X, 0.5),
+]
+
+
+@pytest.mark.parametrize("batch", [0, 1, 300])
+@pytest.mark.parametrize("clip", [1.0, 5.0, 10.0, 16.0])
+@pytest.mark.parametrize("make,kind,p", CLIP_CASES)
+def test_bp_matches_reference_when_clip_binds(make, kind, p, clip, batch):
+    # The kernel keeps messages at half scale and skips the message clip
+    # only where it cannot bind; at these clips it binds.
+    code = make()
+    ctx = decoder.DecoderContext.for_code(code)
+    ex, ez = estimator._sample_batch(code, p, kind, 23, 0, batch)
+    S = code.syndromes(ex, ez)
+    prior = decoder.ChannelPrior(p, kind)
+    cfg = decoder.BPConfig(max_iterations=12, clip=clip)
+    got = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    want = _bp_reference(ctx, S, *_reference_prior(prior, ctx, cfg), cfg)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+def test_default_clip_never_binds():
+    # A message is 2 * arctanh of a product clipped to 1 - _TANH_EPS, so the
+    # default clip is never reached and the kernel leaves it out.
+    top = 2.0 * np.arctanh(np.float32(1.0 - decoder._TANH_EPS))
+    assert top < decoder.BPConfig().clip
+    assert 0.5 * decoder.BPConfig().clip >= decoder._ATANH_MAX
+    assert 0.5 * 16.0 < decoder._ATANH_MAX  # the clips above do bind
+
+
 def test_matched_prior_converges_on_pure_x_errors():
     # In a Z-only code the X and Y columns of Hd are identical; the
     # depolarizing prior gives BP no reason to prefer X over Y, the pure-X
@@ -461,6 +500,25 @@ def test_bp_matches_reference_with_vacuous_check():
     assert not got[2][S[:, 4] == 1].any() and got[2][S[:, 4] == 0].any()
 
 
+def test_bp_matches_reference_on_odd_degree_checks():
+    # Decoupled stabilizer rows have even degree, so a shared check table pads
+    # them with an even number of slots; a bare Hd with odd-degree rows makes
+    # the convergence test read its padding row an odd number of times.
+    rng = np.random.default_rng(4)
+    hd = (rng.random((14, 3 * 10)) < 0.15).astype(np.uint8)
+    ctx = decoder.DecoderContext(hd)
+    assert any(np.any(np.sum(hd[ids], axis=1) % 2) for ids, _ in ctx.check_slots)
+    errors = (rng.random((200, hd.shape[1])) < 0.05).astype(np.uint8)
+    S = (errors @ hd.T % 2).astype(np.uint8)
+    prior = decoder.ChannelPrior(0.15)
+    cfg = decoder.BPConfig(max_iterations=15)
+    got = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    want = _bp_reference(ctx, S, *_reference_prior(prior, ctx, cfg), cfg)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert got[2].any() and not got[2].all()
+
+
 def test_empty_batch_returns_at_once(monkeypatch):
     code = codes.chamon(2, 2, 2)
     ctx = decoder.DecoderContext.for_code(code)
@@ -494,7 +552,7 @@ def test_ordered_sum_matches_reduceat(degree):
     g *= rng.choice(np.array([1e-6, 1.0, 1e6], np.float32), size=g.shape)
     g[rng.random(g.shape) < 0.1] = 0.0
     g[rng.random(g.shape) < 0.05] = -0.0
-    got = decoder._ordered_sum(g)
+    got = decoder._ordered_sum(g.copy())  # the sum uses its input as scratch
     rows = np.ascontiguousarray(g.reshape(degree, -1).T)
     want = np.add.reduceat(rows, [0], axis=1)[:, 0].reshape(k, b)
     assert got.dtype == np.float32

@@ -259,6 +259,14 @@ def test_brute_force_budget_guard():
         estimator.brute_force_distance(codes.chamon(3, 3, 3), 6, budget=1000)
 
 
+def test_brute_force_rejects_empty_weight_range():
+    # A search up to weight 0 or below would report "no logical operator" for
+    # every code.
+    for w_max in (0, -2):
+        with pytest.raises(ValueError):
+            estimator.brute_force_distance(codes.toric(2), w_max)
+
+
 def test_brute_force_witness_is_minimal_logical():
     code = codes.chamon(2, 2, 2)
     res = estimator.brute_force_distance(code, 4)
