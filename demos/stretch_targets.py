@@ -4,7 +4,7 @@ Published stretch values: Z-type expansion N = 256 -> 8 and N = 512 -> 10
 (pure-X minimum logical weight); Chamon (5,5,5) -> 10 and (4,5,6) -> 20.
 These need large trial counts (the published runs use T = 1e5) and hours of
 CPU; pass --trials to scale down for a smoke run.  Each rate's trials are
-decoded in chunks of a few thousand, spread over every CPU.
+decoded in chunks of 256, spread over every CPU.
 """
 
 import argparse

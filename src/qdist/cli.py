@@ -39,7 +39,7 @@ class RunSpec:
     csv: str | None = None
     max_weight: int = 4
     budget: int = 50_000_000
-    error_string: str | None = None
+    error: pauli.SymplecticPauli | None = None
     rate: float = 0.1
 
 
@@ -101,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv) -> RunSpec:
-    ns = build_parser().parse_args(argv)
+    parser = build_parser()
+    ns = parser.parse_args(argv)
     spec = RunSpec(subcommand=ns.subcommand)
     if ns.subcommand == "list-codes":
         return spec
@@ -109,14 +110,22 @@ def parse_args(argv) -> RunSpec:
     spec.code_params = ns.params
     spec.code_file = ns.code_file
     if (spec.code_family is None) == (spec.code_file is None):
-        build_parser().error("provide exactly one of --code or --code-file")
+        parser.error("provide exactly one of --code or --code-file")
     if ns.subcommand in ("estimate", "decode-one") and ns.max_iters < 1:
-        build_parser().error("--max-iters must be positive")
+        parser.error("--max-iters must be positive")
     if ns.subcommand == "estimate":
         if ns.trials <= 0:
-            build_parser().error("--trials must be positive")
+            parser.error("--trials must be positive")
         if ns.threads < 1:
-            build_parser().error("--threads must be positive")
+            parser.error("--threads must be positive")
+        if ns.seed < 0:
+            parser.error("--seed must be non-negative")
+        # An unwritable output path would otherwise fail only after the whole sweep.
+        for flag, path in (("--out", ns.out), ("--csv", ns.csv)):
+            if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+                parser.error(f"{flag}: directory of {path} does not exist")
+            if path is not None and os.path.isdir(path):
+                parser.error(f"{flag}: {path} is a directory")
         spec.rates = ns.rates
         spec.trials = ns.trials
         spec.seed = ns.seed
@@ -127,15 +136,18 @@ def parse_args(argv) -> RunSpec:
         spec.csv = ns.csv
     elif ns.subcommand == "brute-force":
         if ns.max_weight < 1:
-            build_parser().error("--max-weight must be positive")
+            parser.error("--max-weight must be positive")
         if ns.budget < 1:
-            build_parser().error("--budget must be positive")
+            parser.error("--budget must be positive")
         spec.max_weight = ns.max_weight
         spec.budget = ns.budget
     elif ns.subcommand == "decode-one":
         if not 0.0 < ns.rate < 1.0:
-            build_parser().error("--rate must be in (0, 1)")
-        spec.error_string = ns.error
+            parser.error("--rate must be in (0, 1)")
+        try:
+            spec.error = pauli.from_string(ns.error)
+        except ValueError as exc:
+            parser.error(f"--error: {exc}")
         spec.rate = ns.rate
         spec.max_iterations = ns.max_iters
     return spec
@@ -143,7 +155,10 @@ def parse_args(argv) -> RunSpec:
 
 def _load_code(spec: RunSpec) -> codes.StabilizerCode:
     if spec.code_file is not None:
-        return codes.load(spec.code_file)
+        try:
+            return codes.load(spec.code_file)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"error: cannot load {spec.code_file}: {exc}")
     try:
         return codes.make(spec.code_family, spec.code_params)
     except ValueError as exc:
@@ -183,7 +198,7 @@ def run_spec(spec: RunSpec) -> int:
         return 0
 
     if spec.subcommand == "decode-one":
-        err = pauli.from_string(spec.error_string)
+        err = spec.error
         if err.n != code.n:
             print(f"error: error string has {err.n} qubits, code has {code.n}", file=sys.stderr)
             return 1

@@ -52,6 +52,8 @@ class TrialConfig:
             raise ValueError("error rates must be in (0, 1)")
         if self.trials_per_rate < 1:
             raise ValueError("need at least one trial per rate")
+        if self.master_seed < 0:
+            raise ValueError("master seed must be non-negative")
 
 
 @dataclass
@@ -189,17 +191,10 @@ def _decode_chunk(ctx: DecoderContext, S: np.ndarray, prior: ChannelPrior, cfg: 
     return a ^ c, b ^ c, conv
 
 
-# Trials per chunk: at most _CHUNK_TRIALS, and at most _CHUNK_EDGES BP
-# messages (trials times Tanner-graph edges), but never fewer than _CHUNK_MIN.
-# _CHUNK_EDGES holds one chunk's BP working set to about _CHUNK_BYTES (256 MiB):
-# bp_decode_batch peaks at 18-25 bytes per trial-edge (tracemalloc at 500
-# trials on surface_7, chamon_3_3_3, ztgre_7 and chamon_4_5_6), bounded here by
-# _BP_BYTES_PER_TRIAL_EDGE, which tests/test_decoder.py checks.
-_CHUNK_MIN = 256
-_CHUNK_TRIALS = 20_000
-_CHUNK_BYTES = 256 * 2**20
-_BP_BYTES_PER_TRIAL_EDGE = 32
-_CHUNK_EDGES = _CHUNK_BYTES // _BP_BYTES_PER_TRIAL_EDGE
+# Trials per chunk.  Trials are independent, so the chunk size changes only
+# speed: at 256 each of BP's float32 (edges + 1, trials) arrays is 0.6-6 MiB
+# on the shipped codes, and larger chunks decoded no faster.
+_CHUNK_TRIALS = 256
 
 
 def estimate_upper_bound(code: StabilizerCode, cfg: TrialConfig, threads: int = 1) -> DistanceReport:
@@ -219,8 +214,6 @@ def estimate_upper_bound(code: StabilizerCode, cfg: TrialConfig, threads: int = 
     witness: pauli.SymplecticPauli | None = None
     per_rate: list[RateStats] = []
 
-    chunk_size = max(_CHUNK_MIN, min(_CHUNK_TRIALS, _CHUNK_EDGES // max(ctx.num_edges, 1)))
-
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # One worker decodes in the calling thread: a pool thread would get a
         # malloc arena of its own, which keeps about 5 MB more resident.
@@ -230,7 +223,7 @@ def estimate_upper_bound(code: StabilizerCode, cfg: TrialConfig, threads: int = 
             ex, ez = _sample_batch(code, p, cfg.noise_kind, cfg.master_seed, rate_idx, T)
             S = code.syndromes(ex, ez)
             prior = ChannelPrior(p, cfg.noise_kind)
-            chunks = [S[a : a + chunk_size] for a in range(0, T, chunk_size)]
+            chunks = [S[a : a + _CHUNK_TRIALS] for a in range(0, T, _CHUNK_TRIALS)]
             results = list(decode_chunks(lambda s: _decode_chunk(ctx, s, prior, cfg.decoder), chunks))
             est_x = np.vstack([r[0] for r in results])
             est_z = np.vstack([r[1] for r in results])

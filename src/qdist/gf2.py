@@ -81,9 +81,6 @@ class BitVector:
     def is_zero(self) -> bool:
         return not self.words.any()
 
-    def weight(self) -> int:
-        return int(np.bitwise_count(self.words).sum())
-
     def __repr__(self) -> str:
         return f"BitVector({''.join(map(str, self.to_array()))})"
 
@@ -123,9 +120,6 @@ class BitMatrix:
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError(f"({r}, {c}) out of range for {self.rows}x{self.cols}")
         return int((self.data[r, c >> 6] >> np.uint64(c & 63)) & _ONE)
-
-    def row(self, r: int) -> BitVector:
-        return BitVector(self.cols, self.data[r].copy())
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
@@ -247,11 +241,6 @@ def rank(M: BitMatrix) -> int:
     """GF(2) rank of M."""
     data = M.data.copy()
     return len(_eliminate(data, M.cols))
-
-
-def in_row_span(M: BitMatrix, v: BitVector) -> bool:
-    """True iff v is a GF(2) combination of the rows of M."""
-    return RowSpanReducer(M).contains(v)
 
 
 def solve_selected(M: BitMatrix, s: BitVector, col_order) -> BitVector:

@@ -55,6 +55,45 @@ def test_parse_rejects_bad_inputs():
         cli.parse_args(["bogus-subcommand"])
 
 
+def test_parse_rejects_bad_error_string(capsys):
+    with pytest.raises(SystemExit):
+        cli.parse_args(["decode-one", "--code", "toric", "--params", "2", "--error", "XQIII"])
+    assert "invalid Pauli character" in capsys.readouterr().err
+
+
+def test_parse_rejects_negative_seed(capsys):
+    with pytest.raises(SystemExit):
+        cli.parse_args(["estimate", "--code", "toric", "--params", "2", "--seed", "-1"])
+    assert "--seed" in capsys.readouterr().err
+    assert cli.parse_args(["estimate", "--code", "toric", "--params", "2", "--seed", "0"]).seed == 0
+
+
+def test_parse_rejects_unwritable_output_paths(tmp_path, capsys):
+    est = ["estimate", "--code", "toric", "--params", "2"]
+    missing = str(tmp_path / "no-such-dir" / "report.json")
+    for flag in ("--out", "--csv"):
+        for path in (missing, str(tmp_path)):
+            with pytest.raises(SystemExit):
+                cli.parse_args([*est, flag, path])
+            assert flag in capsys.readouterr().err
+    spec = cli.parse_args([*est, "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")])
+    assert spec.out.endswith("r.json") and spec.csv.endswith("r.csv")
+
+
+@pytest.mark.parametrize("text", [
+    None,
+    "# qdist stabilizer code v1\nname bad\nn two\nk 1\nXI\n",
+    "# qdist stabilizer code v1\nname bad\nn 2\nk 0\nXI\nZI\n",
+], ids=["missing", "malformed", "anticommuting"])
+def test_bad_code_file_is_an_error_line(tmp_path, text):
+    path = tmp_path / "bad.code"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        cli.run_spec(cli.parse_args(["validate-code", "--code-file", str(path)]))
+    assert str(exc.value.code).startswith(f"error: cannot load {path}")
+
+
 def test_list_codes(capsys):
     code, out, _ = run(["list-codes"], capsys)
     assert code == 0

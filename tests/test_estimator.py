@@ -18,6 +18,9 @@ def test_trial_config_validation():
         TrialConfig(rates=(1.2,))
     with pytest.raises(ValueError):
         TrialConfig(trials_per_rate=0)
+    with pytest.raises(ValueError, match="seed"):
+        TrialConfig(master_seed=-1)  # numpy's SeedSequence would reject it mid-sweep
+    assert TrialConfig(master_seed=0).master_seed == 0
 
 
 def test_sample_error_depolarizing_statistics():
@@ -153,7 +156,6 @@ def test_estimate_independent_of_thread_count(monkeypatch):
     code = codes.planar_surface(2)
     cfg = TrialConfig(rates=(0.1,), trials_per_rate=600, master_seed=5,
                       decoder=BPConfig(max_iterations=15))
-    whole = estimator.estimate_upper_bound(code, cfg).to_json()  # one chunk
     chunk_sizes = []
     real = estimator._decode_chunk
 
@@ -161,13 +163,14 @@ def test_estimate_independent_of_thread_count(monkeypatch):
         chunk_sizes.append(S.shape[0])
         return real(ctx, S, prior, bp_cfg)
 
-    # 200-trial chunks: 600 trials run as 3 chunks, so the pool has work to share.
-    monkeypatch.setattr(estimator, "_CHUNK_MIN", 1)
-    monkeypatch.setattr(estimator, "_CHUNK_TRIALS", 200)
     monkeypatch.setattr(estimator, "_decode_chunk", counted)
+    # Default chunks: 600 trials run as 256 + 256 + 88, so the pool has work to share.
     r1 = estimator.estimate_upper_bound(code, cfg, threads=1).to_json()
     r3 = estimator.estimate_upper_bound(code, cfg, threads=3).to_json()
-    assert chunk_sizes == [200] * 6
+    assert chunk_sizes == [256, 256, 88] * 2
+    monkeypatch.setattr(estimator, "_CHUNK_TRIALS", 600)
+    whole = estimator.estimate_upper_bound(code, cfg).to_json()
+    assert chunk_sizes[6:] == [600]
     assert r1 == r3 == whole
 
 
