@@ -19,6 +19,10 @@ parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--trials", type=int, default=100_000)
 parser.add_argument("--seed", type=int, default=0)
 args = parser.parse_args()
+if args.trials < 1:
+    parser.error("--trials must be at least 1")
+if args.seed < 0:
+    parser.error("--seed must be non-negative")
 
 JOBS = [
     (codes.ztgre(8), NoiseKind.PURE_X, 8),

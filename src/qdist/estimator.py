@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -168,13 +169,131 @@ def verify_witness(
     return True
 
 
+# The block sampler below reproduces, trial for trial, what
+# sample_error(n, p, kind, trial_rng(seed, rate_idx, t)) draws, without
+# building a Generator per trial.  It follows the algorithms behind those
+# streams: numpy's SeedSequence pool hash (numpy/random/bit_generator.pyx),
+# PCG64 seeding (O'Neill, "PCG", HMC-CS-2014-0905), Generator.random's
+# 53-bit doubles and Generator.integers' bounded draws by Lemire's method
+# (Lemire, ACM TOMS 2019).  SeedSequence words are uint32; the hash below
+# runs on Python ints masked to 32 bits or on uint32 arrays, which wrap
+# without a warning (numpy scalars would warn on overflow).
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875  # pool mixing
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_SS_POOL = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LEMIRE_3_ONE = -(-(1 << 32) // 3)
+_LEMIRE_3_TWO = -(-(2 << 32) // 3)
+
+
+def _uint32_words(x: int) -> list[int]:
+    """SeedSequence's split of a non-negative int into uint32 words, low first."""
+    words = [x & _M32]
+    while x > _M32:
+        x >>= 32
+        words.append(x & _M32)
+    return words
+
+
+def _hashmix(value, const: int, mult: int):
+    """One SeedSequence hash step; returns (hashed value, next constant)."""
+    value = value ^ const
+    const = (const * mult) & _M32
+    value = (value * const) & _M32
+    return value ^ (value >> 16), const
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word x with a hashed word y."""
+    r = (((_SS_MIX_L * x) & _M32) - ((_SS_MIX_R * y) & _M32)) & _M32
+    return r ^ (r >> 16)
+
+
+def _pcg64_seeds(master_seed: int, rate_idx: int, trials: np.ndarray) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of default_rng(SeedSequence(master_seed,
+    spawn_key=(rate_idx, t))) for each trial index t < 2**32."""
+    # The spawn key makes SeedSequence pad the seed to a whole pool.
+    seed_words = _uint32_words(master_seed)
+    entropy = seed_words + [0] * (_SS_POOL - len(seed_words)) + _uint32_words(rate_idx)
+    # Everything before the trial word is the same for the whole rate, and the
+    # hash constants never depend on the data, so only the last entropy word
+    # is hashed per trial, as a uint32 array.
+    const = _SS_INIT_A
+    pool = []
+    for word in entropy[:_SS_POOL]:
+        h, const = _hashmix(word, const, _SS_MULT_A)
+        pool.append(h)
+    for src in range(_SS_POOL):
+        for dst in range(_SS_POOL):
+            if src != dst:
+                h, const = _hashmix(pool[src], const, _SS_MULT_A)
+                pool[dst] = _mix(pool[dst], h)
+    for word in entropy[_SS_POOL:] + [trials.astype(np.uint32)]:
+        for dst in range(_SS_POOL):
+            h, const = _hashmix(word, const, _SS_MULT_A)
+            pool[dst] = _mix(pool[dst], h)
+    # generate_state(4, uint64): eight uint32 words cycling over the pool,
+    # paired low word first.
+    const = _SS_INIT_B
+    words = []
+    for i in range(8):
+        h, const = _hashmix(pool[i % _SS_POOL], const, _SS_MULT_B)
+        words.append(h.astype(np.uint64))
+    s0, s1, i0, i1 = ((words[j] | (words[j + 1] << 32)).tolist() for j in range(0, 8, 2))
+    seeds = []
+    for a, b, c, d in zip(s0, s1, i0, i1):
+        # pcg64 srandom: inc = 2 * initseq + 1; state = (inc + initstate) * mult + inc.
+        inc = (((c << 64) | d) << 1 | 1) & _M128
+        seeds.append((((inc + ((a << 64) | b)) * _PCG64_MULT + inc) & _M128, inc))
+    return seeds
+
+
+def _errors_from_raw(raw: np.ndarray, n: int, p: float, kind: NoiseKind):
+    """(ex, ez, redraw) from each trial's raw PCG64 words, as sample_error
+    draws them: n doubles, then for depolarizing noise n uint32 halves (low
+    half of each word first) mapped to which = (u32 * 3) >> 32 in {0, 1, 2},
+    Lemire's method.  `redraw` flags trials where that method would reject a
+    draw (u32 = 0, the only value whose low product word falls below its
+    threshold of 1), after which the reference stream reads extra words."""
+    # random() < p  <=>  (word >> 11) * 2**-53 < p  <=>  word < ceil(p * 2**53) * 2**11.
+    hit = (raw[:, :n] < math.ceil(p * 2.0**53) << 11).view(np.uint8)
+    if kind == NoiseKind.PURE_X:
+        return hit, np.zeros_like(hit), np.zeros(len(raw), dtype=bool)
+    u32 = raw[:, n:].astype("<u8", copy=False).view("<u4")[:, :n]
+    # which >= 1 iff u32 >= ceil(2**32 / 3), and which = 2 iff u32 >= ceil(2**33 / 3).
+    z = u32 >= _LEMIRE_3_ONE
+    x = (u32 < _LEMIRE_3_ONE) | (u32 >= _LEMIRE_3_TWO)
+    return hit & x, hit & z, ~u32.all(axis=1)
+
+
 def _sample_batch(code: StabilizerCode, p: float, kind: NoiseKind, seed: int, rate_idx: int, count: int):
-    ex = np.empty((count, code.n), dtype=np.uint8)
-    ez = np.empty((count, code.n), dtype=np.uint8)
-    for t in range(count):
-        e = sample_error(code.n, p, kind, trial_rng(seed, rate_idx, t))
-        ex[t] = e.ex
-        ez[t] = e.ez
+    """Trials 0..count-1 of one rate, row t equal to
+    sample_error(code.n, p, kind, trial_rng(seed, rate_idx, t))."""
+    if not 0.0 < p < 1.0:
+        raise ValueError("error rate must be in (0, 1)")
+    if count > 1 << 32:
+        raise ValueError("at most 2**32 trials per rate")
+    n = code.n
+    draws = n if kind == NoiseKind.PURE_X else n + (n + 1) // 2
+    ex = np.empty((count, n), dtype=np.uint8)
+    ez = np.empty((count, n), dtype=np.uint8)
+    bitgen = np.random.PCG64(0)
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for a in range(0, count, _CHUNK_TRIALS):
+        b = min(a + _CHUNK_TRIALS, count)
+        raw = np.empty((b - a, draws), dtype=np.uint64)
+        # Each trial's seeded state goes onto one reused PCG64.
+        for row, (pcg["state"], pcg["inc"]) in zip(raw, _pcg64_seeds(seed, rate_idx, np.arange(a, b))):
+            bitgen.state = state
+            row[:] = bitgen.random_raw(draws)
+        ex[a:b], ez[a:b], redraw = _errors_from_raw(raw, n, p, kind)
+        for t in (a + np.flatnonzero(redraw)).tolist():
+            e = sample_error(n, p, kind, trial_rng(seed, rate_idx, t))
+            ex[t], ez[t] = e.ex, e.ez
     return ex, ez
 
 
@@ -193,7 +312,8 @@ def _decode_chunk(ctx: DecoderContext, S: np.ndarray, prior: ChannelPrior, cfg: 
 
 # Trials per chunk.  Trials are independent, so the chunk size changes only
 # speed: at 256 each of BP's float32 (edges + 1, trials) arrays is 0.6-6 MiB
-# on the shipped codes, and larger chunks decoded no faster.
+# on the shipped codes, and larger chunks decoded no faster.  The sampler
+# draws in blocks of the same size, so its scratch holds at most 256 trials.
 _CHUNK_TRIALS = 256
 
 

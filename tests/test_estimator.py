@@ -1,6 +1,11 @@
 """Monte Carlo estimator tests: sampling statistics, residual classification,
 witness verification, reproducibility and the brute-force oracle."""
 
+import itertools
+import warnings
+from functools import lru_cache
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -130,6 +135,108 @@ def test_trial_rng_streams_are_independent_and_stable():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+# Master seeds of one, two, three and five uint32 words; five is more than
+# SeedSequence's pool of four, which changes how the entropy is mixed.
+_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 1)
+
+
+@lru_cache(maxsize=None)
+def _fresh_states(seed, rate_idx, count):
+    """Bit-generator state of each fresh trial_rng(seed, rate_idx, t)."""
+    return tuple(estimator.trial_rng(seed, rate_idx, t).bit_generator.state for t in range(count))
+
+
+def _per_trial_stack(n, p, kind, seed, rate_idx, count):
+    """Rows sample_error(n, p, kind, trial_rng(seed, rate_idx, t)) for t < count.
+    A Generator's whole state is its bit generator's, so restoring a fresh
+    trial_rng's state draws what the fresh generator would."""
+    rng = np.random.default_rng()
+    rows = []
+    for state in _fresh_states(seed, rate_idx, count):
+        rng.bit_generator.state = state
+        rows.append(estimator.sample_error(n, p, kind, rng))
+    return np.array([e.ex for e in rows]), np.array([e.ez for e in rows])
+
+
+def test_restored_trial_state_draws_the_fresh_stream():
+    for kind, seed in itertools.product(NoiseKind, _SEEDS):
+        want = [estimator.sample_error(9, 0.4, kind, estimator.trial_rng(seed, 5, t)) for t in range(3)]
+        ex, ez = _per_trial_stack(9, 0.4, kind, seed, 5, 3)
+        assert np.array_equal(ex, [e.ex for e in want]) and np.array_equal(ez, [e.ez for e in want])
+
+
+@pytest.mark.parametrize("kind", list(NoiseKind))
+@pytest.mark.parametrize("n", [1, 2, 7, 85, 108, 128])
+def test_sample_batch_equals_per_trial_streams(kind, n):
+    # Counts around the 256-trial block edge; each count's rows are a prefix
+    # of the 600-trial reference.
+    code = SimpleNamespace(n=n)
+    for seed, rate_idx, p in itertools.product(_SEEDS, (0, 5), (1e-4, 0.1, 0.5, 0.999)):
+        want_x, want_z = _per_trial_stack(n, p, kind, seed, rate_idx, 600)
+        for count in (1, 255, 256, 257, 600):
+            ex, ez = estimator._sample_batch(code, p, kind, seed, rate_idx, count)
+            assert ex.dtype == ez.dtype == np.uint8
+            assert np.array_equal(ex, want_x[:count]), (seed, rate_idx, p, count)
+            assert np.array_equal(ez, want_z[:count]), (seed, rate_idx, p, count)
+
+
+def test_errors_from_raw_flags_lemire_rejections():
+    # Depolarizing draws read n doubles, then n uint32 halves, low half first.
+    # Only a zero half among those n is a rejection; for odd n the last
+    # word's high half is never read.
+    n = 5
+    raw = np.full((4, n + 3), 0x0123456789ABCDEF, dtype=np.uint64)
+    raw[1, n] = 0x0123456700000000  # half 0
+    raw[2, n + 2] = 0x0123456700000000  # half 4, the last one read
+    raw[3, n + 2] = 0x0000000089ABCDEF  # half 5, unread
+    _, _, redraw = estimator._errors_from_raw(raw, n, 0.5, NoiseKind.DEPOLARIZING)
+    assert redraw.tolist() == [False, True, True, False]
+    _, _, redraw = estimator._errors_from_raw(raw[:, :n], n, 0.5, NoiseKind.PURE_X)
+    assert not redraw.any()
+
+
+def test_sample_batch_redraws_rejected_trials_exactly(monkeypatch):
+    n, p, seed, count = 7, 0.3, 11, 300
+    kind = NoiseKind.DEPOLARIZING
+    real_from_raw = estimator._errors_from_raw
+    real_trial_rng = estimator.trial_rng
+    redrawn = []
+
+    def zero_one_draw(raw, *args):
+        if len(raw) == count - 256:  # second block: trial 256 + 3 reads a zero half
+            raw[3, n + 1] &= np.uint64(0xFFFFFFFF00000000)
+        return real_from_raw(raw, *args)
+
+    def recording_trial_rng(s, r, t):
+        redrawn.append(t)
+        return real_trial_rng(s, r, t)
+
+    monkeypatch.setattr(estimator, "_errors_from_raw", zero_one_draw)
+    monkeypatch.setattr(estimator, "trial_rng", recording_trial_rng)
+    ex, ez = estimator._sample_batch(SimpleNamespace(n=n), p, kind, seed, 2, count)
+    assert redrawn == [259]
+    want_x, want_z = _per_trial_stack(n, p, kind, seed, 2, count)
+    assert np.array_equal(ex, want_x) and np.array_equal(ez, want_z)
+
+
+def test_sample_batch_emits_no_warning():
+    # CI turns RuntimeWarning into an error: the uint32 hash must wrap in
+    # arrays or masked Python ints, never in numpy scalars.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind, seed in itertools.product(NoiseKind, _SEEDS):
+            estimator._sample_batch(SimpleNamespace(n=3), 0.2, kind, seed, 7, 260)
+
+
+def test_sample_batch_rejects_bad_inputs():
+    code = SimpleNamespace(n=4)
+    for p in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            estimator._sample_batch(code, p, NoiseKind.DEPOLARIZING, 0, 0, 10)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        estimator._sample_batch(code, 0.1, NoiseKind.DEPOLARIZING, 0, 0, 2**32 + 1)
 
 
 def test_estimate_bound_small_surface():
