@@ -114,8 +114,8 @@ def parse_args(argv) -> RunSpec:
     if ns.subcommand in ("estimate", "decode-one") and ns.max_iters < 1:
         parser.error("--max-iters must be positive")
     if ns.subcommand == "estimate":
-        if ns.trials <= 0:
-            parser.error("--trials must be positive")
+        if not 1 <= ns.trials <= estimator.MAX_TRIALS_PER_RATE:
+            parser.error("--trials must be between 1 and 2**32")
         if ns.threads < 1:
             parser.error("--threads must be positive")
         if ns.seed < 0:

@@ -52,7 +52,8 @@ class StabilizerCode:
 
     Rows are generators; row i applies X where hx[i] is set and Z where
     hz[i] is set (both set = Y).  k is computed from the GF(2) rank of the
-    2n-column binary generator matrix, never assumed.
+    2n-column binary generator matrix, never assumed: one elimination gives
+    both that rank and the stabilizer reducer.
     """
 
     def __init__(self, name: str, hx: np.ndarray, hz: np.ndarray, metadata=None):
@@ -68,9 +69,9 @@ class StabilizerCode:
         self._generator_matrix = np.hstack([hx, hz])
         # [Hz | Hx]^T, so that [ex | ez] times it is Hz·ex + Hx·ez.
         self._syndrome_matrix = np.vstack([hz.T, hx.T]).astype(np.float32)
-        self.k = self.n - gf2.rank(gf2.BitMatrix.from_array(self._generator_matrix))
+        self._stabilizer_reducer = gf2.RowSpanReducer(self._generator_matrix)
+        self.k = self.n - self._stabilizer_reducer.rank
         self.hd = decoupled_parity_check(hx, hz)
-        self._stabilizer_reducer = None
 
     @property
     def num_generators(self) -> int:
@@ -84,11 +85,7 @@ class StabilizerCode:
         return pauli.SymplecticPauli.from_arrays(self.hx[i], self.hz[i])
 
     def stabilizer_reducer(self) -> gf2.RowSpanReducer:
-        """Cached RREF of the generator matrix for coset-membership tests."""
-        if self._stabilizer_reducer is None:
-            self._stabilizer_reducer = gf2.RowSpanReducer(
-                gf2.BitMatrix.from_array(self._generator_matrix)
-            )
+        """RREF of the generator matrix for coset-membership tests."""
         return self._stabilizer_reducer
 
     def syndromes(self, ex: np.ndarray, ez: np.ndarray) -> np.ndarray:
@@ -339,7 +336,7 @@ def validate(code: StabilizerCode) -> ValidationReport:
     if bad.size:
         i, j = map(int, bad[0])
         failures.append(f"generators {i} and {j} anticommute")
-    k = code.n - gf2.rank(gf2.BitMatrix.from_array(code.generator_matrix()))
+    k = code.n - gf2.rank(code.generator_matrix())
     if k != code.k:
         failures.append(f"cached k={code.k} but rank gives k={k}")
     if not np.array_equal(code.hd, decoupled_parity_check(code.hx, code.hz)):
@@ -360,18 +357,16 @@ def logical_basis(code: StabilizerCode) -> list[pauli.SymplecticPauli]:
     # Centralizer: vectors v = (vx|vz) with Hx·vz + Hz·vx = 0, i.e. kernel
     # of the half-swapped generator matrix.
     swapped = np.hstack([code.hz, code.hx])
-    kernel = gf2.kernel_basis(gf2.BitMatrix.from_array(swapped))
+    kernel = gf2.kernel_basis(swapped)
     # Keep kernel vectors independent modulo the stabilizer span.
-    base_rank = gf2.rank(gf2.BitMatrix.from_array(code.generator_matrix()))
     reps = []
     current = code.generator_matrix()
-    cur_rank = base_rank
+    cur_rank = code.stabilizer_reducer().rank
     for v in kernel:
-        arr = v.to_array()[None, :]
-        cand = np.vstack([current, arr])
-        r = gf2.rank(gf2.BitMatrix.from_array(cand))
+        cand = np.vstack([current, v])
+        r = gf2.rank(cand)
         if r > cur_rank:
-            reps.append(v.to_array())
+            reps.append(v)
             current = cand
             cur_rank = r
     if len(reps) != 2 * code.k:
@@ -381,7 +376,7 @@ def logical_basis(code: StabilizerCode) -> list[pauli.SymplecticPauli]:
         return int((np.dot(u[:n], v[n:]) + np.dot(u[n:], v[:n])) & 1)
 
     pairs = []
-    pool = [r.astype(np.uint8) for r in reps]
+    pool = list(reps)
     while pool:
         u = pool.pop(0)
         partner = None

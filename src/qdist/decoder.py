@@ -12,8 +12,9 @@ When BP fails to converge, a reliability-ordered OSD-0 solve on the same
 matrix produces a syndrome-consistent raw vector, which the XOR collapse in
 pauli.to_symplectic turns into a valid Pauli with the same syndrome.
 
-The batch entry point decodes many syndromes at once (flooding is data
-parallel across trials); decode() is the single-syndrome wrapper.
+The batch entry points decode many syndromes at once (flooding is data
+parallel across trials); decode() runs one syndrome through them as a batch
+of one.
 
 BP works batch-minor: messages are (edges + 1, trials) arrays, so every
 per-edge operation runs over contiguous rows of trials, and the last row is
@@ -97,6 +98,10 @@ class BPConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
+        # A clip of 0 or less pins every message at or below 0, and NaN
+        # poisons them; either silently breaks BP instead of failing.
+        if not 0.0 < self.clip < math.inf:
+            raise ValueError("clip must be finite and positive")
 
 
 @dataclass
@@ -111,9 +116,9 @@ class DecodeOutcome:
 class DecoderContext:
     """Per-code precomputation shared by every decode call.
 
-    Holds the Tanner-graph edge layout of the decoupled matrix, the slot
-    tables BP sums over, and the packed matrix for OSD.  Immutable once
-    built; safe to share.
+    Holds the decoupled matrix that OSD solves on, its Tanner-graph edge
+    layout and the slot tables BP sums over.  Immutable once built; safe to
+    share.
     """
 
     def __init__(self, hd: np.ndarray):
@@ -155,7 +160,6 @@ class DecoderContext:
         # Bytes per trial of the gather buffer that every slot table and the
         # per-edge gathers share.
         self.gather_bytes = max([4 * self.num_edges] + [4 * slots.size for _, slots in self.check_slots + self.var_slots])
-        self.packed = gf2.BitMatrix.from_array(hd)
 
     @classmethod
     def for_code(cls, code: StabilizerCode) -> "DecoderContext":
@@ -480,35 +484,31 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
     return out_bits, out_post, out_conv, out_iter
 
 
-def bp_decode(ctx: DecoderContext, syndrome, prior: ChannelPrior, cfg: BPConfig):
-    """Single-syndrome sum-product; see bp_decode_batch for the semantics.
+def bp_decode(ctx: DecoderContext, syndrome: np.ndarray, prior: ChannelPrior, cfg: BPConfig):
+    """Sum-product on one (m,) syndrome; see bp_decode_batch for the semantics.
 
     Returns (raw_bits, posteriors, converged, iterations) where raw_bits is
     the canonical one-hot decision vector of length 3n.
     """
-    s = syndrome.bits if isinstance(syndrome, pauli.Syndrome) else np.asarray(syndrome)
-    bits, post, conv, iters = bp_decode_batch(ctx, s[None, :], prior, cfg)
+    bits, post, conv, iters = bp_decode_batch(ctx, np.asarray(syndrome)[None, :], prior, cfg)
     return bits[0], post[0], bool(conv[0]), int(iters[0])
 
 
-def osd_post_process(ctx: DecoderContext, syndrome, posteriors) -> np.ndarray:
+def osd_post_process(ctx: DecoderContext, syndromes: np.ndarray, posteriors: np.ndarray) -> np.ndarray:
     """OSD-0: solve Hd·x = s on the most reliable independent column set.
 
-    Columns are ranked by descending P(bit=1) (ties: ascending index).  A
-    single syndrome with 3n posteriors gives 3n bits; a (B, m) batch with
-    (B, 3n) posteriors gives (B, 3n) bits.  Both run one batched
-    elimination, whose rows equal gf2.solve_selected's.  The syndrome of a
-    real error always lies in the column space; Infeasible therefore
-    indicates a broken check matrix and is re-raised as such.
+    Takes a (B, m) syndrome batch with (B, 3n) posteriors and returns
+    (B, 3n) bits.  Columns are ranked by descending P(bit=1) (ties:
+    ascending index), and one batched elimination solves every row; each
+    equals gf2.solve_selected's.  The syndrome of a real error always lies
+    in the column space; Infeasible therefore indicates a broken check
+    matrix and is re-raised as such.
     """
-    s = syndrome.bits if isinstance(syndrome, pauli.Syndrome) else np.asarray(syndrome)
-    post = np.asarray(posteriors, dtype=np.float64)
-    order = np.argsort(-post, axis=-1, kind="stable")
+    order = np.argsort(-np.asarray(posteriors, dtype=np.float64), axis=1, kind="stable")
     try:
-        x = gf2.solve_selected_batch(ctx.packed, np.atleast_2d(s), np.atleast_2d(order))
+        return gf2.solve_selected_batch(ctx.hd, syndromes, order)
     except gf2.Infeasible as exc:
         raise RuntimeError("syndrome outside the column space of Hd") from exc
-    return x if s.ndim == 2 else x[0]
 
 
 def decode(
@@ -520,20 +520,14 @@ def decode(
     """Full pipeline: BP, then OSD-0 when BP does not converge."""
     cfg = cfg or BPConfig()
     ctx = DecoderContext.for_code(code)
-    bits, post, conv, iters = bp_decode(ctx, syndrome, prior, cfg)
-    if conv:
-        return DecodeOutcome(
-            estimate=pauli.to_symplectic(bits),
-            posteriors=post,
-            bp_converged=True,
-            osd_applied=False,
-            iterations=iters,
-        )
-    raw = osd_post_process(ctx, syndrome, post)
+    s = syndrome.bits
+    bits, post, conv, iters = bp_decode(ctx, s, prior, cfg)
+    if not conv:
+        bits = osd_post_process(ctx, s[None, :], post[None, :])[0]
     return DecodeOutcome(
-        estimate=pauli.to_symplectic(raw),
+        estimate=pauli.to_symplectic(bits),
         posteriors=post,
-        bp_converged=False,
-        osd_applied=True,
+        bp_converged=conv,
+        osd_applied=not conv,
         iterations=iters,
     )

@@ -30,6 +30,8 @@ from .decoder import BPConfig, ChannelPrior, DecoderContext, NoiseKind, bp_decod
 
 SCHEMA_VERSION = 1
 DEFAULT_RATES = (0.01, 0.02, 0.05, 0.08, 0.10, 0.12, 0.15)
+# The sampler hashes each trial index as one uint32 word of its spawn key.
+MAX_TRIALS_PER_RATE = 1 << 32
 
 
 class ResidualClass(enum.Enum):
@@ -51,8 +53,8 @@ class TrialConfig:
             raise ValueError("need at least one error rate")
         if any(not 0.0 < p < 1.0 for p in self.rates):
             raise ValueError("error rates must be in (0, 1)")
-        if self.trials_per_rate < 1:
-            raise ValueError("need at least one trial per rate")
+        if not 1 <= self.trials_per_rate <= MAX_TRIALS_PER_RATE:
+            raise ValueError("trials per rate must be between 1 and 2**32")
         if self.master_seed < 0:
             raise ValueError("master seed must be non-negative")
 
@@ -274,7 +276,7 @@ def _sample_batch(code: StabilizerCode, p: float, kind: NoiseKind, seed: int, ra
     sample_error(code.n, p, kind, trial_rng(seed, rate_idx, t))."""
     if not 0.0 < p < 1.0:
         raise ValueError("error rate must be in (0, 1)")
-    if count > 1 << 32:
+    if count > MAX_TRIALS_PER_RATE:
         raise ValueError("at most 2**32 trials per rate")
     n = code.n
     draws = n if kind == NoiseKind.PURE_X else n + (n + 1) // 2

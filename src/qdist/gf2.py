@@ -1,11 +1,13 @@
-"""Bit-packed dense linear algebra over GF(2).
+"""Dense linear algebra over GF(2) on plain 0/1 arrays.
 
-Rows are stored as runs of 64-bit words (little-endian bit order within a
-row), so row elimination is a word-parallel XOR.  This is the substrate for
-syndrome math, OSD solves, code dimension and residual classification, where
-matrices with a few thousand columns get reduced over and over.
-
-All public operations leave their arguments untouched.
+Every public function takes matrices as 2-D and vectors as 1-D uint8 0/1
+arrays (anything np.asarray turns into one) and returns plain uint8 arrays;
+it raises ValueError on a matrix that is not 2-D and leaves its arguments
+untouched.  Internally rows are packed into runs of 64-bit words
+(little-endian bit order within a row), so row elimination is a
+word-parallel XOR.  This is the substrate for OSD solves, code dimension
+and residual classification, where matrices with a few thousand columns
+get reduced over and over.
 """
 
 from __future__ import annotations
@@ -38,91 +40,6 @@ def _unpack_bits(data: np.ndarray, cols: int) -> np.ndarray:
         return np.zeros((rows, 0), dtype=np.uint8)
     as_bytes = np.ascontiguousarray(data).view(np.uint8)
     return np.unpackbits(as_bytes, axis=1, bitorder="little")[:, :cols].copy()
-
-
-class BitVector:
-    """Fixed-length bit vector packed into uint64 words."""
-
-    __slots__ = ("length", "words")
-
-    def __init__(self, length: int, words: np.ndarray):
-        self.length = length
-        self.words = words
-
-    @classmethod
-    def from_array(cls, a) -> "BitVector":
-        a = np.atleast_1d(np.asarray(a, dtype=np.uint8))
-        return cls(a.shape[0], _pack_bits(a[None, :])[0])
-
-    @classmethod
-    def zeros(cls, length: int) -> "BitVector":
-        return cls(length, np.zeros((length + 63) // 64, dtype=np.uint64))
-
-    def to_array(self) -> np.ndarray:
-        return _unpack_bits(self.words[None, :], self.length)[0]
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(f"bit {i} out of range for length {self.length}")
-        return int((self.words[i >> 6] >> np.uint64(i & 63)) & _ONE)
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise ValueError("length mismatch in XOR")
-        return BitVector(self.length, self.words ^ other.words)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitVector)
-            and self.length == other.length
-            and bool(np.array_equal(self.words, other.words))
-        )
-
-    def is_zero(self) -> bool:
-        return not self.words.any()
-
-    def __repr__(self) -> str:
-        return f"BitVector({''.join(map(str, self.to_array()))})"
-
-
-class BitMatrix:
-    """Dense GF(2) matrix with word-packed rows."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows: int, cols: int, data: np.ndarray):
-        self.rows = rows
-        self.cols = cols
-        self.data = data  # (rows, ceil(cols/64)) uint64
-
-    @classmethod
-    def from_array(cls, a) -> "BitMatrix":
-        a = np.asarray(a, dtype=np.uint8)
-        if a.ndim != 2:
-            raise ValueError("expected a 2-D array")
-        return cls(a.shape[0], a.shape[1], _pack_bits(a))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, np.zeros((rows, (cols + 63) // 64), dtype=np.uint64))
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls.from_array(np.eye(n, dtype=np.uint8))
-
-    def to_array(self) -> np.ndarray:
-        return _unpack_bits(self.data, self.cols)
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.rows, self.cols, self.data.copy())
-
-    def get(self, r: int, c: int) -> int:
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError(f"({r}, {c}) out of range for {self.rows}x{self.cols}")
-        return int((self.data[r, c >> 6] >> np.uint64(c & 63)) & _ONE)
-
-    def __repr__(self) -> str:
-        return f"BitMatrix({self.rows}x{self.cols})"
 
 
 def _column_bits(data: np.ndarray, c: int) -> np.ndarray:
@@ -226,49 +143,65 @@ def _eliminate_batch(rows, cols, nz_rows, nz_cols, S, orders):
     return x
 
 
-def row_reduce(M: BitMatrix):
+def _matrix(M) -> np.ndarray:
+    """M as a 2-D uint8 array; raises ValueError for any other shape."""
+    a = np.asarray(M, dtype=np.uint8)
+    if a.ndim != 2:
+        raise ValueError("expected a 2-D 0/1 matrix")
+    return a
+
+
+def _reduce(M):
+    """(packed RREF of M, pivot columns in ascending row order, column count)."""
+    a = _matrix(M)
+    data = _pack_bits(a)
+    return data, [c for _, c in _eliminate(data, a.shape[1])], a.shape[1]
+
+
+def row_reduce(M):
     """Reduced row-echelon form of M plus its pivot columns.
 
-    Returns (reduced, pivot_cols) with pivot columns in ascending row order;
-    the row space is preserved and M itself is not modified.
+    Returns (reduced, pivot_cols): reduced is a uint8 array of M's shape
+    whose first len(pivot_cols) rows are the pivot rows, and pivot_cols is
+    in ascending row order.  The row space is preserved.
     """
-    data = M.data.copy()
-    pivots = _eliminate(data, M.cols)
-    return BitMatrix(M.rows, M.cols, data), [c for _, c in pivots]
+    data, pivot_cols, cols = _reduce(M)
+    return _unpack_bits(data, cols), pivot_cols
 
 
-def rank(M: BitMatrix) -> int:
+def rank(M) -> int:
     """GF(2) rank of M."""
-    data = M.data.copy()
-    return len(_eliminate(data, M.cols))
+    return len(_reduce(M)[1])
 
 
-def solve_selected(M: BitMatrix, s: BitVector, col_order) -> BitVector:
+def solve_selected(M, s, col_order) -> np.ndarray:
     """Solve M·x = s with x supported on a greedily chosen column set.
 
-    Columns are tried in col_order (a permutation of range(M.cols)); the
+    Columns are tried in col_order (a permutation of M's columns); the
     first maximal independent set wins and all other bits of x stay zero.
+    s has one bit per row of M; returns x as a (cols,) uint8 array.
     Raises Infeasible when s is outside the column space.  This serial form
     is the reference that solve_selected_batch is tested against.
     """
-    if s.length != M.rows:
+    a = _matrix(M)
+    rows, cols = a.shape
+    s = np.asarray(s, dtype=np.uint8)
+    if s.shape != (rows,):
         raise ValueError("syndrome length does not match row count")
     col_order = np.asarray(list(col_order), dtype=np.int64)
-    if not np.array_equal(np.sort(col_order), np.arange(M.cols)):
+    if not np.array_equal(np.sort(col_order), np.arange(cols)):
         raise ValueError("col_order must be a permutation of the columns")
-    data = M.data.copy()
-    aug = s.to_array()
-    pivots = _eliminate(data, M.cols, col_order=col_order, aug=aug)
-    nrank = len(pivots)
-    if aug[nrank:].any():
+    aug = s & 1
+    pivots = _eliminate(_pack_bits(a), cols, col_order=col_order, aug=aug)
+    if aug[len(pivots):].any():
         raise Infeasible("syndrome outside the column space")
-    x = np.zeros(M.cols, dtype=np.uint8)
+    x = np.zeros(cols, dtype=np.uint8)
     for r, c in pivots:
         x[c] = aug[r]
-    return BitVector.from_array(x)
+    return x
 
 
-def solve_selected_batch(M: BitMatrix, S, col_orders) -> np.ndarray:
+def solve_selected_batch(M, S, col_orders) -> np.ndarray:
     """solve_selected for a batch: row b of the result solves M·x = S[b]
     with x supported on the greedy column set of col_orders[b].
 
@@ -277,55 +210,49 @@ def solve_selected_batch(M: BitMatrix, S, col_orders) -> np.ndarray:
     solve_selected.  Raises Infeasible when any syndrome is outside the
     column space.
     """
+    a = _matrix(M)
+    rows, cols = a.shape
     S = np.asarray(S, dtype=np.uint8)
     orders = np.asarray(col_orders, dtype=np.intp)
-    if S.ndim != 2 or S.shape[1] != M.rows:
+    if S.ndim != 2 or S.shape[1] != rows:
         raise ValueError("syndrome batch does not match the row count")
     B = S.shape[0]
-    if orders.shape != (B, M.cols):
+    if orders.shape != (B, cols):
         raise ValueError("need one column order per syndrome")
-    if not (np.sort(orders, axis=1) == np.arange(M.cols)).all():
+    if not (np.sort(orders, axis=1) == np.arange(cols)).all():
         raise ValueError("each col_order must be a permutation of the columns")
-    nz_rows, nz_cols = np.nonzero(M.to_array())
-    block = max(1, _BATCH_BYTES // max(1, 8 * (M.data.shape[1] + 1) * M.rows))
-    out = np.empty((B, M.cols), dtype=np.uint8)
-    for a in range(0, B, block):
-        b = min(a + block, B)
-        out[a:b] = _eliminate_batch(M.rows, M.cols, nz_rows, nz_cols, S[a:b], orders[a:b])
+    nz_rows, nz_cols = np.nonzero(a & 1)
+    block = max(1, _BATCH_BYTES // max(1, 8 * ((cols + 63) // 64 + 1) * rows))
+    out = np.empty((B, cols), dtype=np.uint8)
+    for lo in range(0, B, block):
+        hi = min(lo + block, B)
+        out[lo:hi] = _eliminate_batch(rows, cols, nz_rows, nz_cols, S[lo:hi], orders[lo:hi])
     return out
 
 
-def kernel_basis(M: BitMatrix) -> list[BitVector]:
-    """Basis of {v : M·v = 0}; contains cols - rank(M) vectors."""
+def kernel_basis(M) -> np.ndarray:
+    """Basis of {v : M·v = 0} as the rows of a (cols - rank(M), cols) array."""
     reduced, pivot_cols = row_reduce(M)
-    arr = reduced.to_array()
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(M.cols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        v = np.zeros(M.cols, dtype=np.uint8)
-        v[fc] = 1
-        for r, pc in enumerate(pivot_cols):
-            v[pc] = arr[r, fc]
-        basis.append(BitVector.from_array(v))
+    cols = reduced.shape[1]
+    free = np.setdiff1d(np.arange(cols), pivot_cols)
+    basis = np.zeros((free.shape[0], cols), dtype=np.uint8)
+    basis[np.arange(free.shape[0]), free] = 1
+    # Free column f's vector sets f and, on each pivot column, the pivot row's bit f.
+    basis[:, np.array(pivot_cols, dtype=np.intp)] = reduced[: len(pivot_cols), free].T
     return basis
 
 
 class RowSpanReducer:
     """Precomputed RREF of a matrix for repeated row-span membership tests."""
 
-    def __init__(self, M: BitMatrix):
-        reduced, pivot_cols = row_reduce(M)
-        self.cols = M.cols
-        self.pivot_cols = pivot_cols
-        self.pivot_rows = reduced.data[: len(pivot_cols)].copy()
-        self.rank = len(pivot_cols)
-
-    def contains(self, v: BitVector) -> bool:
-        return bool(self.contains_batch(v.to_array()[None, :])[0])
+    def __init__(self, M):
+        data, self.pivot_cols, self.cols = _reduce(M)
+        self.rank = len(self.pivot_cols)
+        self._pivot_rows = data[: self.rank].copy()
 
     def contains_batch(self, bits: np.ndarray) -> np.ndarray:
-        """Vectorized membership test for a (batch, cols) 0/1 array."""
+        """(batch,) bool: whether each row of a (batch, cols) 0/1 array lies
+        in the row span."""
         bits = np.asarray(bits)
         if bits.ndim != 2 or bits.shape[1] != self.cols:
             raise ValueError("vector length does not match column count")
@@ -333,5 +260,5 @@ class RowSpanReducer:
         for i, c in enumerate(self.pivot_cols):
             mask = _column_bits(w, c).astype(bool)
             if mask.any():
-                w[mask] ^= self.pivot_rows[i]
+                w[mask] ^= self._pivot_rows[i]
         return ~w.any(axis=1) if w.shape[1] else np.ones(bits.shape[0], dtype=bool)

@@ -1,9 +1,11 @@
 """Pauli operators in symplectic and decoupled binary form.
 
-A phase-free n-qubit Pauli is a pair of bit vectors (ex | ez); the decoupled
-form spreads it over three n-bit blocks (x' | z' | y') with at most one bit
-set per qubit.  Syndromes are computed from the symplectic form, in batches,
-by StabilizerCode.syndromes.  syndrome_decoupled (Hd times the decoupled
+A phase-free n-qubit Pauli is a pair of bit vectors (ex | ez).  Its
+decoupled form is a plain (3n,) uint8 0/1 array of three n-bit blocks
+(x' | z' | y'); to_decoupled sets at most one bit per qubit, and
+to_symplectic collapses any 3n-bit vector back, one-hot or not.  Syndromes
+are computed from the symplectic form, in batches, by
+StabilizerCode.syndromes.  syndrome_decoupled (Hd times the decoupled
 vector) is the reference it is tested against: the decoder works on Hd, so
 the two must agree.
 """
@@ -50,59 +52,34 @@ class SymplecticPauli:
 
 
 @dataclass(frozen=True)
-class DecoupledPauli:
-    """3n-bit (x' | z' | y') form with at most one bit set per qubit."""
-
-    n: int
-    ex: np.ndarray
-    ez: np.ndarray
-    ey: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.ex + self.ez + self.ey > 1):
-            raise ValueError("decoupled form must have at most one bit per qubit")
-
-    def to_bits(self) -> np.ndarray:
-        """Concatenated 3n-bit vector in (x' | z' | y') block order."""
-        return np.concatenate([self.ex, self.ez, self.ey])
-
-
-@dataclass(frozen=True)
 class Syndrome:
     """One bit per stabilizer generator row."""
 
     bits: np.ndarray
 
-    @classmethod
-    def from_array(cls, a) -> "Syndrome":
-        return cls(np.asarray(a, dtype=np.uint8) & 1)
-
     def is_zero(self) -> bool:
         return not self.bits.any()
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Syndrome) and bool(np.array_equal(self.bits, other.bits))
+        return isinstance(other, type(self)) and bool(np.array_equal(self.bits, other.bits))
 
 
-def to_decoupled(p: SymplecticPauli) -> DecoupledPauli:
-    """Map (ex, ez) per qubit to one-hot X/Z/Y bits."""
+def to_decoupled(p: SymplecticPauli) -> np.ndarray:
+    """(3n,) one-hot bits (x' | z' | y'): each qubit's X, Z or Y bit."""
     y = p.ex & p.ez
-    return DecoupledPauli(p.n, p.ex & ~y & 1, p.ez & ~y & 1, y)
+    return np.concatenate([p.ex ^ y, p.ez ^ y, y])
 
 
 def to_symplectic(d) -> SymplecticPauli:
-    """Collapse decoupled bits back to (ex | ez).
+    """Collapse a 3n-bit decoupled vector back to (ex | ez).
 
-    Accepts a DecoupledPauli or a raw (possibly non-one-hot) 3n-bit vector;
-    per qubit the XOR map x = a^c, z = b^c resolves non-canonical triples to
-    the phase-free Pauli product, which is exactly syndrome-preserving.
+    The vector need not be one-hot: per qubit the XOR map x = a^c, z = b^c
+    resolves non-canonical triples to the phase-free Pauli product, which is
+    exactly syndrome-preserving.
     """
-    if isinstance(d, DecoupledPauli):
-        a, b, c = d.ex, d.ez, d.ey
-    else:
-        bits = np.asarray(d, dtype=np.uint8) & 1
-        n = bits.shape[0] // 3
-        a, b, c = bits[:n], bits[n : 2 * n], bits[2 * n :]
+    bits = np.asarray(d, dtype=np.uint8) & 1
+    n = bits.shape[0] // 3
+    a, b, c = bits[:n], bits[n : 2 * n], bits[2 * n :]
     return SymplecticPauli.from_arrays(a ^ c, b ^ c)
 
 
@@ -131,7 +108,7 @@ def mul(a: SymplecticPauli, b: SymplecticPauli) -> SymplecticPauli:
 
 def syndrome_decoupled(hd: np.ndarray, d) -> Syndrome:
     """s = Hd·e mod 2 on the 3n-bit decoupled vector."""
-    bits = d.to_bits() if isinstance(d, DecoupledPauli) else np.asarray(d, dtype=np.uint8)
+    bits = np.asarray(d, dtype=np.uint8)
     if hd.shape[1] != bits.shape[0]:
         raise ValueError("decoupled matrix width does not match vector length")
     return Syndrome(((hd.astype(np.int64) @ bits) & 1).astype(np.uint8))

@@ -35,9 +35,12 @@ def test_parse_rejects_bad_inputs():
     with pytest.raises(SystemExit):
         cli.parse_args(["estimate", "--code", "toric", "--params", "2",
                         "--rates", "0,0.5"])
-    with pytest.raises(SystemExit):
-        cli.parse_args(["estimate", "--code", "toric", "--params", "2",
-                        "--trials", "0"])
+    for trials in ("0", "5000000000"):  # 2**32 trials per rate at most
+        with pytest.raises(SystemExit):
+            cli.parse_args(["estimate", "--code", "toric", "--params", "2",
+                            "--trials", trials])
+    assert cli.parse_args(["estimate", "--code", "toric", "--params", "2",
+                           "--trials", str(2**32)]).trials == 2**32
     for flags in (["--threads", "0"], ["--threads", "-2"], ["--max-iters", "0"]):
         with pytest.raises(SystemExit):
             cli.parse_args(["estimate", "--code", "toric", "--params", "2", *flags])

@@ -14,7 +14,7 @@ def test_repetition_shapes_and_rank():
     chain = codes.repetition(3, cyclic=False)
     assert {tuple(r) for r in chain.h} == {(1, 1, 0), (0, 1, 1)}
     for n in (2, 4, 7):
-        assert gf2.rank(gf2.BitMatrix.from_array(codes.repetition(n, True).h)) == n - 1
+        assert gf2.rank(codes.repetition(n, True).h) == n - 1
     with pytest.raises(ValueError):
         codes.repetition(1)
 

@@ -52,6 +52,13 @@ def test_noise_kind_is_reexported_by_estimator():
 def test_bp_config_validation():
     with pytest.raises(ValueError):
         decoder.BPConfig(max_iterations=0)
+    # A clip of 0 or less silences BP, and NaN corrupts it (on ztgre(5),
+    # pure-X, p = 0.08 they gave no logical event at all, or three times the
+    # default's), so only a finite positive clip is a configuration.
+    for clip in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="clip"):
+            decoder.BPConfig(clip=clip)
+    assert decoder.BPConfig(clip=1e-3).clip == 1e-3
 
 
 def _llr(post):
@@ -171,9 +178,10 @@ def test_osd_output_always_satisfies_syndrome():
         ex = rng.integers(0, 2, code.n, dtype=np.uint8)
         ez = rng.integers(0, 2, code.n, dtype=np.uint8)
         s = code.syndrome(pauli.SymplecticPauli.from_arrays(ex, ez))
-        bits, post, conv, _ = decoder.bp_decode(ctx, s, prior, cfg)
-        raw = decoder.osd_post_process(ctx, s, post)
-        got = pauli.syndrome_decoupled(code.hd, raw)
+        bits, post, conv, _ = decoder.bp_decode(ctx, s.bits, prior, cfg)
+        raw = decoder.osd_post_process(ctx, s.bits[None, :], post[None, :])
+        assert raw.shape == (1, ctx.nbits)
+        got = pauli.syndrome_decoupled(code.hd, raw[0])
         assert got == s
 
 
@@ -196,23 +204,24 @@ def test_batched_osd_matches_single_on_failed_trials(make):
     for i in range(S.shape[0]):
         # Reference: the serial solve on columns by descending posterior, ties by index.
         order = np.lexsort((np.arange(ctx.nbits), -post[i]))
-        ref = gf2.solve_selected(ctx.packed, gf2.BitVector.from_array(S[i]), order).to_array()
+        ref = gf2.solve_selected(ctx.hd, S[i], order)
         assert np.array_equal(batch[i], ref)
-        assert np.array_equal(decoder.osd_post_process(ctx, S[i], post[i]), ref)
+        assert np.array_equal(decoder.osd_post_process(ctx, S[i : i + 1], post[i : i + 1])[0], ref)
         assert np.array_equal(pauli.syndrome_decoupled(code.hd, ref).bits, S[i])
 
 
 def test_osd_infeasible_syndrome_raises():
     code = codes.toric(2)  # dependent generators: some syndromes are unreachable
     ctx = decoder.DecoderContext.for_code(code)
-    assert gf2.rank(ctx.packed) < ctx.m
+    assert gf2.rank(ctx.hd) < ctx.m
     s = np.zeros(ctx.m, dtype=np.uint8)
     s[0] = 1  # a lone violated check cannot happen on a torus
     post = np.full(ctx.nbits, 0.1)
     with pytest.raises(RuntimeError):
-        decoder.osd_post_process(ctx, s, post)
-    with pytest.raises(RuntimeError):
         decoder.osd_post_process(ctx, s[None, :], post[None, :])
+    # OSD takes batches only: one syndrome needs a batch axis.
+    with pytest.raises(ValueError):
+        decoder.osd_post_process(ctx, np.zeros(ctx.m, np.uint8), post)
 
 
 def test_osd_prefers_reliable_columns():
@@ -220,10 +229,10 @@ def test_osd_prefers_reliable_columns():
     code = codes.planar_surface(3)
     ctx = decoder.DecoderContext.for_code(code)
     err = pauli.from_string("X" + "I" * (code.n - 1))
-    d = pauli.to_decoupled(err).to_bits()
+    d = pauli.to_decoupled(err)
     post = np.where(d > 0, 0.9, 0.001)
-    raw = decoder.osd_post_process(ctx, code.syndrome(err), post)
-    assert np.array_equal(raw, d)
+    raw = decoder.osd_post_process(ctx, code.syndrome(err).bits[None, :], post[None, :])
+    assert np.array_equal(raw, d[None, :])
 
 
 def test_decode_reports_osd_flag():

@@ -23,6 +23,10 @@ def test_trial_config_validation():
         TrialConfig(rates=(1.2,))
     with pytest.raises(ValueError):
         TrialConfig(trials_per_rate=0)
+    # The sampler cannot tell trials apart past 2**32; fail before any work.
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        TrialConfig(trials_per_rate=2**32 + 1)
+    assert TrialConfig(trials_per_rate=2**32).trials_per_rate == 2**32
     with pytest.raises(ValueError, match="seed"):
         TrialConfig(master_seed=-1)  # numpy's SeedSequence would reject it mid-sweep
     assert TrialConfig(master_seed=0).master_seed == 0
