@@ -358,17 +358,11 @@ def logical_basis(code: StabilizerCode) -> list[pauli.SymplecticPauli]:
     # of the half-swapped generator matrix.
     swapped = np.hstack([code.hz, code.hx])
     kernel = gf2.kernel_basis(swapped)
-    # Keep kernel vectors independent modulo the stabilizer span.
-    reps = []
-    current = code.generator_matrix()
-    cur_rank = code.stabilizer_reducer().rank
-    for v in kernel:
-        cand = np.vstack([current, v])
-        r = gf2.rank(cand)
-        if r > cur_rank:
-            reps.append(v)
-            current = cand
-            cur_rank = r
+    # Keep kernel vector i iff it is independent of the generators and of
+    # kernel vectors 0..i-1: its column of [G; kernel]^T is a pivot column.
+    g = code.generator_matrix()
+    _, pivot_cols = gf2.row_reduce(np.vstack([g, kernel]).T)
+    reps = [kernel[c - g.shape[0]] for c in pivot_cols if c >= g.shape[0]]
     if len(reps) != 2 * code.k:
         raise RuntimeError("centralizer quotient has unexpected dimension")
 
@@ -405,7 +399,13 @@ _FORMAT_HEADER = "# qdist stabilizer code v1"
 
 
 def dumps(code: StabilizerCode) -> str:
-    """Serialize: header, name/n/k lines, one generator per line as a Pauli string."""
+    """Serialize: header, name/n/k lines, one generator per line as a Pauli string.
+
+    Raises ValueError for a name that would not read back unchanged: empty,
+    with surrounding whitespace, or spanning more than one line.
+    """
+    if code.name != code.name.strip() or code.name.splitlines() != [code.name]:
+        raise ValueError(f"code name {code.name!r} cannot be written to a code file")
     lines = [_FORMAT_HEADER, f"name {code.name}", f"n {code.n}", f"k {code.k}"]
     for i in range(code.num_generators):
         lines.append(pauli.to_string(code.generator(i)))

@@ -500,9 +500,10 @@ def osd_post_process(ctx: DecoderContext, syndromes: np.ndarray, posteriors: np.
     Takes a (B, m) syndrome batch with (B, 3n) posteriors and returns
     (B, 3n) bits.  Columns are ranked by descending P(bit=1) (ties:
     ascending index), and one batched elimination solves every row; each
-    equals gf2.solve_selected's.  The syndrome of a real error always lies
-    in the column space; Infeasible therefore indicates a broken check
-    matrix and is re-raised as such.
+    equals gf2.solve_selected's.  A trial's elimination ends as soon as its
+    syndrome is solved, usually long before rank(Hd) pivots.  The syndrome
+    of a real error always lies in the column space; Infeasible therefore
+    indicates a broken check matrix and is re-raised as such.
     """
     order = np.argsort(-np.asarray(posteriors, dtype=np.float64), axis=1, kind="stable")
     try:

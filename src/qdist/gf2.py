@@ -87,59 +87,84 @@ _BATCH_BYTES = 1 << 22
 def _eliminate_batch(rows, cols, nz_rows, nz_cols, S, orders):
     """Greedy-column solve of one block of trials, vectorized over the block.
 
-    Each trial gets its own copy of M (built from M's nonzeros) with the
-    columns permuted into its order, stored word-major: planes[b, k, i] is
-    word k of row i, and the last plane holds the syndrome bits, so one XOR
-    updates matrix and syndrome together.  Step r pivots every trial at
-    once.  A column that was passed over is zero in rows r.. (it depends on
-    the pivots above), so the trial's next pivot column is the lowest set
-    bit in the OR of rows r.. .  That column is a pivot exactly when it is
-    independent of the columns before it in the order, and x is unique on
-    that basis, so the result equals solve_selected whatever row pivots.
-    Every trial permutes the columns of the same M, so all of them run out
-    of pivots at the same step, rank(M).  Returns (B, cols) uint8.
+    Each trial gets its own copy of [M | s] (M built from its nonzeros)
+    with M's columns permuted into its order and s as column `cols`, last
+    in every order.  Rows are packed word-major: planes[j, k, i] is word k
+    of row i in slot j, so one XOR updates matrix and syndrome together.
+    Step r pivots every running trial at once.  A column that was passed
+    over is zero in rows r.. (it depends on the pivots above), so a trial's
+    next pivot column is the lowest set bit in the OR of rows r.. .  That
+    column is a pivot exactly when it is independent of the columns before
+    it in the order, and x is unique on that basis, so the result equals
+    solve_selected whatever row pivots.  When the next pivot would be s
+    itself, s is outside M's column space: Infeasible.
+
+    A trial stops at the first step whose syndrome bits in rows r.. are all
+    zero.  Every later pivot row would carry syndrome bit 0, so its XORs
+    could not change the coefficients already on the pivots.  Its slot is
+    swapped past the running ones, which later steps alone touch, and all
+    coefficients are read off at the end.  Every trial permutes the
+    columns of the same M, so the running ones run out of pivots in M at
+    the same step, rank(M).  Returns (B, cols) uint8.
     """
     B = S.shape[0]
-    w = (cols + 63) // 64
+    w = cols // 64 + 1  # words per row of [M | s]
     pos = np.empty_like(orders)  # pos[b, c]: where column c sits in trial b's order
     np.put_along_axis(pos, orders, np.arange(cols), axis=1)
     nz_pos = pos[:, nz_cols]
-    planes = np.zeros((B, w + 1, rows), dtype=np.uint64)
+    planes = np.zeros((B, w, rows), dtype=np.uint64)
     # Each nonzero sets a distinct bit of its word, so adding the bits ORs them.
-    words = (np.arange(B)[:, None] * (w + 1) + (nz_pos >> 6)) * rows + nz_rows
+    words = (np.arange(B)[:, None] * w + (nz_pos >> 6)) * rows + nz_rows
     np.add.at(planes.reshape(-1), words.ravel(), (_ONE << (nz_pos & 63).astype(np.uint64)).ravel())
-    planes[:, w] = S & 1
-    trials = np.arange(B)
-    # Step r's pivot column is bit pivot_bit[b, r] of word pivot_word[b, r].
-    pivot_word = np.empty((B, min(rows, cols)), dtype=np.intp)
-    pivot_bit = np.empty((B, min(rows, cols)), dtype=np.uint64)
+    s_word, s_bit = cols >> 6, _ONE << np.uint64(cols & 63)
+    planes[:, s_word] |= (S & 1).astype(np.uint64) * s_bit
+    slots = np.arange(B)
+    trial = slots.copy()  # slot j holds trial[j]; slots :running are still running
+    # Step r's pivot in slot j sits at position pivot_pos[j, r] of its order.
+    pivot_pos = np.empty((B, min(rows, cols)), dtype=np.intp)
+    running = B
     r = 0
-    while r < pivot_word.shape[1]:
-        rest = np.bitwise_or.reduce(planes[:, :w, r:], axis=2)
+    while True:
+        rest = np.bitwise_or.reduce(planes[:running, :, r:], axis=2)
+        stopped = (rest[:, s_word] & s_bit) == 0
+        if stopped.any():
+            go = np.flatnonzero(~stopped)
+            running = go.size
+            if not running:
+                break
+            # Swap the stopped slots below the new end with running ones past it.
+            holes, movers = np.flatnonzero(stopped[:running]), go[go >= running]
+            dst, src = np.concatenate([holes, movers]), np.concatenate([movers, holes])
+            planes[dst] = planes[src]
+            pivot_pos[dst, :r] = pivot_pos[src, :r]
+            trial[dst] = trial[src]
+            rest[holes] = rest[movers]
+            rest = rest[:running]
+        block = planes[:running]
+        run = slots[:running]
         k = (rest != 0).argmax(axis=1)
-        word = rest[trials, k]
-        if not word.all():
-            if word.any():
-                raise RuntimeError("trials of one matrix reached different ranks")
-            break
+        word = rest[run, k]
         bit = word & (0 - word)
-        has = (planes[trials, k] & bit[:, None]) != 0
+        no_pivot = (bit == s_bit) & (k == s_word)
+        if no_pivot.any():
+            if not no_pivot.all():
+                raise RuntimeError("trials of one matrix reached different ranks")
+            raise Infeasible("syndrome outside the column space")
+        has = (block[run, k] & bit[:, None]) != 0
         p = r + has[:, r:].argmax(axis=1)
         # Clear the column from every row (the pivot row too), then swap
         # the saved pivot row into row r.
-        pivot_row = planes[trials, :, p]
-        planes ^= pivot_row[:, :, None] * has[:, None, :]
-        planes[trials, :, p] = planes[:, :, r]
-        planes[:, :, r] = pivot_row
-        pivot_word[:, r] = k
-        pivot_bit[:, r] = bit
+        pivot_row = block[run, :, p]
+        block ^= pivot_row[:, :, None] * has[:, None, :]
+        block[run, :, p] = block[:, :, r]
+        block[:, :, r] = pivot_row
+        pivot_pos[:running, r] = 64 * k + np.bitwise_count(bit - _ONE)
         r += 1
-    # Rows r.. of the reduced matrix are zero, so their syndrome bits must be too.
-    if planes[:, w, r:].any():
-        raise Infeasible("syndrome outside the column space")
-    pivot_pos = 64 * pivot_word[:, :r] + np.bitwise_count(pivot_bit[:, :r] - _ONE)
+    # A trial that stopped at step r' has syndrome bits 0 in rows r'.., so
+    # each set bit in rows :r is the coefficient of a pivot it found.
+    j, i = np.nonzero(planes[:, s_word, :r] & s_bit)
     x = np.zeros((B, cols), dtype=np.uint8)
-    x[trials[:, None], np.take_along_axis(orders, pivot_pos, axis=1)] = planes[:, w, :r]
+    x[trial[j], orders[trial[j], pivot_pos[j, i]]] = 1
     return x
 
 
@@ -208,7 +233,9 @@ def solve_selected_batch(M, S, col_orders) -> np.ndarray:
     S is (B, rows) 0/1 and col_orders is (B, cols), each row a permutation
     of the columns.  Returns (B, cols) uint8, equal row by row to
     solve_selected.  Raises Infeasible when any syndrome is outside the
-    column space.
+    column space.  Blocks of trials are eliminated together, and each trial
+    leaves its block at the first pivot step that leaves its syndrome
+    solved, so a batch costs about what its slowest trials need.
     """
     a = _matrix(M)
     rows, cols = a.shape
@@ -222,7 +249,7 @@ def solve_selected_batch(M, S, col_orders) -> np.ndarray:
     if not (np.sort(orders, axis=1) == np.arange(cols)).all():
         raise ValueError("each col_order must be a permutation of the columns")
     nz_rows, nz_cols = np.nonzero(a & 1)
-    block = max(1, _BATCH_BYTES // max(1, 8 * ((cols + 63) // 64 + 1) * rows))
+    block = max(1, _BATCH_BYTES // max(1, 8 * (cols // 64 + 1) * rows))
     out = np.empty((B, cols), dtype=np.uint8)
     for lo in range(0, B, block):
         hi = min(lo + block, B)

@@ -19,17 +19,40 @@ import numpy as np
 PAULI_CHARS = "IXZY"  # index = 2*ez + ex
 
 
-@dataclass(frozen=True)
 class SymplecticPauli:
-    """n-qubit Pauli as (ex | ez) bit arrays; phases are dropped."""
+    """n-qubit Pauli as (ex | ez) bit arrays; phases are dropped.
 
-    n: int
-    ex: np.ndarray
-    ez: np.ndarray
+    Immutable: the constructor copies ex and ez into one read-only (2, n)
+    uint8 array, and the ex and ez properties are views of its rows.
+    """
+
+    __slots__ = ("n", "_bits")
+
+    def __init__(self, n: int, ex, ez):
+        bits = np.empty((2, n), dtype=np.uint8)
+        bits[0], bits[1] = ex, ez
+        bits.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_bits", bits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SymplecticPauli is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        # Pickle and copy through the constructor, which __setattr__ allows.
+        return type(self), (self.n, self.ex, self.ez)
+
+    @property
+    def ex(self) -> np.ndarray:
+        return self._bits[0]
+
+    @property
+    def ez(self) -> np.ndarray:
+        return self._bits[1]
 
     @classmethod
     def identity(cls, n: int) -> "SymplecticPauli":
-        return cls(n, np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8))
+        return cls(n, 0, 0)
 
     @classmethod
     def from_arrays(cls, ex, ez) -> "SymplecticPauli":
@@ -43,9 +66,11 @@ class SymplecticPauli:
         return (
             isinstance(other, SymplecticPauli)
             and self.n == other.n
-            and bool(np.array_equal(self.ex, other.ex))
-            and bool(np.array_equal(self.ez, other.ez))
+            and bool(np.array_equal(self._bits, other._bits))
         )
+
+    def __repr__(self) -> str:
+        return f"SymplecticPauli({to_string(self)!r})"
 
     def __str__(self) -> str:
         return to_string(self)

@@ -189,6 +189,32 @@ def test_logical_basis_pairing():
                 assert pauli.commutes(zi, zj) and pauli.commutes(zi, xj)
 
 
+def _greedy_quotient_basis(g, kernel):
+    """Reference: keep each kernel vector that raises the rank of the
+    generators plus the vectors kept so far, one rank call per vector."""
+    reps, current, cur_rank = [], g, gf2.rank(g)
+    for v in kernel:
+        cand = np.vstack([current, v])
+        if gf2.rank(cand) > cur_rank:
+            reps.append(v)
+            current, cur_rank = cand, cur_rank + 1
+    return np.array(reps, dtype=np.uint8)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: codes.toric(3), lambda: codes.planar_surface(5), lambda: codes.chamon(3, 3, 3), lambda: codes.ztgre(7)],
+)
+def test_logical_basis_spans_the_greedy_quotient_basis(make):
+    # The pairing only XORs the kept kernel vectors together, so the
+    # logicals span exactly the kept set: the same span as the greedy loop's.
+    code = make()
+    reps = _greedy_quotient_basis(code.generator_matrix(), gf2.kernel_basis(np.hstack([code.hz, code.hx])))
+    logicals = np.array([np.concatenate([l.ex, l.ez]) for l in codes.logical_basis(code)])
+    assert len(reps) == len(logicals) == 2 * code.k
+    assert gf2.rank(np.vstack([reps, logicals])) == 2 * code.k
+
+
 def test_logical_basis_weights_planar2():
     code = codes.planar_surface(2)
     for l in codes.logical_basis(code):
@@ -210,6 +236,19 @@ def test_serialization_round_trip(tmp_path):
     assert loaded.n == code.n and loaded.k == code.k
     assert np.array_equal(loaded.hx, code.hx)
     assert np.array_equal(loaded.hz, code.hz)
+
+
+@pytest.mark.parametrize("name", ["", " toric2", "toric2 ", "toric\n2", "toric2\n", "toric\r2", "toric\u20282"])
+def test_dumps_rejects_names_that_do_not_round_trip(name):
+    code = codes.toric(2)
+    with pytest.raises(ValueError, match="cannot be written"):
+        codes.dumps(codes.StabilizerCode(name, code.hx, code.hz))
+
+
+def test_dumps_keeps_inner_spaces_in_names():
+    code = codes.toric(2)
+    named = codes.StabilizerCode("toric 2 (test)", code.hx, code.hz)
+    assert codes.loads(codes.dumps(named)).name == "toric 2 (test)"
 
 
 def test_serialization_rejects_corruption(tmp_path):

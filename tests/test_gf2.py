@@ -161,6 +161,37 @@ def test_solve_selected_batch_matches_serial_on_dependent_rows(monkeypatch):
         assert np.array_equal(got @ a.T % 2, S)
 
 
+def test_solve_selected_batch_trials_stop_at_different_steps(monkeypatch):
+    # A trial stops once its syndrome bits below the pivots are zero.  Each
+    # batch mixes zero syndromes (stop at step 0), images of one or two
+    # columns (stop after a few pivots) and images of dense vectors (run to
+    # about the rank), in shuffled order, over rank-deficient matrices
+    # wider than one 64-bit word; small blocks split every batch.
+    monkeypatch.setattr(gf2, "_BATCH_BYTES", 1 << 12)
+    rng = np.random.default_rng(47)
+    for rows, cols, r, B in [(12, 70, 8, 60), (24, 130, 17, 60), (40, 200, 30, 45)]:
+        a = (rng.integers(0, 2, (rows, r)) @ rng.integers(0, 2, (r, cols)) % 2).astype(np.uint8)
+        sparse = np.zeros((B // 3, cols), dtype=np.uint8)
+        for v in sparse:
+            v[rng.choice(cols, size=rng.integers(1, 3), replace=False)] = 1
+        dense = rng.integers(0, 2, (B - 2 * (B // 3), cols))
+        x = np.vstack([np.zeros((B // 3, cols), np.uint8), sparse, dense])
+        S = (x[rng.permutation(B)] @ a.T % 2).astype(np.uint8)
+        orders = np.argsort(rng.random((B, cols)), axis=1)
+        got = gf2.solve_selected_batch(a, S, orders)
+        assert np.array_equal(got, _solve_each(a, S, orders))
+        # A syndrome outside the column space, after trials that stop early:
+        # a unit vector off the pivots of RREF(a.T) is no sum of a's columns.
+        _, pivots = gf2.row_reduce(a.T)
+        bad = S.copy()
+        bad[-1] = 0
+        bad[-1, min(set(range(rows)) - set(pivots))] = 1
+        with pytest.raises(gf2.Infeasible):
+            gf2.solve_selected_batch(a, bad, orders)
+        with pytest.raises(gf2.Infeasible):
+            gf2.solve_selected(a, bad[-1], orders[-1])
+
+
 def test_solve_selected_batch_edge_cases():
     rng = np.random.default_rng(41)
     a = rng.integers(0, 2, (8, 12), dtype=np.uint8)

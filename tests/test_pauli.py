@@ -1,6 +1,9 @@
 """Pauli representation tests, including the symplectic/decoupled syndrome
 equivalence that the whole decoding pipeline rests on."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -171,3 +174,29 @@ def test_string_round_trip():
     assert pauli.to_string(pauli.from_string(s)) == s
     with pytest.raises(ValueError):
         pauli.from_string("IXQ")
+
+
+def test_symplectic_pauli_is_immutable_and_owns_its_bits():
+    ex = np.array([1, 0, 1], np.uint8)
+    ez = np.array([0, 1, 1], np.uint8)
+    p = pauli.SymplecticPauli(3, ex, ez)
+    # The constructor copies: changing the inputs leaves p as it was.
+    ex[0] = 0
+    ez[:] = 0
+    assert pauli.to_string(p) == "XZY"
+    for name in ("n", "ex", "ez"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, np.zeros(3, np.uint8))
+    with pytest.raises(ValueError):
+        p.ex[0] = 0  # the row views are read-only
+    assert pauli.to_string(p) == "XZY"
+    assert p.ex.dtype == np.uint8 and p.ex.shape == p.ez.shape == (3,)
+    # __eq__ compares qubit count and bits.
+    assert p == pauli.from_string("XZY")
+    assert p != pauli.from_string("XZZ")
+    assert p != pauli.from_string("XZYI")
+    assert p != "XZY"
+    assert pauli.SymplecticPauli.identity(3) == pauli.from_string("III")
+    # Pickling and copying go through the constructor.
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert copy.deepcopy(p) == p and copy.copy(p) == p
