@@ -24,10 +24,19 @@ That reduction adds in exactly np.add.reduceat's order -- the first term
 plus numpy's pairwise sum of the rest -- which the trial-major kernel this
 one replaced used, so posteriors, decisions and reports are bit-identical to
 it; tests/test_decoder.py keeps that kernel as the reference and pins the
-order against np.add.reduceat.  Messages and totals are kept at half scale
-(exact in float32), every buffer is allocated once per call, and a trial has
-converged when each check's decision bits, gathered through a per-check
-slot table, XOR to its syndrome bit.
+order against np.add.reduceat.  Runs of up to 7 terms are one np.add.reduce
+from -0.0, which adds them in sequence.  Messages and totals are kept at
+half scale (exact in float32), every buffer is allocated once per call, and
+a trial has converged when each check's decision bits, gathered through a
+per-check slot table, XOR to its syndrome bit.  A trial's results are
+recorded in the iteration it finishes, but its column leaves the arrays
+only once at least an eighth of them are finished (_COMPACT_DEAD_SHARE):
+until then it keeps iterating and nothing reads it.  Every iteration calls
+methods and ufuncs directly, with no Python wrapper in between, so a batch
+of one pays little beyond its arithmetic.
+
+OSD-0 ranks each trial's columns with one sort of integer keys built from
+the float32 posteriors and solves the batch in gf2.solve_selected_batch.
 """
 
 from __future__ import annotations
@@ -202,39 +211,49 @@ def _slot_tables(owner: np.ndarray, pad: int) -> list[tuple[np.ndarray, np.ndarr
     return tables
 
 
+def _in_order(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum a (n, ...) stack over axis 0 strictly left to right into out,
+    which must not overlap a.
+
+    np.add.reduce with initial=-0.0 adds along an outer axis in order and
+    starts from -0.0, which leaves a[0] unchanged (a column of -0.0 stays
+    -0.0).  Where the other axes hold one element, numpy sums the reduced
+    axis pairwise instead, which is sequential only below 8 terms, so each
+    reduce takes at most 7 rows.
+    """
+    np.add.reduce(a[:7], axis=0, out=out, initial=-0.0)
+    for i in range(7, a.shape[0]):
+        out += a[i]
+    return out
+
+
 def _pairwise(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """numpy's pairwise float sum over axis 0 of a (n, ...) stack, n >= 1.
 
-    Below 8 terms numpy adds sequentially (from -0.0, which leaves a[0]
-    unchanged); up to 128 it keeps 8 strided accumulators, combines them as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and adds the tail in order; above
-    that it splits at a multiple of 8 and recurses.  The accumulators are
-    a's own first rows, so a is overwritten; out may be a[0].
+    Below 8 terms numpy adds sequentially (from -0.0); up to 128 it keeps 8
+    strided accumulators, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+    and adds the tail in order; above that it splits at a multiple of 8 and
+    recurses.  The accumulators are a's own first rows, so a is overwritten.
+    out may be a[0] when n >= 8 and must not overlap a otherwise.
     """
     n = a.shape[0]
     if n < 8:
-        if n == 1:
-            np.copyto(out, a[0])
-            return out
-        np.add(a[0], a[1], out=out)
-        for i in range(2, n):
-            out += a[i]
-        return out
+        return _in_order(a, out)
     if n <= 128:
         r = a[:8]
         body = n - n % 8
         for i in range(8, body, 8):
             r += a[i : i + 8]
-        np.add(r[2], r[3], out=r[2])
-        np.add(r[0], r[1], out=out)
-        out += r[2]
-        np.add(r[4], r[5], out=r[4])
-        np.add(r[6], r[7], out=r[6])
-        r[4] += r[6]
-        out += r[4]
-        for i in range(body, n):
-            out += a[i]
-        return out
+        # One call per level of the combining tree: the four pair sums land
+        # in r0, r2, r4, r6, then the two sums of pairs in r0 and r4.
+        np.add(r[0::2], r[1::2], out=r[0::2])
+        np.add(r[0::4], r[2::4], out=r[0::4])
+        if body == n:
+            return np.add(r[0], r[4], out=out)
+        # The tail is added in order after the block sum, which goes into
+        # the row just before it (spent by now).
+        np.add(r[0], r[4], out=a[body - 1])
+        return _in_order(a[body - 1 :], out)
     half = n // 2
     half -= half % 8
     _pairwise(a[:half], out)
@@ -246,15 +265,15 @@ def _ordered_sum(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sum a (D, ...) stack over axis 0 exactly as np.add.reduceat sums one
     segment: the first term plus the pairwise sum of the rest.
 
-    g is used as scratch.  Without out, the sum is left in one of g's rows
-    and that view is returned.
+    g is used as scratch, and out (allocated when not given) must not
+    overlap it.
     """
+    if out is None:
+        out = np.empty(g.shape[1:], g.dtype)
     if g.shape[0] == 1:
-        if out is None:
-            return g[0]
         np.copyto(out, g[0])
         return out
-    out = _pairwise(g[1:], g[1] if out is None else out)
+    _pairwise(g[1:], out)
     out += g[0]
     return out
 
@@ -297,16 +316,36 @@ def _prefix(buf: np.ndarray, dtype, *shape: int) -> np.ndarray:
     return buf[: math.prod(shape) * np.dtype(dtype).itemsize].view(dtype).reshape(shape)
 
 
+# bp_decode_batch compacts its arrays only once at least this share of
+# their columns belongs to trials that have finished.  One compaction costs
+# about as much as 2 of an iteration's ~20 edge-sized passes, so a finished
+# column is cheaper to carry along (unread) for a few iterations than to
+# drop at once.
+_COMPACT_DEAD_SHARE = 1 / 8
+
+# float32 clip bounds: the floor under |tanh| before its log, and the bound
+# on |tanh| and on the check product before arctanh.  The loop clips with
+# the ndarray method, which is np.clip without its Python wrapper.
+_LG_LO = _MSG_DTYPE(_LOG_FLOOR)
+_PROD_HI = _MSG_DTYPE(1.0 - _TANH_EPS)
+
+
 class _Workspace:
     """The buffers of one bp_decode_batch call, allocated once for B trials.
 
     resize(b) lays C-contiguous (rows, b) arrays over the leading bytes of
-    each buffer for the b trials still active, and zeroes the padding rows
-    the slot tables point at: edge row E and variable row N.  compact()
-    copies the kept message columns into the log-magnitude buffer, which is
-    spent by then, and the kept totals into a spare; the two pairs then trade
-    roles.  One gather buffer serves every slot table and the per-edge
-    gathers in turn.
+    each buffer for the b columns still kept, zeroes the padding rows the
+    slot tables point at (edge row E and variable row N), and builds the
+    views an iteration uses once per width, not once per iteration.  Columns of
+    finished trials stay in place, still iterated but never read, until
+    bp_decode_batch drops them with compact(): that copies the kept message
+    columns into the log-magnitude buffer, which is spent by then, and the
+    kept totals into a spare; the two pairs then trade roles.  One gather
+    buffer serves every slot table and the per-edge gathers in turn.
+
+    flip has one row per check and a last row, stuck, which is set for a
+    trial that can never converge (a syndrome bit on a vacuous check) or
+    has already finished; a trial has converged when no row of flip is set.
     """
 
     def __init__(self, ctx: DecoderContext, B: int):
@@ -317,14 +356,18 @@ class _Workspace:
         self._neg = np.empty((E + 1) * B, np.uint8)
         self._gather = np.empty(ctx.gather_bytes * B, np.uint8)
         self._lsum = np.empty(C * B * 4, np.uint8)
-        self._flip = np.empty(C * B, np.uint8)
+        self._flip = np.empty((C + 1) * B, np.uint8)
         self._bits = np.empty((N + 1) * B, np.uint8)
+        self._ok = np.empty(B, np.uint8)
+        # Variable tables whose ids are not one range sum here, then scatter.
+        scattered = [rows.shape[0] for rows in ctx.var_rows if type(rows) is not slice]
+        self._scatter = np.empty(max(scattered, default=0) * B * 4, np.uint8)
 
     def compact(self, keep: np.ndarray) -> None:
         """Keep only the message and total columns listed in keep."""
         E, N, b = self.ctx.num_edges, self.ctx.nbits, keep.shape[0]
-        np.take(self.msg, keep, axis=1, out=_prefix(self.edge_bufs[1], _MSG_DTYPE, E + 1, b), mode="clip")
-        np.take(self.tot, keep, axis=1, out=_prefix(self.tot_bufs[1], _MSG_DTYPE, N, b), mode="clip")
+        self.msg.take(keep, axis=1, out=_prefix(self.edge_bufs[1], _MSG_DTYPE, E + 1, b), mode="clip")
+        self.tot.take(keep, axis=1, out=_prefix(self.tot_bufs[1], _MSG_DTYPE, N, b), mode="clip")
         self.edge_bufs.reverse()
         self.tot_bufs.reverse()
         self.resize(b)
@@ -336,13 +379,22 @@ class _Workspace:
         self.msg[E] = 0.0
         self.lg[E] = 0.0
         self.tot = _prefix(self.tot_bufs[0], _MSG_DTYPE, N, b)
-        self.sign_words = self.lg[:E].view(np.uint32)
+        self.t = self.msg[:E]
+        self.t_words = self.t.view(np.uint32)
+        self.lg_e = self.lg[:E]
+        self.sign_words = self.lg_e.view(np.uint32)
         self.neg = _prefix(self._neg, bool, E + 1, b)
         self.neg[E] = False
+        self.neg_e = self.neg[:E]
         self.lsum = _prefix(self._lsum, _MSG_DTYPE, C, b)
-        self.flip = _prefix(self._flip, bool, C, b)
+        self.lsum_rows = [self.lsum[rows] for rows in ctx.check_bounds]
+        self.flip = _prefix(self._flip, bool, C + 1, b)
+        self.flip_rows = [self.flip[rows] for rows in ctx.check_bounds]
+        self.stuck = self.flip[C]
+        self.ok = _prefix(self._ok, bool, b)
         self.bits = _prefix(self._bits, np.uint8, N + 1, b)
         self.bits[N] = 0
+        self.decision = self.bits[:N]
         self.bit_flags = self.bits.view(bool)
         g = self._gather
         self.edge_g = _prefix(g, _MSG_DTYPE, E, b)
@@ -350,6 +402,10 @@ class _Workspace:
         self.check_g = [_prefix(g, _MSG_DTYPE, *slots.shape, b) for _, slots in ctx.check_slots]
         self.check_gb = [_prefix(g, bool, *slots.shape, b) for _, slots in ctx.check_slots]
         self.var_g = [_prefix(g, _MSG_DTYPE, *slots.shape, b) for _, slots in ctx.var_slots]
+        self.var_sums = [
+            self.tot[rows] if type(rows) is slice else _prefix(self._scatter, _MSG_DTYPE, rows.shape[0], b)
+            for rows in ctx.var_rows
+        ]
 
 
 def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPrior, cfg: BPConfig):
@@ -365,20 +421,19 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
     n = ctx.nbits // 3
 
     out_bits = np.zeros((B, ctx.nbits), dtype=np.uint8)
-    out_post = np.empty((B, ctx.nbits), dtype=np.float64)
-    out_post[:] = prior.bit_probs(n)
+    out_post = np.empty((B, ctx.nbits), dtype=np.float64)  # every trial's row is written
     out_conv = np.zeros(B, dtype=bool)
     out_iter = np.full(B, cfg.max_iterations, dtype=np.int64)
     if B == 0:
         return out_bits, out_post, out_conv, out_iter
 
     if ctx.num_edges == 0:
-        # No constraints at all: the identity decision stands.
+        # No constraints at all: the identity decision and the prior stand.
+        out_post[:] = prior.bit_probs(n)
         out_conv[:] = ~S.any(axis=1)
         out_iter[:] = 1
         return out_bits, out_post, out_conv, out_iter
 
-    E = ctx.num_edges
     edge_var = ctx.edge_var
     edge_row = ctx.edge_row
     # Messages and posterior totals are stored at half scale.  Doubling is
@@ -387,100 +442,110 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
     half_prior = prior.llrs(n, cfg.clip) * _MSG_DTYPE(0.5)
     half_clip = _MSG_DTYPE(cfg.clip) * _MSG_DTYPE(0.5)
     clip_binds = half_clip < _ATANH_MAX
-    var_prior = [half_prior[ids, None] for ids, _ in ctx.var_slots]
+    var_prior = [half_prior[rows, None] for rows in ctx.var_rows]
+    scatter_rows = [None if type(rows) is slice else rows for rows in ctx.var_rows]
 
     ws = _Workspace(ctx, B)
     ws.resize(B)
-    M, T = ws.msg, ws.tot
-    T[:] = half_prior[:, None]
+    ws.tot[:] = half_prior[:, None]
     b = B
-    active = np.arange(B)
+    active = np.arange(B)  # the trial of each kept column
+    live = np.ones(B, dtype=bool)  # kept columns whose trial has not finished
+    n_live = B
     s_act = np.ascontiguousarray(S.T[ctx.check_syndrome_rows], dtype=bool)  # (C, B)
-    vac_ok = ~S[:, ctx.vacuous_checks].any(axis=1)
+    s_rows = [s_act[rows] for rows in ctx.check_bounds]
+    vac_bad = S[:, ctx.vacuous_checks].any(axis=1)
+    ws.stuck[:] = vac_bad
 
     for it in range(1, cfg.max_iterations + 1):
         # Variable-to-check messages from the previous totals (every message
         # is zero before the first iteration); the new check-to-variable
         # messages then replace them in place.
-        t = M[:E]
+        t, T = ws.t, ws.tot
         if it == 1:
-            np.take(T, edge_var, axis=0, out=t, mode="clip")
+            T.take(edge_var, axis=0, out=t, mode="clip")
         else:
-            np.subtract(np.take(T, edge_var, axis=0, out=ws.edge_g, mode="clip"), t, out=t)
+            np.subtract(T.take(edge_var, axis=0, out=ws.edge_g, mode="clip"), t, out=t)
         np.tanh(t, out=t)
         # Check-to-variable messages via the log-magnitude / sign split.  A
         # check's sign flips with its syndrome bit and with each negative t;
         # padding is neutral: lg = 0, not negative.
-        neg, lg, lsum, flip = ws.neg, ws.lg, ws.lsum, ws.flip
-        np.less(t, 0, out=neg[:E])
+        neg, lg = ws.neg, ws.lg
+        np.less(t, 0, out=ws.neg_e)
         np.abs(t, out=t)
-        np.clip(t, _LOG_FLOOR, 1.0 - _TANH_EPS, out=t)
-        np.log(t, out=lg[:E])
-        for (_, slots), rows, g, gb in zip(ctx.check_slots, ctx.check_bounds, ws.check_g, ws.check_gb):
-            np.take(lg, slots, axis=0, out=g, mode="clip")
-            _ordered_sum(g, out=lsum[rows])
-            np.take(neg, slots, axis=0, out=gb, mode="clip")
-            f = np.logical_xor.reduce(gb, axis=0, out=flip[rows])
-            f ^= s_act[rows]
-        prod = np.take(lsum, edge_row, axis=0, out=t, mode="clip")
-        prod -= lg[:E]
+        t.clip(_LG_LO, _PROD_HI, out=t)
+        np.log(t, out=ws.lg_e)
+        check_tables = zip(ctx.check_slots, ws.check_g, ws.check_gb, ws.lsum_rows, ws.flip_rows, s_rows)
+        for (_, slots), g, gb, ls, f, s in check_tables:
+            lg.take(slots, axis=0, out=g, mode="clip")
+            _ordered_sum(g, out=ls)
+            neg.take(slots, axis=0, out=gb, mode="clip")
+            np.logical_xor.reduce(gb, axis=0, out=f)
+            f ^= s
+        prod = ws.lsum.take(edge_row, axis=0, out=t, mode="clip")
+        prod -= ws.lg_e
         np.exp(prod, out=prod)
         # Negate by flipping the sign bit: exact, and cheaper than a masked
         # ufunc.  lg is spent, so its rows hold the sign words.
-        sign = np.take(flip, edge_row, axis=0, out=ws.edge_flags, mode="clip")
-        sign ^= neg[:E]
-        np.left_shift(sign, 31, out=ws.sign_words, dtype=np.uint32)
-        raw = prod.view(np.uint32)
-        raw ^= ws.sign_words
-        np.clip(prod, -1.0 + _TANH_EPS, 1.0 - _TANH_EPS, out=prod)
+        sign = ws.flip.take(edge_row, axis=0, out=ws.edge_flags, mode="clip")
+        sign ^= ws.neg_e
+        np.copyto(ws.sign_words, sign)
+        ws.sign_words <<= 31
+        ws.t_words ^= ws.sign_words
+        prod.clip(-_PROD_HI, _PROD_HI, out=prod)
         np.arctanh(prod, out=prod)
         if clip_binds:
-            np.clip(prod, -half_clip, half_clip, out=prod)
+            prod.clip(-half_clip, half_clip, out=prod)
 
         # Posterior totals, constrained decision, convergence test.
-        for (_, slots), rows, pr, g in zip(ctx.var_slots, ctx.var_rows, var_prior, ws.var_g):
-            np.take(M, slots, axis=0, out=g, mode="clip")
-            if type(rows) is slice:
-                post = _ordered_sum(g, out=T[rows])
-                post += pr
-            else:
-                post = _ordered_sum(g)
-                post += pr
+        M = ws.msg
+        for (_, slots), g, post, pr, rows in zip(ctx.var_slots, ws.var_g, ws.var_sums, var_prior, scatter_rows):
+            M.take(slots, axis=0, out=g, mode="clip")
+            _ordered_sum(g, out=post)
+            post += pr
+            if rows is not None:
                 T[rows] = post
-        bits = _decision_bits_from_llr(T, n, out=ws.bits[:-1])
+        bits = _decision_bits_from_llr(T, n, out=ws.decision)
         # A trial has converged when each check's decision bits XOR to its
-        # syndrome bit and no syndrome bit sits on a vacuous check.
-        for rows, slots, gb in zip(ctx.check_bounds, ctx.check_var_slots, ws.check_gb):
-            np.take(ws.bit_flags, slots, axis=0, out=gb, mode="clip")
-            f = np.logical_xor.reduce(gb, axis=0, out=flip[rows])
-            f ^= s_act[rows]
-        ok = ~flip.any(axis=0)
-        ok &= vac_ok
+        # syndrome bit and its stuck flag is clear.
+        for slots, gb, f, s in zip(ctx.check_var_slots, ws.check_gb, ws.flip_rows, s_rows):
+            ws.bit_flags.take(slots, axis=0, out=gb, mode="clip")
+            np.logical_xor.reduce(gb, axis=0, out=f)
+            f ^= s
+        ok = np.logical_or.reduce(ws.flip, axis=0, out=ws.ok)
+        np.logical_not(ok, out=ok)
 
-        done = ok if it < cfg.max_iterations else np.ones(b, dtype=bool)
-        if done.any():
-            idx = active[done]
-            out_bits[idx] = bits[:, done].T
-            # P(bit = 1) = 1 / (1 + exp(llr)) in float32, from the full-scale totals.
-            prob = T[:, done]
-            prob += prob
-            with np.errstate(over="ignore"):
-                np.exp(prob, out=prob)
-            prob += 1.0
-            np.divide(1.0, prob, out=prob)
-            out_post[idx] = prob.T
-            out_conv[idx] = ok[done]
-            out_iter[idx] = it
-            keep = np.flatnonzero(~done)
-            if keep.shape[0] == 0:
-                break
+        done = ok if it < cfg.max_iterations else live
+        n_done = np.count_nonzero(done)
+        if not n_done:
+            continue
+        idx = active[done]
+        out_bits[idx] = bits[:, done].T
+        # P(bit = 1) = 1 / (1 + exp(llr)) in float32, from the full-scale totals.
+        prob = T[:, done]
+        prob += prob
+        with np.errstate(over="ignore"):
+            np.exp(prob, out=prob)
+        prob += 1.0
+        np.divide(1.0, prob, out=prob)
+        out_post[idx] = prob.T
+        out_conv[idx] = ok[done]
+        out_iter[idx] = it
+        n_live -= n_done
+        if n_live == 0:
+            break
+        live[done] = False
+        ws.stuck[done] = True
+        if b - n_live >= _COMPACT_DEAD_SHARE * b:
             # Drop the finished trials' columns.
+            keep = np.flatnonzero(live)
             active = active[keep]
             s_act = s_act[:, keep]
-            vac_ok = vac_ok[keep]
-            b = keep.shape[0]
+            s_rows = [s_act[rows] for rows in ctx.check_bounds]
+            b = n_live
+            live = np.ones(b, dtype=bool)
             ws.compact(keep)
-            M, T = ws.msg, ws.tot
+            ws.stuck[:] = vac_bad[active]
     return out_bits, out_post, out_conv, out_iter
 
 
@@ -494,20 +559,41 @@ def bp_decode(ctx: DecoderContext, syndrome: np.ndarray, prior: ChannelPrior, cf
     return bits[0], post[0], bool(conv[0]), int(iters[0])
 
 
+def _reliability_order(posteriors: np.ndarray) -> np.ndarray:
+    """(B, N) column orders by descending float32 posterior, ties by
+    ascending column.
+
+    One sort of uint64 keys (~float32 bits << 32 | column): the bits of a
+    non-negative float ascend with its value, and the keys are unique, so
+    the order equals np.argsort(-posteriors, kind="stable") wherever the
+    posteriors are non-negative float32 values.
+    """
+    post = np.asarray(posteriors, dtype=np.float32)
+    if post.ndim != 2:
+        raise ValueError("expected a (B, 3n) array of posteriors")
+    keys = np.invert(post.view(np.uint32)).astype(np.uint64)
+    keys <<= np.uint64(32)
+    keys |= np.arange(post.shape[1], dtype=np.uint64)
+    keys.sort(axis=1)
+    keys &= np.uint64(0xFFFFFFFF)
+    return keys.astype(np.intp)
+
+
 def osd_post_process(ctx: DecoderContext, syndromes: np.ndarray, posteriors: np.ndarray) -> np.ndarray:
     """OSD-0: solve Hd·x = s on the most reliable independent column set.
 
     Takes a (B, m) syndrome batch with (B, 3n) posteriors and returns
-    (B, 3n) bits.  Columns are ranked by descending P(bit=1) (ties:
-    ascending index), and one batched elimination solves every row; each
-    equals gf2.solve_selected's.  A trial's elimination ends as soon as its
+    (B, 3n) bits.  Columns are ranked by descending float32 posterior
+    P(bit=1) (ties: ascending index) in one sort of integer keys; BP's
+    posteriors are float32 values, so the float32 ranking loses nothing.
+    One batched elimination then solves every row; each equals
+    gf2.solve_selected's.  A trial's elimination ends as soon as its
     syndrome is solved, usually long before rank(Hd) pivots.  The syndrome
     of a real error always lies in the column space; Infeasible therefore
     indicates a broken check matrix and is re-raised as such.
     """
-    order = np.argsort(-np.asarray(posteriors, dtype=np.float64), axis=1, kind="stable")
     try:
-        return gf2.solve_selected_batch(ctx.hd, syndromes, order)
+        return gf2.solve_selected_batch(ctx.hd, syndromes, _reliability_order(posteriors))
     except gf2.Infeasible as exc:
         raise RuntimeError("syndrome outside the column space of Hd") from exc
 

@@ -84,33 +84,34 @@ def _eliminate(data, cols, col_order=None, aug=None):
 _BATCH_BYTES = 1 << 22
 
 
-def _eliminate_batch(rows, cols, nz_rows, nz_cols, S, orders):
+def _eliminate_batch(rows, cols, nz_rows, nz_cols, S, orders, pos):
     """Greedy-column solve of one block of trials, vectorized over the block.
 
     Each trial gets its own copy of [M | s] (M built from its nonzeros)
-    with M's columns permuted into its order and s as column `cols`, last
-    in every order.  Rows are packed word-major: planes[j, k, i] is word k
-    of row i in slot j, so one XOR updates matrix and syndrome together.
-    Step r pivots every running trial at once.  A column that was passed
-    over is zero in rows r.. (it depends on the pivots above), so a trial's
-    next pivot column is the lowest set bit in the OR of rows r.. .  That
-    column is a pivot exactly when it is independent of the columns before
-    it in the order, and x is unique on that basis, so the result equals
-    solve_selected whatever row pivots.  When the next pivot would be s
-    itself, s is outside M's column space: Infeasible.
+    with M's columns permuted into its order (pos[b, c] is where column c
+    sits in trial b's order) and s as column `cols`, last in every order.
+    Rows are packed word-major: planes[j, k, i] is word k of row i in slot
+    j, so one XOR updates matrix and syndrome together.  Step r pivots every
+    running trial at once.  A column that was passed over is zero in rows
+    r.. (it depends on the pivots above), so a trial's next pivot column is
+    the lowest set bit in the OR of rows r.. .  That column is a pivot
+    exactly when it is independent of the columns before it in the order,
+    and x is unique on that basis, so the result equals solve_selected
+    whatever row pivots.  Each step stores only the pivot's word index and
+    bit; the positions in the order are computed once, after the loop.
 
     A trial stops at the first step whose syndrome bits in rows r.. are all
     zero.  Every later pivot row would carry syndrome bit 0, so its XORs
     could not change the coefficients already on the pivots.  Its slot is
     swapped past the running ones, which later steps alone touch, and all
-    coefficients are read off at the end.  Every trial permutes the
-    columns of the same M, so the running ones run out of pivots in M at
-    the same step, rank(M).  Returns (B, cols) uint8.
+    coefficients are read off at the end.  Every trial permutes the columns
+    of the same M, so the running ones run out of pivots in M at the same
+    step, rank(M), and slot 0 alone tells when: if its next pivot would be
+    s itself, every running syndrome is outside M's column space, and the
+    solve raises Infeasible.  Returns (B, cols) uint8.
     """
     B = S.shape[0]
     w = cols // 64 + 1  # words per row of [M | s]
-    pos = np.empty_like(orders)  # pos[b, c]: where column c sits in trial b's order
-    np.put_along_axis(pos, orders, np.arange(cols), axis=1)
     nz_pos = pos[:, nz_cols]
     planes = np.zeros((B, w, rows), dtype=np.uint64)
     # Each nonzero sets a distinct bit of its word, so adding the bits ORs them.
@@ -119,52 +120,58 @@ def _eliminate_batch(rows, cols, nz_rows, nz_cols, S, orders):
     s_word, s_bit = cols >> 6, _ONE << np.uint64(cols & 63)
     planes[:, s_word] |= (S & 1).astype(np.uint64) * s_bit
     slots = np.arange(B)
+    slot_words = slots * w  # flat index of each slot's first word in a (B, w) array
     trial = slots.copy()  # slot j holds trial[j]; slots :running are still running
-    # Step r's pivot in slot j sits at position pivot_pos[j, r] of its order.
-    pivot_pos = np.empty((B, min(rows, cols)), dtype=np.intp)
+    # Step r's pivot in slot j is bit pivot_bit[j, r] of word pivot_k[j, r].
+    pivot_k = np.empty((B, min(rows, cols)), dtype=np.intp)
+    pivot_bit = np.empty((B, min(rows, cols)), dtype=np.uint64)
     running = B
     r = 0
     while True:
         rest = np.bitwise_or.reduce(planes[:running, :, r:], axis=2)
-        stopped = (rest[:, s_word] & s_bit) == 0
-        if stopped.any():
-            go = np.flatnonzero(~stopped)
+        unsolved = rest[:, s_word] & s_bit
+        if np.count_nonzero(unsolved) < running:
+            go = np.flatnonzero(unsolved)
             running = go.size
             if not running:
                 break
             # Swap the stopped slots below the new end with running ones past it.
-            holes, movers = np.flatnonzero(stopped[:running]), go[go >= running]
+            holes, movers = np.flatnonzero(unsolved[:running] == 0), go[go >= running]
             dst, src = np.concatenate([holes, movers]), np.concatenate([movers, holes])
             planes[dst] = planes[src]
-            pivot_pos[dst, :r] = pivot_pos[src, :r]
+            pivot_k[dst, :r] = pivot_k[src, :r]
+            pivot_bit[dst, :r] = pivot_bit[src, :r]
             trial[dst] = trial[src]
             rest[holes] = rest[movers]
             rest = rest[:running]
         block = planes[:running]
-        run = slots[:running]
         k = (rest != 0).argmax(axis=1)
-        word = rest[run, k]
-        bit = word & (0 - word)
-        no_pivot = (bit == s_bit) & (k == s_word)
-        if no_pivot.any():
-            if not no_pivot.all():
-                raise RuntimeError("trials of one matrix reached different ranks")
+        at = k + slot_words[:running]
+        bit = rest.take(at)
+        bit &= 0 - bit
+        if k[0] == s_word and bit[0] == s_bit:
             raise Infeasible("syndrome outside the column space")
-        has = (block[run, k] & bit[:, None]) != 0
-        p = r + has[:, r:].argmax(axis=1)
+        col = block.reshape(-1, rows).take(at, axis=0)
+        col &= bit[:, None]
+        has = col.astype(bool)
+        p = has[:, r:].argmax(axis=1)
+        p += r
         # Clear the column from every row (the pivot row too), then swap
         # the saved pivot row into row r.
+        run = slots[:running]
         pivot_row = block[run, :, p]
         block ^= pivot_row[:, :, None] * has[:, None, :]
         block[run, :, p] = block[:, :, r]
         block[:, :, r] = pivot_row
-        pivot_pos[:running, r] = 64 * k + np.bitwise_count(bit - _ONE)
+        pivot_k[:running, r] = k
+        pivot_bit[:running, r] = bit
         r += 1
     # A trial that stopped at step r' has syndrome bits 0 in rows r'.., so
     # each set bit in rows :r is the coefficient of a pivot it found.
     j, i = np.nonzero(planes[:, s_word, :r] & s_bit)
+    at = 64 * pivot_k[j, i] + np.bitwise_count(pivot_bit[j, i] - _ONE)
     x = np.zeros((B, cols), dtype=np.uint8)
-    x[trial[j], orders[trial[j], pivot_pos[j, i]]] = 1
+    x[trial[j], orders[trial[j], at]] = 1
     return x
 
 
@@ -246,14 +253,22 @@ def solve_selected_batch(M, S, col_orders) -> np.ndarray:
     B = S.shape[0]
     if orders.shape != (B, cols):
         raise ValueError("need one column order per syndrome")
-    if not (np.sort(orders, axis=1) == np.arange(cols)).all():
+    # pos[b, c]: where column c sits in order b.  It stays -1 for a column
+    # that an order leaves out, as a repeated entry does, and everywhere if
+    # an entry is out of range.
+    pos = np.full((B, cols), -1, dtype=np.intp)
+    if orders.size and orders.min() >= 0 and orders.max() < cols:
+        np.put_along_axis(pos, orders, np.arange(cols), axis=1)
+    if (pos < 0).any():
         raise ValueError("each col_order must be a permutation of the columns")
-    nz_rows, nz_cols = np.nonzero(a & 1)
+    # Row-major nonzeros, as np.nonzero gives them; it is several times
+    # slower on a 2-D array than flatnonzero on a flat bool view.
+    nz_rows, nz_cols = np.divmod(np.flatnonzero((a & 1).view(bool)), max(cols, 1))
     block = max(1, _BATCH_BYTES // max(1, 8 * (cols // 64 + 1) * rows))
     out = np.empty((B, cols), dtype=np.uint8)
     for lo in range(0, B, block):
         hi = min(lo + block, B)
-        out[lo:hi] = _eliminate_batch(rows, cols, nz_rows, nz_cols, S[lo:hi], orders[lo:hi])
+        out[lo:hi] = _eliminate_batch(rows, cols, nz_rows, nz_cols, S[lo:hi], orders[lo:hi], pos[lo:hi])
     return out
 
 

@@ -22,8 +22,11 @@ PAULI_CHARS = "IXZY"  # index = 2*ez + ex
 class SymplecticPauli:
     """n-qubit Pauli as (ex | ez) bit arrays; phases are dropped.
 
-    Immutable: the constructor copies ex and ez into one read-only (2, n)
-    uint8 array, and the ex and ez properties are views of its rows.
+    Immutable: the constructor copies ex and ez into one bytes object (ex's
+    n bytes, then ez's), and the ex and ez properties are read-only uint8
+    views of it.  Bytes rather than an ndarray hold the bits because callers
+    keep Paulis by the thousand (errors and estimates), and an ndarray
+    would add its own object to each one.
     """
 
     __slots__ = ("n", "_bits")
@@ -31,9 +34,8 @@ class SymplecticPauli:
     def __init__(self, n: int, ex, ez):
         bits = np.empty((2, n), dtype=np.uint8)
         bits[0], bits[1] = ex, ez
-        bits.flags.writeable = False
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_bits", bits)
+        object.__setattr__(self, "_bits", bits.tobytes())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"SymplecticPauli is immutable; cannot set {name!r}")
@@ -44,11 +46,11 @@ class SymplecticPauli:
 
     @property
     def ex(self) -> np.ndarray:
-        return self._bits[0]
+        return np.frombuffer(self._bits, np.uint8, self.n)
 
     @property
     def ez(self) -> np.ndarray:
-        return self._bits[1]
+        return np.frombuffer(self._bits, np.uint8, self.n, self.n)
 
     @classmethod
     def identity(cls, n: int) -> "SymplecticPauli":
@@ -66,7 +68,7 @@ class SymplecticPauli:
         return (
             isinstance(other, SymplecticPauli)
             and self.n == other.n
-            and bool(np.array_equal(self._bits, other._bits))
+            and self._bits == other._bits
         )
 
     def __repr__(self) -> str:

@@ -596,3 +596,143 @@ def test_bp_memory_per_trial_edge():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * batch * ctx.num_edges
+
+
+# ---------------------------------------------------------------------------
+# Deferred compaction: finished trials' columns stay in the arrays until at
+# least _COMPACT_DEAD_SHARE of them are finished.
+
+
+def _spy_compactions(monkeypatch):
+    """Record (width, kept) for every _Workspace.compact call."""
+    calls = []
+    compact = decoder._Workspace.compact
+
+    def spy(ws, keep):
+        calls.append((ws.msg.shape[1], keep.shape[0]))
+        compact(ws, keep)
+
+    monkeypatch.setattr(decoder._Workspace, "compact", spy)
+    return calls
+
+
+COMPACTION_CASES = [
+    (lambda: codes.ztgre(5), NoiseKind.PURE_X),
+    (lambda: codes.chamon(3, 3, 3), NoiseKind.DEPOLARIZING),
+]
+
+
+@pytest.mark.parametrize("batch", [7, 8, 9, 17, 300])
+@pytest.mark.parametrize("make,kind", COMPACTION_CASES)
+def test_bp_deferred_compaction_matches_reference(make, kind, batch, monkeypatch):
+    # Batch sizes around the 1/8 threshold: at 7 one finished trial is
+    # enough to compact, at 9 it is not.  Pure-X ztgre(5) trials converge
+    # at many different iterations.
+    calls = _spy_compactions(monkeypatch)
+    code = make()
+    ctx = decoder.DecoderContext.for_code(code)
+    ex, ez = estimator._sample_batch(code, 0.08, kind, 29, 0, batch)
+    S = code.syndromes(ex, ez)
+    prior = decoder.ChannelPrior(0.08, kind)
+    cfg = decoder.BPConfig(max_iterations=30)
+    got = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    want = _bp_reference(ctx, S, *_reference_prior(prior, ctx, cfg), cfg)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert np.array_equal(g, w)
+    # Every compaction drops at least an eighth of the columns.
+    assert all(decoder._COMPACT_DEAD_SHARE * width <= width - kept for width, kept in calls)
+    if batch == 300:
+        conv, iters = got[2], got[3]
+        assert np.unique(iters[conv]).shape[0] >= 5 and not conv.all()
+        # Trials finish in many iterations, and most of them compact nothing.
+        assert 0 < len(calls) < np.unique(iters).shape[0] - 1
+
+
+def test_bp_trials_that_finish_before_any_compaction(monkeypatch):
+    # A zero syndrome finishes at iteration 1, which is 1 of 9 columns, short
+    # of an eighth; the other 8 share one syndrome and finish together later,
+    # so the arrays are never compacted.
+    calls = _spy_compactions(monkeypatch)
+    code = codes.ztgre(5)
+    ctx = decoder.DecoderContext.for_code(code)
+    prior = decoder.ChannelPrior(0.08, NoiseKind.PURE_X)
+    cfg = decoder.BPConfig(max_iterations=30)
+    ex, ez = estimator._sample_batch(code, 0.08, NoiseKind.PURE_X, 29, 0, 300)
+    S = code.syndromes(ex, ez)
+    _, _, conv, iters = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    late = np.flatnonzero(conv & (iters >= 4))[0]
+    S9 = np.vstack([np.zeros((1, ctx.m), np.uint8), np.repeat(S[late : late + 1], 8, axis=0)])
+    calls.clear()
+    got = decoder.bp_decode_batch(ctx, S9, prior, cfg)
+    want = _bp_reference(ctx, S9, *_reference_prior(prior, ctx, cfg), cfg)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert got[2].all() and list(got[3]) == [1] + [iters[late]] * 8
+    assert calls == []
+
+
+@pytest.mark.parametrize("degree", range(1, 18))
+def test_ordered_sum_keeps_negative_zero(degree):
+    # The base case of the pairwise sum is one np.add.reduce from -0.0; it
+    # must add in np.add.reduceat's order, keep -0.0 terms and all-(-0.0)
+    # columns exactly, and do so where the summed stack has one column (numpy
+    # then sums the reduced axis pairwise).
+    rng = np.random.default_rng(100 + degree)
+    for k, b in [(1, 1), (1, 6), (4, 1), (5, 33)]:
+        g = rng.standard_normal((degree, k, b)).astype(np.float32)
+        g *= rng.choice(np.array([1e-6, 1.0, 1e6], np.float32), size=g.shape)
+        g[rng.random(g.shape) < 0.2] = -0.0
+        for stack in (g, np.full_like(g, -0.0)):
+            if b > 1:
+                stack = stack.copy()
+                stack[:, :, 0] = -0.0  # an all-(-0.0) column next to mixed ones
+            rows = np.ascontiguousarray(stack.reshape(degree, -1).T)
+            want = np.add.reduceat(rows, [0], axis=1)[:, 0].reshape(k, b)
+            got = decoder._ordered_sum(stack.copy())
+            out = np.empty((k, b), np.float32)
+            decoder._ordered_sum(stack.copy(), out=out)
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+            assert np.array_equal(out.view(np.uint32), want.view(np.uint32))
+
+
+def test_reliability_order_matches_stable_argsort_on_ties():
+    # Exact ties everywhere: under pure-X noise the Z bits of a Z-only code
+    # have no edges, so their posteriors all equal the prior's; then values
+    # rounded to a few levels, and 0.0 and 1.0 mixed in.
+    code = codes.ztgre(5)
+    ctx = decoder.DecoderContext.for_code(code)
+    ex, ez = estimator._sample_batch(code, 0.12, NoiseKind.PURE_X, 31, 0, 120)
+    S = code.syndromes(ex, ez)
+    prior = decoder.ChannelPrior(0.12, NoiseKind.PURE_X)
+    _, post, conv, _ = decoder.bp_decode_batch(ctx, S, prior, decoder.BPConfig(max_iterations=8))
+    S, post = S[~conv], post[~conv]
+    n = code.n
+    assert S.shape[0] >= 10 and (post[:, n : 2 * n] == post[:, n : n + 1]).all()
+    rng = np.random.default_rng(3)
+    rounded = np.round(post * 4) / 4  # 0.0, 0.25, 0.5, 0.75 and 1.0 only
+    mixed = np.where(rng.random(post.shape) < 0.5, post, rng.choice([0.0, 1.0, 0.5], size=post.shape))
+    for p in (post, rounded, mixed):
+        order = decoder._reliability_order(p)
+        assert np.array_equal(order, np.argsort(-p, axis=1, kind="stable"))
+        batch = decoder.osd_post_process(ctx, S, p)
+        for i in range(S.shape[0]):
+            ref = gf2.solve_selected(ctx.hd, S[i], np.lexsort((np.arange(ctx.nbits), -p[i])))
+            assert np.array_equal(batch[i], ref)
+
+
+def test_osd_mixed_batch_with_one_infeasible_syndrome_raises():
+    # One unreachable syndrome among reachable ones, which stop at different
+    # steps: the batch must still raise, and not run past the rank.
+    code = codes.toric(2)
+    ctx = decoder.DecoderContext.for_code(code)
+    ex, ez = estimator._sample_batch(code, 0.2, NoiseKind.DEPOLARIZING, 37, 0, 40)
+    S = code.syndromes(ex, ez)
+    bad = np.zeros(ctx.m, dtype=np.uint8)
+    bad[0] = 1  # a lone violated check cannot happen on a torus
+    post = np.random.default_rng(5).random((41, ctx.nbits)).astype(np.float32)
+    for at in (0, 17, 40):
+        mixed = np.insert(S, at, bad, axis=0)
+        with pytest.raises(RuntimeError, match="column space"):
+            decoder.osd_post_process(ctx, mixed, post)
+    assert decoder.osd_post_process(ctx, S, post[:40]).shape == (40, ctx.nbits)

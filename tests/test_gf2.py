@@ -230,6 +230,22 @@ def test_solve_selected_batch_infeasible_and_bad_input():
         gf2.solve_selected_batch(m, S, np.array([[0, 0, 1], [0, 1, 2]]))
 
 
+def test_solve_selected_batch_checks_every_order():
+    # Entries past either end are rejected before they index anything, and
+    # a repeated column leaves another one without a position; each bad
+    # order is caught in any row of the batch.
+    m = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)
+    S = np.zeros((3, 2), dtype=np.uint8)
+    good = np.array([2, 0, 1])
+    for bad in ([0, 1, 3], [-1, 0, 1], [0, 2, 2], [1, 1, 1], [-3, 1, 2]):
+        for row in range(3):
+            orders = np.tile(good, (3, 1))
+            orders[row] = bad
+            with pytest.raises(ValueError, match="permutation"):
+                gf2.solve_selected_batch(m, S, orders)
+    assert not gf2.solve_selected_batch(m, S, np.tile(good, (3, 1))).any()
+
+
 def test_kernel_basis_trivial_cases():
     assert gf2.kernel_basis(np.eye(4, dtype=np.uint8)).shape == (0, 4)
     basis = gf2.kernel_basis([[1, 1]])
