@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -21,26 +20,6 @@ import numpy as np
 from . import codes, estimator, pauli
 from .decoder import BPConfig, ChannelPrior, decode
 from .estimator import NoiseKind, TrialConfig
-
-
-@dataclass
-class RunSpec:
-    subcommand: str
-    code_family: str | None = None
-    code_params: tuple[int, ...] = ()
-    code_file: str | None = None
-    rates: tuple[float, ...] = estimator.DEFAULT_RATES
-    trials: int = 10_000
-    seed: int = 0
-    noise: NoiseKind = NoiseKind.DEPOLARIZING
-    max_iterations: int = 100
-    threads: int = 1
-    out: str | None = None
-    csv: str | None = None
-    max_weight: int = 4
-    budget: int = 50_000_000
-    error: pauli.SymplecticPauli | None = None
-    rate: float = 0.1
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -61,8 +40,8 @@ def _parse_rates(text: str) -> tuple[float, ...]:
 
 
 def _add_code_selector(sp):
-    sp.add_argument("--code", choices=sorted(codes.FAMILIES), help="code family name")
-    sp.add_argument("--params", type=_parse_ints, default=(), help="family parameters, e.g. 3,3,3")
+    sp.add_argument("--code", dest="code_family", choices=sorted(codes.FAMILIES), help="code family name")
+    sp.add_argument("--params", dest="code_params", type=_parse_ints, default=(), help="family parameters, e.g. 3,3,3")
     sp.add_argument("--code-file", help="path to a serialized code file")
 
 
@@ -76,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--trials", type=int, default=10_000)
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--noise", choices=[k.value for k in NoiseKind], default="depolarizing")
-    est.add_argument("--max-iters", type=int, default=100)
+    est.add_argument("--max-iters", dest="max_iterations", type=int, default=100)
     est.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                      help="decoding threads (default: all CPUs); the report does not depend on it")
     est.add_argument("--out", help="write the JSON report here")
@@ -94,102 +73,90 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_selector(one)
     one.add_argument("--error", required=True, help="Pauli string, qubit 0 leftmost")
     one.add_argument("--rate", type=float, default=0.1)
-    one.add_argument("--max-iters", type=int, default=100)
+    one.add_argument("--max-iters", dest="max_iterations", type=int, default=100)
 
     sub.add_parser("list-codes", help="list available code families")
     return parser
 
 
-def parse_args(argv) -> RunSpec:
+def parse_args(argv) -> argparse.Namespace:
+    """Parse and check the command line.  The namespace's noise is a
+    NoiseKind and, for decode-one, its error a SymplecticPauli."""
     parser = build_parser()
-    ns = parser.parse_args(argv)
-    spec = RunSpec(subcommand=ns.subcommand)
-    if ns.subcommand == "list-codes":
-        return spec
-    spec.code_family = ns.code
-    spec.code_params = ns.params
-    spec.code_file = ns.code_file
-    if (spec.code_family is None) == (spec.code_file is None):
+    args = parser.parse_args(argv)
+    if args.subcommand == "list-codes":
+        return args
+    if (args.code_family is None) == (args.code_file is None):
         parser.error("provide exactly one of --code or --code-file")
-    if ns.subcommand in ("estimate", "decode-one") and ns.max_iters < 1:
+    if args.subcommand in ("estimate", "decode-one") and args.max_iterations < 1:
         parser.error("--max-iters must be positive")
-    if ns.subcommand == "estimate":
-        if not 1 <= ns.trials <= estimator.MAX_TRIALS_PER_RATE:
+    if args.subcommand == "estimate":
+        if not 1 <= args.trials <= estimator.MAX_TRIALS_PER_RATE:
             parser.error("--trials must be between 1 and 2**32")
-        if ns.threads < 1:
+        if args.threads < 1:
             parser.error("--threads must be positive")
-        if ns.seed < 0:
+        if args.seed < 0:
             parser.error("--seed must be non-negative")
         # An unwritable output path would otherwise fail only after the whole sweep.
-        for flag, path in (("--out", ns.out), ("--csv", ns.csv)):
+        for flag, path in (("--out", args.out), ("--csv", args.csv)):
             if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
                 parser.error(f"{flag}: directory of {path} does not exist")
             if path is not None and os.path.isdir(path):
                 parser.error(f"{flag}: {path} is a directory")
-        spec.rates = ns.rates
-        spec.trials = ns.trials
-        spec.seed = ns.seed
-        spec.noise = NoiseKind(ns.noise)
-        spec.max_iterations = ns.max_iters
-        spec.threads = ns.threads
-        spec.out = ns.out
-        spec.csv = ns.csv
-    elif ns.subcommand == "brute-force":
-        if ns.max_weight < 1:
+        args.noise = NoiseKind(args.noise)
+    elif args.subcommand == "brute-force":
+        if args.max_weight < 1:
             parser.error("--max-weight must be positive")
-        if ns.budget < 1:
+        if args.budget < 1:
             parser.error("--budget must be positive")
-        spec.max_weight = ns.max_weight
-        spec.budget = ns.budget
-    elif ns.subcommand == "decode-one":
-        if not 0.0 < ns.rate < 1.0:
+    elif args.subcommand == "decode-one":
+        if not 0.0 < args.rate < 1.0:
             parser.error("--rate must be in (0, 1)")
         try:
-            spec.error = pauli.from_string(ns.error)
+            args.error = pauli.from_string(args.error)
         except ValueError as exc:
             parser.error(f"--error: {exc}")
-        spec.rate = ns.rate
-        spec.max_iterations = ns.max_iters
-    return spec
+    return args
 
 
-def _load_code(spec: RunSpec) -> codes.StabilizerCode:
-    if spec.code_file is not None:
+def _load_code(args: argparse.Namespace) -> codes.StabilizerCode:
+    if args.code_file is not None:
         try:
-            return codes.load(spec.code_file)
+            return codes.load(args.code_file)
         except (OSError, ValueError) as exc:
-            raise SystemExit(f"error: cannot load {spec.code_file}: {exc}")
+            raise SystemExit(f"error: cannot load {args.code_file}: {exc}")
     try:
-        return codes.make(spec.code_family, spec.code_params)
+        return codes.make(args.code_family, args.code_params)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
 
 
-def run_spec(spec: RunSpec) -> int:
-    if spec.subcommand == "list-codes":
+def run_spec(args: argparse.Namespace) -> int:
+    """Run a subcommand from parse_args' namespace; returns the exit status."""
+    if args.subcommand == "list-codes":
         for name, (_, arity) in sorted(codes.FAMILIES.items()):
             print(f"{name}  ({arity} integer parameter{'s' if arity > 1 else ''})")
         return 0
 
-    code = _load_code(spec)
+    code = _load_code(args)
 
-    if spec.subcommand == "validate-code":
-        report = codes.validate(code)
-        if report:
+    if args.subcommand == "validate-code":
+        failures = codes.validate(code)
+        if not failures:
             print(f"{code.name}: valid [[{code.n}, {code.k}]] stabilizer code")
             return 0
-        for failure in report.failures:
+        for failure in failures:
             print(f"{code.name}: FAIL - {failure}", file=sys.stderr)
         return 1
 
-    if spec.subcommand == "brute-force":
+    if args.subcommand == "brute-force":
         try:
-            result = estimator.brute_force_distance(code, spec.max_weight, budget=spec.budget)
+            result = estimator.brute_force_distance(code, args.max_weight, budget=args.budget)
         except estimator.BudgetExceeded as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         if result.found_distance is None:
-            print(f"{code.name}: no logical operator of weight <= {spec.max_weight}")
+            print(f"{code.name}: no logical operator of weight <= {args.max_weight}")
         else:
             print(
                 f"{code.name}: distance {result.found_distance} "
@@ -197,13 +164,13 @@ def run_spec(spec: RunSpec) -> int:
             )
         return 0
 
-    if spec.subcommand == "decode-one":
-        err = spec.error
+    if args.subcommand == "decode-one":
+        err = args.error
         if err.n != code.n:
             print(f"error: error string has {err.n} qubits, code has {code.n}", file=sys.stderr)
             return 1
         syndrome = code.syndrome(err)
-        outcome = decode(code, syndrome, ChannelPrior(spec.rate), BPConfig(spec.max_iterations))
+        outcome = decode(code, syndrome, ChannelPrior(args.rate), BPConfig(args.max_iterations))
         residual = pauli.mul(err, outcome.estimate)
         cls = estimator.classify_residual(code, residual)
         print(f"syndrome:  {''.join(map(str, syndrome.bits))}")
@@ -217,24 +184,24 @@ def run_spec(spec: RunSpec) -> int:
 
     # estimate
     cfg = TrialConfig(
-        rates=spec.rates,
-        trials_per_rate=spec.trials,
-        master_seed=spec.seed,
-        noise_kind=spec.noise,
-        decoder=BPConfig(max_iterations=spec.max_iterations),
+        rates=args.rates,
+        trials_per_rate=args.trials,
+        master_seed=args.seed,
+        noise_kind=args.noise,
+        decoder=BPConfig(max_iterations=args.max_iterations),
     )
-    report = estimator.estimate_upper_bound(code, cfg, threads=spec.threads)
+    report = estimator.estimate_upper_bound(code, cfg, threads=args.threads)
     body = report.to_json_dict()
     doc = {
         "report": body,
         "meta": {"generated_at": datetime.now(timezone.utc).isoformat()},
     }
-    if spec.out:
-        with open(spec.out, "w") as f:
+    if args.out:
+        with open(args.out, "w") as f:
             json.dump(doc, f, sort_keys=True, indent=2)
             f.write("\n")
-    if spec.csv:
-        with open(spec.csv, "w") as f:
+    if args.csv:
+        with open(args.csv, "w") as f:
             f.write(report.to_csv())
     if report.witness is None:
         print(
@@ -242,7 +209,7 @@ def run_spec(spec: RunSpec) -> int:
             file=sys.stderr,
         )
         return 1
-    if not estimator.verify_witness(code, report.witness, report.upper_bound, spec.noise):
+    if not estimator.verify_witness(code, report.witness, report.upper_bound, args.noise):
         print(f"{code.name}: FATAL - witness failed verification", file=sys.stderr)
         return 1
     print(

@@ -13,7 +13,7 @@ always recomputed by GF(2) rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -317,17 +317,12 @@ def chamon(n1: int, n2: int, n3: int) -> StabilizerCode:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ValidationReport:
-    passed: bool
-    failures: list = field(default_factory=list)
+def validate(code: StabilizerCode) -> list[str]:
+    """Check generator commutation, the cached k and the cached Hd.
 
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def validate(code: StabilizerCode) -> ValidationReport:
-    """Check generator commutation, the cached k and the cached Hd."""
+    Returns one message per failed check; an empty list means the code is
+    valid.
+    """
     failures = []
     comm = (
         code.hx.astype(np.int64) @ code.hz.T + code.hz.astype(np.int64) @ code.hx.T
@@ -341,7 +336,7 @@ def validate(code: StabilizerCode) -> ValidationReport:
         failures.append(f"cached k={code.k} but rank gives k={k}")
     if not np.array_equal(code.hd, decoupled_parity_check(code.hx, code.hz)):
         failures.append("cached decoupled matrix is stale")
-    return ValidationReport(passed=not failures, failures=failures)
+    return failures
 
 
 def logical_basis(code: StabilizerCode) -> list[pauli.SymplecticPauli]:
@@ -437,9 +432,9 @@ def loads(text: str) -> StabilizerCode:
     hx = np.vstack([g.ex for g in gens])
     hz = np.vstack([g.ez for g in gens])
     code = StabilizerCode(fields["name"], hx, hz)
-    report = validate(code)
-    if not report:
-        raise ValueError("invalid code file: " + "; ".join(report.failures))
+    failures = validate(code)
+    if failures:
+        raise ValueError("invalid code file: " + "; ".join(failures))
     if code.k != k:
         raise ValueError(f"declared k={k} but generators give k={code.k}")
     return code
