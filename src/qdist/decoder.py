@@ -3,7 +3,7 @@
 The 3n decoupled bits are treated as independent binary variables with a
 prior that matches the noise: p/3 on each X, Z and Y bit for depolarizing
 noise, and p on the X bits and 0 on the Z and Y bits for pure-X noise (a bit
-that cannot flip gets CERTAIN_LLR, larger than any one BP message).  Without
+that cannot flip gets the largest LLR a message can carry, +clip).  Without
 the matched prior, the identical X and Y columns of a Z-only code's Hd keep
 BP from settling on pure-X errors.  Messages run in the log domain with a
 flooding schedule; the per-qubit one-hot constraint is enforced at the hard
@@ -55,10 +55,6 @@ from .codes import StabilizerCode
 _MSG_DTYPE = np.float32
 _TANH_EPS = 1e-7
 _LOG_FLOOR = 1e-37
-# The prior LLR of a bit that cannot flip.  It exceeds every BP message: a
-# message is 2 * arctanh of a product bounded by float32(1 - _TANH_EPS), so
-# it is at most about 16.6.
-CERTAIN_LLR = 30.0
 
 
 class NoiseKind(str, enum.Enum):
@@ -94,24 +90,27 @@ class ChannelPrior:
         """(3n,) float64 prior probabilities in (x' | z' | y') block order."""
         return np.repeat(np.array(self.block_probs), n)
 
-    def llrs(self, n: int) -> np.ndarray:
+    def llrs(self, n: int, clip: float) -> np.ndarray:
         """(3n,) float32 prior LLRs log((1 - q) / q); a bit with q = 0 gets
-        CERTAIN_LLR, larger than any BP message."""
+        +clip, the largest magnitude any BP message takes."""
         # math.log, not np.log: the float32 of the depolarizing LLR must not
         # move by a last bit, or depolarizing reports would change.
-        blocks = [math.log((1.0 - q) / q) if q > 0.0 else CERTAIN_LLR for q in self.block_probs]
+        blocks = [math.log((1.0 - q) / q) if q > 0.0 else clip for q in self.block_probs]
         return np.repeat(np.array(blocks, dtype=_MSG_DTYPE), n)
 
 
 @dataclass(frozen=True)
 class BPConfig:
-    """BP's iteration budget; a trial not converged by then goes to OSD-0."""
-
     max_iterations: int = 100
+    clip: float = 30.0  # log-domain message bound; keeps marginals finite
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
+        # A clip of 0 or less pins every message at or below 0, and NaN
+        # poisons them; either silently breaks BP instead of failing.
+        if not 0.0 < self.clip < math.inf:
+            raise ValueError("clip must be finite and positive")
 
 
 @dataclass
@@ -305,6 +304,11 @@ def _decision_bits_from_llr(llr: np.ndarray, n: int, out: np.ndarray | None = No
     return bits
 
 
+# Largest |arctanh| of a clipped check product.  A message clip at or above it
+# never binds, and the kernel skips it.
+_ATANH_MAX = max(abs(np.arctanh(np.array([-1.0 + _TANH_EPS, 1.0 - _TANH_EPS], dtype=_MSG_DTYPE))))
+
+
 def _prefix(buf: np.ndarray, dtype, *shape: int) -> np.ndarray:
     """A C-contiguous array of the given dtype and shape over the leading
     bytes of the byte buffer buf."""
@@ -434,7 +438,9 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
     # Messages and posterior totals are stored at half scale.  Doubling is
     # exact in float32, so T - M is the full-scale (tot - mcv) / 2 bit for
     # bit, and arctanh gives the new half-scale message directly.
-    half_prior = prior.llrs(n) * _MSG_DTYPE(0.5)
+    half_prior = prior.llrs(n, cfg.clip) * _MSG_DTYPE(0.5)
+    half_clip = _MSG_DTYPE(cfg.clip) * _MSG_DTYPE(0.5)
+    clip_binds = half_clip < _ATANH_MAX
     var_prior = [half_prior[rows, None] for rows in ctx.var_rows]
     scatter_rows = [None if type(rows) is slice else rows for rows in ctx.var_rows]
 
@@ -487,6 +493,8 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
         ws.t_words ^= ws.sign_words
         prod.clip(-_PROD_HI, _PROD_HI, out=prod)
         np.arctanh(prod, out=prod)
+        if clip_binds:
+            prod.clip(-half_clip, half_clip, out=prod)
 
         # Posterior totals, constrained decision, convergence test.
         M = ws.msg

@@ -19,21 +19,21 @@ CODES = [
 
 
 def test_channel_prior_validation_and_llr():
-    n = 4
+    n, clip = 4, 25.0
     depol = decoder.ChannelPrior(0.3)  # positional rate, depolarizing by default
     assert depol.noise == NoiseKind.DEPOLARIZING
     assert np.array_equal(depol.bit_probs(n), np.full(3 * n, 0.3 / 3.0))
-    llr = depol.llrs(n)
+    llr = depol.llrs(n, clip)
     assert llr.dtype == np.float32 and llr.shape == (3 * n,)
     # Exactly the float32 of math.log, on which depolarizing reports rest.
     assert np.array_equal(llr, np.full(3 * n, np.float32(math.log((1.0 - 0.1) / 0.1))))
 
     pure_x = decoder.ChannelPrior(0.3, NoiseKind.PURE_X)
     assert np.array_equal(pure_x.bit_probs(n), np.repeat([0.3, 0.0, 0.0], n))
-    llr = pure_x.llrs(n)
+    llr = pure_x.llrs(n, clip)
     assert llr.dtype == np.float32
     assert np.array_equal(llr[:n], np.full(n, np.float32(math.log(0.7 / 0.3))))
-    assert np.array_equal(llr[n:], np.full(2 * n, np.float32(decoder.CERTAIN_LLR)))
+    assert np.array_equal(llr[n:], np.full(2 * n, np.float32(clip)))
     for bad in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             decoder.ChannelPrior(bad)
@@ -52,7 +52,13 @@ def test_noise_kind_is_reexported_by_estimator():
 def test_bp_config_validation():
     with pytest.raises(ValueError):
         decoder.BPConfig(max_iterations=0)
-    assert decoder.BPConfig(1).max_iterations == 1
+    # A clip of 0 or less silences BP, and NaN corrupts it (on ztgre(5),
+    # pure-X, p = 0.08 they gave no logical event at all, or three times the
+    # default's), so only a finite positive clip is a configuration.
+    for clip in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="clip"):
+            decoder.BPConfig(clip=clip)
+    assert decoder.BPConfig(clip=1e-3).clip == 1e-3
 
 
 def _llr(post):
@@ -350,7 +356,7 @@ def _bp_reference(ctx, syndromes, prior_llr, prior_prob, cfg):
         prod = (sign_tot[:, edge_check] * sgn) * np.exp(lsum[:, edge_check] - lg)
         prod *= sign_act[:, edge_check]
         np.clip(prod, -1.0 + _TANH_EPS, 1.0 - _TANH_EPS, out=prod)
-        cur_mcv = np.clip(2.0 * np.arctanh(prod), -decoder.CERTAIN_LLR, decoder.CERTAIN_LLR)
+        cur_mcv = np.clip(2.0 * np.arctanh(prod), -cfg.clip, cfg.clip)
 
         tot = posterior_llr(cur_mcv)
         bits = _decision_reference(tot, n)
@@ -386,53 +392,79 @@ def _random_hgp(seed):
 
 
 REFERENCE_CASES = [
-    pytest.param(lambda: codes.planar_surface(5), NoiseKind.DEPOLARIZING, 0.09, id="surface5-depolarizing"),
-    pytest.param(lambda: codes.toric(3), NoiseKind.DEPOLARIZING, 0.09, id="toric3-depolarizing"),
-    pytest.param(lambda: codes.chamon(3, 3, 3), NoiseKind.DEPOLARIZING, 0.09, id="chamon333-depolarizing"),
-    pytest.param(lambda: codes.ztgre(5), NoiseKind.DEPOLARIZING, 0.09, id="ztgre5-depolarizing"),
-    pytest.param(lambda: codes.ztgre(5), NoiseKind.PURE_X, 0.09, id="ztgre5-pureX"),
-    pytest.param(lambda: codes.xzzx_surface(3), NoiseKind.DEPOLARIZING, 0.09, id="xzzx3-depolarizing"),
-    pytest.param(lambda: _random_hgp(1), NoiseKind.DEPOLARIZING, 0.09, id="hgp1-depolarizing"),
-    pytest.param(lambda: _random_hgp(2), NoiseKind.DEPOLARIZING, 0.09, id="hgp2-depolarizing"),
-    # p = 0.5: the X bits' prior LLR is exactly 0.
-    pytest.param(lambda: codes.toric(3), NoiseKind.PURE_X, 0.5, id="toric3-pureX-p0.5"),
-    pytest.param(lambda: codes.chamon(3, 3, 3), NoiseKind.PURE_X, 0.5, id="chamon333-pureX-p0.5"),
-    pytest.param(lambda: codes.ztgre(5), NoiseKind.PURE_X, 0.5, id="ztgre5-pureX-p0.5"),
+    (lambda: codes.planar_surface(5), NoiseKind.DEPOLARIZING),
+    (lambda: codes.toric(3), NoiseKind.DEPOLARIZING),
+    (lambda: codes.chamon(3, 3, 3), NoiseKind.DEPOLARIZING),
+    (lambda: codes.ztgre(5), NoiseKind.DEPOLARIZING),
+    (lambda: codes.ztgre(5), NoiseKind.PURE_X),
+    (lambda: codes.xzzx_surface(3), NoiseKind.DEPOLARIZING),
+    (lambda: _random_hgp(1), NoiseKind.DEPOLARIZING),
+    (lambda: _random_hgp(2), NoiseKind.DEPOLARIZING),
 ]
 
 
-def _reference_prior(prior, ctx):
+def _reference_prior(prior, ctx, cfg):
     n = ctx.nbits // 3
-    return prior.llrs(n), prior.bit_probs(n)
+    return prior.llrs(n, cfg.clip), prior.bit_probs(n)
 
 
 @pytest.mark.parametrize("batch", [0, 1, 300])
-@pytest.mark.parametrize("make,kind,p", REFERENCE_CASES)
-def test_bp_matches_reference(make, kind, p, batch):
+@pytest.mark.parametrize("make,kind", REFERENCE_CASES)
+def test_bp_matches_reference(make, kind, batch):
     code = make()
     ctx = decoder.DecoderContext.for_code(code)
-    ex, ez = estimator._sample_batch(code, p, kind, 17, 0, batch)
+    ex, ez = estimator._sample_batch(code, 0.09, kind, 17, 0, batch)
     S = code.syndromes(ex, ez)
-    prior = decoder.ChannelPrior(p, kind)
+    prior = decoder.ChannelPrior(0.09, kind)
     cfg = decoder.BPConfig(max_iterations=20)
     got = decoder.bp_decode_batch(ctx, S, prior, cfg)
-    want = _bp_reference(ctx, S, *_reference_prior(prior, ctx), cfg)
+    want = _bp_reference(ctx, S, *_reference_prior(prior, ctx, cfg), cfg)
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.dtype == w.dtype
         assert np.array_equal(g, w)
-    if batch == 300 and p < 0.5:
+    if batch == 300:
         # Both branches of the iteration loop ran: some trials converged early
-        # and some did not converge at all (at p = 0.5 none converge).
+        # and some did not converge at all.
         assert got[2].any() and not got[2].all()
 
 
-def test_bp_messages_stay_below_certain_llr():
-    # A message is 2 * arctanh of a product bounded by float32(1 - _TANH_EPS),
-    # so no message reaches the prior LLR of a bit that cannot flip, and the
-    # kernel needs no message clip.
+CLIP_CASES = [
+    (lambda: codes.toric(3), NoiseKind.DEPOLARIZING, 0.09),
+    (lambda: codes.chamon(3, 3, 3), NoiseKind.DEPOLARIZING, 0.09),
+    (lambda: codes.ztgre(5), NoiseKind.PURE_X, 0.09),
+    # p = 0.5: the X bits' prior LLR is exactly 0.
+    (lambda: codes.toric(3), NoiseKind.PURE_X, 0.5),
+    (lambda: codes.chamon(3, 3, 3), NoiseKind.PURE_X, 0.5),
+    (lambda: codes.ztgre(5), NoiseKind.PURE_X, 0.5),
+]
+
+
+@pytest.mark.parametrize("batch", [0, 1, 300])
+@pytest.mark.parametrize("clip", [1.0, 5.0, 10.0, 16.0])
+@pytest.mark.parametrize("make,kind,p", CLIP_CASES)
+def test_bp_matches_reference_when_clip_binds(make, kind, p, clip, batch):
+    # The kernel keeps messages at half scale and skips the message clip
+    # only where it cannot bind; at these clips it binds.
+    code = make()
+    ctx = decoder.DecoderContext.for_code(code)
+    ex, ez = estimator._sample_batch(code, p, kind, 23, 0, batch)
+    S = code.syndromes(ex, ez)
+    prior = decoder.ChannelPrior(p, kind)
+    cfg = decoder.BPConfig(max_iterations=12, clip=clip)
+    got = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    want = _bp_reference(ctx, S, *_reference_prior(prior, ctx, cfg), cfg)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+def test_default_clip_never_binds():
+    # A message is 2 * arctanh of a product clipped to 1 - _TANH_EPS, so the
+    # default clip is never reached and the kernel leaves it out.
     top = 2.0 * np.arctanh(np.float32(1.0 - decoder._TANH_EPS))
-    assert top.dtype == np.float32
-    assert top < decoder.CERTAIN_LLR
+    assert top < decoder.BPConfig().clip
+    assert 0.5 * decoder.BPConfig().clip >= decoder._ATANH_MAX
+    assert 0.5 * 16.0 < decoder._ATANH_MAX  # the clips above do bind
 
 
 def test_matched_prior_converges_on_pure_x_errors():
@@ -471,7 +503,7 @@ def test_bp_matches_reference_with_vacuous_check():
     prior = decoder.ChannelPrior(0.06)
     cfg = decoder.BPConfig(max_iterations=15)
     got = decoder.bp_decode_batch(ctx, S, prior, cfg)
-    want = _bp_reference(ctx, S, *_reference_prior(prior, ctx), cfg)
+    want = _bp_reference(ctx, S, *_reference_prior(prior, ctx, cfg), cfg)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     assert not got[2][S[:, 4] == 1].any() and got[2][S[:, 4] == 0].any()
@@ -490,7 +522,7 @@ def test_bp_matches_reference_on_odd_degree_checks():
     prior = decoder.ChannelPrior(0.15)
     cfg = decoder.BPConfig(max_iterations=15)
     got = decoder.bp_decode_batch(ctx, S, prior, cfg)
-    want = _bp_reference(ctx, S, *_reference_prior(prior, ctx), cfg)
+    want = _bp_reference(ctx, S, *_reference_prior(prior, ctx, cfg), cfg)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     assert got[2].any() and not got[2].all()
@@ -604,7 +636,7 @@ def test_bp_deferred_compaction_matches_reference(make, kind, batch, monkeypatch
     prior = decoder.ChannelPrior(0.08, kind)
     cfg = decoder.BPConfig(max_iterations=30)
     got = decoder.bp_decode_batch(ctx, S, prior, cfg)
-    want = _bp_reference(ctx, S, *_reference_prior(prior, ctx), cfg)
+    want = _bp_reference(ctx, S, *_reference_prior(prior, ctx, cfg), cfg)
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.dtype == w.dtype
         assert np.array_equal(g, w)
@@ -633,7 +665,7 @@ def test_bp_trials_that_finish_before_any_compaction(monkeypatch):
     S9 = np.vstack([np.zeros((1, ctx.m), np.uint8), np.repeat(S[late : late + 1], 8, axis=0)])
     calls.clear()
     got = decoder.bp_decode_batch(ctx, S9, prior, cfg)
-    want = _bp_reference(ctx, S9, *_reference_prior(prior, ctx), cfg)
+    want = _bp_reference(ctx, S9, *_reference_prior(prior, ctx, cfg), cfg)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     assert got[2].all() and list(got[3]) == [1] + [iters[late]] * 8
