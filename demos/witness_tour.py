@@ -2,8 +2,8 @@
 
 Walks through the objects the estimator uses internally: build a code, apply
 a hand-picked error, look at its syndrome in both Pauli representations,
-decode, classify the residual, and finally check a distance witness the same
-way `verify_witness` does.
+decode, test the residual with `logical_mask` (the rule the sweep and
+`verify_witness` share), and finally check a distance witness.
 """
 
 import numpy as np
@@ -30,14 +30,15 @@ print(f"estimate:  {pauli.to_string(outcome.estimate)}  "
       f"(BP converged: {outcome.bp_converged}, OSD used: {outcome.osd_applied})")
 
 residual = pauli.mul(err, outcome.estimate)
-cls = estimator.classify_residual(code, residual)
-print(f"residual:  {pauli.to_string(residual)}  -> {cls.value}")
+is_logical = estimator.logical_mask(code, residual.ex[None, :], residual.ez[None, :])[0]
+print(f"residual:  {pauli.to_string(residual)}  -> {'logical' if is_logical else 'not logical'}")
 
 # Now a genuine logical operator, straight from the symplectic basis.
 logical = codes.logical_basis(code)[0]
 print(f"\nlogical operator: {pauli.to_string(logical)}  (weight {pauli.weight(logical)})")
 print("zero syndrome:     ", code.syndrome(logical).is_zero())
-print("in stabilizer span:", code.in_stabilizer_group(logical))
+vec = np.concatenate([logical.ex, logical.ez])[None, :]
+print("in stabilizer span:", code.stabilizer_reducer().contains_batch(vec)[0])
 print("verify_witness:    ",
       estimator.verify_witness(code, logical, pauli.weight(logical)))
 

@@ -19,11 +19,10 @@ from .estimator import (
     DistanceReport,
     NoiseKind,
     OracleResult,
-    ResidualClass,
     TrialConfig,
     brute_force_distance,
-    classify_residual,
     estimate_upper_bound,
+    logical_mask,
     sample_error,
     verify_witness,
 )
@@ -37,18 +36,17 @@ __all__ = [
     "DistanceReport",
     "NoiseKind",
     "OracleResult",
-    "ResidualClass",
     "StabilizerCode",
     "SymplecticPauli",
     "TrialConfig",
     "brute_force_distance",
     "chamon",
-    "classify_residual",
     "decode",
     "estimate_upper_bound",
     "from_string",
     "hypergraph_product",
     "logical_basis",
+    "logical_mask",
     "planar_surface",
     "repetition",
     "sample_error",

@@ -172,10 +172,14 @@ def run_spec(args: argparse.Namespace) -> int:
         syndrome = code.syndrome(err)
         outcome = decode(code, syndrome, ChannelPrior(args.rate), BPConfig(args.max_iterations))
         residual = pauli.mul(err, outcome.estimate)
-        cls = estimator.classify_residual(code, residual)
+        r = (residual.ex[None, :], residual.ez[None, :])
+        if code.syndromes(*r).any():
+            label = "syndrome_nonzero"
+        else:
+            label = "logical" if estimator.logical_mask(code, *r)[0] else "stabilizer"
         print(f"syndrome:  {''.join(map(str, syndrome.bits))}")
         print(f"estimate:  {pauli.to_string(outcome.estimate)}")
-        print(f"residual:  {pauli.to_string(residual)}  [{cls.value}]")
+        print(f"residual:  {pauli.to_string(residual)}  [{label}]")
         print(
             f"bp_converged={outcome.bp_converged} osd_applied={outcome.osd_applied} "
             f"iterations={outcome.iterations}"

@@ -105,10 +105,6 @@ class StabilizerCode:
     def syndrome(self, e: pauli.SymplecticPauli) -> pauli.Syndrome:
         return pauli.Syndrome(self.syndromes(e.ex[None, :], e.ez[None, :])[0])
 
-    def in_stabilizer_group(self, p: pauli.SymplecticPauli) -> bool:
-        vec = np.concatenate([p.ex, p.ez])
-        return bool(self.stabilizer_reducer().contains_batch(vec[None, :])[0])
-
     def __repr__(self) -> str:
         return f"StabilizerCode({self.name}: [[{self.n}, {self.k}]])"
 

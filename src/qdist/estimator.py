@@ -2,7 +2,7 @@
 
 For each physical error rate a batch of depolarizing (or pure-X) errors is
 sampled, decoded under the prior of the same noise, and the residual error
-classified as stabilizer or logical.
+tested by logical_mask, the one rule for what counts as a logical operator.
 Every logical residual is an explicit logical operator, so the running
 minimum weight is a certified upper bound on code distance; the best witness
 travels with the report and can be re-verified independently.
@@ -14,7 +14,6 @@ and worker counts.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -34,12 +33,6 @@ DEFAULT_RATES = (0.01, 0.02, 0.05, 0.08, 0.10, 0.12, 0.15)
 MAX_TRIALS_PER_RATE = 1 << 32
 
 
-class ResidualClass(enum.Enum):
-    STABILIZER = "stabilizer"
-    LOGICAL = "logical"
-    SYNDROME_NONZERO = "syndrome_nonzero"
-
-
 @dataclass(frozen=True)
 class TrialConfig:
     rates: tuple[float, ...] = DEFAULT_RATES
@@ -57,6 +50,7 @@ class TrialConfig:
             raise ValueError("trials per rate must be between 1 and 2**32")
         if self.master_seed < 0:
             raise ValueError("master seed must be non-negative")
+        object.__setattr__(self, "noise_kind", NoiseKind(self.noise_kind))  # ValueError if unknown
 
 
 @dataclass
@@ -138,13 +132,25 @@ def sample_error(n: int, p: float, kind: NoiseKind, rng: np.random.Generator) ->
     return pauli.SymplecticPauli(n, hit & (which != 1), hit & (which != 0))
 
 
-def classify_residual(code: StabilizerCode, r: pauli.SymplecticPauli) -> ResidualClass:
-    """Stabilizer / logical / nonzero-syndrome trichotomy for a residual."""
-    if not code.syndrome(r).is_zero():
-        return ResidualClass.SYNDROME_NONZERO
-    if code.in_stabilizer_group(r):
-        return ResidualClass.STABILIZER
-    return ResidualClass.LOGICAL
+def logical_mask(
+    code: StabilizerCode, ex: np.ndarray, ez: np.ndarray, noise_kind: NoiseKind | None = None
+) -> np.ndarray:
+    """(B,) bool: whether each row of the (B, n) arrays ex, ez is a logical
+    operator, the one rule the sweep, verify_witness, the oracle and
+    decode-one share.
+
+    A row is logical when its syndrome is zero and it lies outside the
+    stabilizer group.  A pure-X bound is a bound on the logical-X weight, so
+    with noise_kind=PURE_X a row must also be X-type (ez = 0).  Only the rows
+    that pass the first tests go to the span test.
+    """
+    mask = ~code.syndromes(ex, ez).any(axis=1)
+    if noise_kind == NoiseKind.PURE_X:
+        mask &= ~ez.any(axis=1)
+    idx = np.flatnonzero(mask)
+    if idx.size:
+        mask[idx] = ~code.stabilizer_reducer().contains_batch(np.hstack([ex[idx], ez[idx]]))
+    return mask
 
 
 def verify_witness(
@@ -153,20 +159,13 @@ def verify_witness(
     expected_weight: int | None = None,
     noise_kind: NoiseKind | None = None,
 ) -> bool:
-    """True iff w is a genuine logical operator of the stated weight.
-
-    A pure-X bound is a bound on the logical-X weight, so with
-    noise_kind=PURE_X the witness must also be X-type (no Z or Y part).
-    """
+    """True iff w is a logical operator (logical_mask, X-type under
+    noise_kind=PURE_X) of the stated weight."""
     if w is None or w.n != code.n:
-        return False
-    if noise_kind == NoiseKind.PURE_X and w.ez.any():
-        return False
-    if classify_residual(code, w) != ResidualClass.LOGICAL:
         return False
     if expected_weight is not None and pauli.weight(w) != expected_weight:
         return False
-    return True
+    return bool(logical_mask(code, w.ex[None, :], w.ez[None, :], noise_kind)[0])
 
 
 # The block sampler below reproduces, trial for trial, what
@@ -320,16 +319,15 @@ _CHUNK_TRIALS = 256
 def estimate_upper_bound(code: StabilizerCode, cfg: TrialConfig, threads: int = 1) -> DistanceReport:
     """Sweep rates, decode trials, and track the minimum logical weight.
 
-    The running minimum starts at the code length; only logical residuals
-    lower it, and in pure-X mode only X-type residuals (ez = 0) count.  The
-    first witness attaining the final minimum is kept.  Each rate's trials
-    are decoded in chunks on a pool of `threads` workers; the report does
-    not depend on the thread count.
+    The running minimum starts at the code length; only residuals that
+    logical_mask accepts under cfg.noise_kind lower it.  The first witness
+    attaining the final minimum is kept.  Each rate's trials are decoded in
+    chunks on a pool of `threads` workers; the report does not depend on the
+    thread count.
     """
     if threads < 1:
         raise ValueError("need at least one thread")
     ctx = DecoderContext.for_code(code)
-    reducer = code.stabilizer_reducer()
     best = code.n
     witness: pauli.SymplecticPauli | None = None
     per_rate: list[RateStats] = []
@@ -351,23 +349,19 @@ def estimate_upper_bound(code: StabilizerCode, cfg: TrialConfig, threads: int = 
             rx = ex ^ est_x
             rz = ez ^ est_z
             weights = np.count_nonzero(rx | rz, axis=1)
-            candidates = weights > 0
-            if cfg.noise_kind == NoiseKind.PURE_X:
-                candidates &= ~rz.any(axis=1)
-            idx = np.nonzero(candidates)[0]
-            logical_events = 0
+            idx = np.flatnonzero(weights)
+            logical_idx = idx[logical_mask(code, rx[idx], rz[idx], cfg.noise_kind)]
             rate_min: int | None = None
-            if idx.size:
-                member = reducer.contains_batch(np.hstack([rx[idx], rz[idx]]))
-                logical_idx = idx[~member]
-                logical_events = int(logical_idx.size)
-                for t in logical_idx:
-                    w = int(weights[t])
-                    rate_min = w if rate_min is None else min(rate_min, w)
-                    if w < best:
-                        best = w
-                        witness = pauli.SymplecticPauli.from_arrays(rx[t], rz[t])
-            per_rate.append(RateStats(p=p, trials=T, logical_events=logical_events, min_weight=rate_min))
+            if logical_idx.size:
+                # argmin gives the first trial at the rate's minimum.
+                t = logical_idx[np.argmin(weights[logical_idx])]
+                rate_min = int(weights[t])
+                if rate_min < best:
+                    best = rate_min
+                    witness = pauli.SymplecticPauli.from_arrays(rx[t], rz[t])
+            per_rate.append(
+                RateStats(p=p, trials=T, logical_events=int(logical_idx.size), min_weight=rate_min)
+            )
 
     return DistanceReport(
         code_name=code.name,
@@ -420,24 +414,19 @@ def brute_force_distance(code: StabilizerCode, w_max: int, budget: int = 50_000_
         sz = int.from_bytes(np.packbits(hx_cols[q], bitorder="little").tobytes(), "little")
         synd.append((0, sx, sz, sx ^ sz))  # index by Pauli code 0=I,1=X,2=Z,3=Y
 
-    reducer = code.stabilizer_reducer()
-
-    def is_logical(support, paulis) -> bool:
-        vec = np.zeros(2 * n, dtype=np.uint8)
-        for q, pc in zip(support, paulis):
-            if pc in (1, 3):
-                vec[q] = 1
-            if pc in (2, 3):
-                vec[n + q] = 1
-        return not reducer.contains_batch(vec[None, :])[0]
-
     found: list = []
 
     def rec(start: int, remaining: int, acc: int, support: list, paulis: list) -> bool:
         if remaining == 0:
-            if acc == 0 and is_logical(support, paulis):
-                found.append((list(support), list(paulis)))
-                return True
+            if acc == 0:
+                # Pauli codes 1=X, 2=Z, 3=Y: bit 0 is the X part, bit 1 the Z part.
+                kinds = np.array(paulis, dtype=np.uint8)
+                ex = np.zeros((1, n), dtype=np.uint8)
+                ez = np.zeros((1, n), dtype=np.uint8)
+                ex[0, support], ez[0, support] = kinds & 1, kinds >> 1
+                if logical_mask(code, ex, ez)[0]:
+                    found.append(pauli.SymplecticPauli.from_arrays(ex[0], ez[0]))
+                    return True
             return False
         for q in range(start, n - remaining + 1):
             support.append(q)
@@ -451,11 +440,5 @@ def brute_force_distance(code: StabilizerCode, w_max: int, budget: int = 50_000_
 
     for w in range(1, w_max + 1):
         if rec(0, w, 0, [], []):
-            support, paulis = found[0]
-            ex = np.zeros(n, dtype=np.uint8)
-            ez = np.zeros(n, dtype=np.uint8)
-            for q, pc in zip(support, paulis):
-                ex[q] = 1 if pc in (1, 3) else 0
-                ez[q] = 1 if pc in (2, 3) else 0
-            return OracleResult(w_max, w, pauli.SymplecticPauli.from_arrays(ex, ez))
+            return OracleResult(w_max, w, found[0])
     return OracleResult(w_max, None, None)

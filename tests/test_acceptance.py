@@ -181,7 +181,8 @@ def test_criterion_7_decoder_contract():
                 err = pauli.from_string("".join(s))
                 out = decoder.decode(code, code.syndrome(err), prior, cfg)
                 residual = pauli.mul(err, out.estimate)
-                if estimator.classify_residual(code, residual) != estimator.ResidualClass.STABILIZER:
+                vec = np.concatenate([residual.ex, residual.ez])[None, :]
+                if not code.stabilizer_reducer().contains_batch(vec)[0]:
                     failures += 1
         weight1_bad[code.name] = failures
 

@@ -144,6 +144,16 @@ def test_decode_one(capsys):
     assert "stabilizer" in out
 
 
+def test_decode_one_labels_a_logical_residual(capsys):
+    # X down the first column of surface 3 is logical X: zero syndrome, so
+    # the decoder returns the identity and the residual is the logical.
+    code, out, _ = run(
+        ["decode-one", "--code", "surface", "--params", "3", "--error", "XIIXIIXIIIIII"], capsys
+    )
+    assert code == 0
+    assert "[logical]" in out
+
+
 def test_decode_one_wrong_length(capsys):
     code, _, err = run(
         ["decode-one", "--code", "surface", "--params", "3", "--error", "XI"], capsys

@@ -11,7 +11,7 @@ import pytest
 
 from qdist import codes, estimator, pauli
 from qdist.decoder import BPConfig
-from qdist.estimator import NoiseKind, ResidualClass, TrialConfig
+from qdist.estimator import NoiseKind, TrialConfig
 
 
 def test_trial_config_validation():
@@ -30,6 +30,10 @@ def test_trial_config_validation():
     with pytest.raises(ValueError, match="seed"):
         TrialConfig(master_seed=-1)  # numpy's SeedSequence would reject it mid-sweep
     assert TrialConfig(master_seed=0).master_seed == 0
+    # An unknown noise kind fails here, not after a whole rate has been sampled.
+    with pytest.raises(ValueError):
+        TrialConfig(noise_kind="bogus")
+    assert TrialConfig(noise_kind="pureX").noise_kind is NoiseKind.PURE_X
 
 
 def test_sample_error_depolarizing_statistics():
@@ -89,16 +93,20 @@ def test_sample_error_low_rate_limit():
 
 def test_classify_residual_trichotomy():
     code = codes.planar_surface(3)
-    assert (
-        estimator.classify_residual(code, pauli.SymplecticPauli.identity(code.n))
-        == ResidualClass.STABILIZER
-    )
-    gen = code.generator(0)
-    assert estimator.classify_residual(code, gen) == ResidualClass.STABILIZER
-    logical = codes.logical_basis(code)[0]
-    assert estimator.classify_residual(code, logical) == ResidualClass.LOGICAL
+    logical, z_logical = codes.logical_basis(code)
     one_x = pauli.from_string("X" + "I" * (code.n - 1))
-    assert estimator.classify_residual(code, one_x) == ResidualClass.SYNDROME_NONZERO
+    rows = [pauli.SymplecticPauli.identity(code.n), code.generator(0), logical, one_x]
+    ex = np.array([r.ex for r in rows])
+    ez = np.array([r.ez for r in rows])
+    assert estimator.logical_mask(code, ex, ez).tolist() == [False, False, True, False]
+    # A logical with a Z part (here Y_L) counts under depolarizing noise, not
+    # under pure-X; the X-type logical counts under both.
+    y_logical = pauli.mul(logical, z_logical)
+    assert not logical.ez.any() and y_logical.ez.any()
+    ex = np.array([y_logical.ex, logical.ex])
+    ez = np.array([y_logical.ez, logical.ez])
+    assert estimator.logical_mask(code, ex, ez, NoiseKind.DEPOLARIZING).tolist() == [True, True]
+    assert estimator.logical_mask(code, ex, ez, NoiseKind.PURE_X).tolist() == [False, True]
 
 
 def test_verify_witness():
@@ -319,6 +327,31 @@ def test_random_hgp_bound_never_below_oracle(seed):
         rep = estimator.estimate_upper_bound(code, cfg)
         assert rep.upper_bound >= oracle.found_distance
         assert estimator.verify_witness(code, rep.witness, rep.upper_bound, kind)
+
+
+@pytest.mark.parametrize(
+    "code, kind, distance",
+    [
+        (codes.planar_surface(3), NoiseKind.DEPOLARIZING, 3),
+        (codes.ztgre(4), NoiseKind.PURE_X, 4),  # minimum logical-X weight for N=16
+    ],
+    ids=["surface_3", "ztgre_4_pureX"],
+)
+def test_bad_estimates_never_lower_the_bound(monkeypatch, code, kind, distance):
+    # A decoder estimate that misses its syndrome leaves a residual with a
+    # nonzero syndrome, which is no logical operator and must not count.
+    real = estimator._decode_chunk
+
+    def off_by_one_bit(ctx, S, prior, bp_cfg):
+        est_x, est_z, conv = real(ctx, S, prior, bp_cfg)
+        est_x[:, 0] ^= 1
+        return est_x, est_z, conv
+
+    monkeypatch.setattr(estimator, "_decode_chunk", off_by_one_bit)
+    cfg = TrialConfig(rates=(0.15,), trials_per_rate=200, master_seed=3, noise_kind=kind)
+    rep = estimator.estimate_upper_bound(code, cfg)
+    assert rep.witness is None or estimator.verify_witness(code, rep.witness, rep.upper_bound, kind)
+    assert rep.upper_bound >= distance
 
 
 def test_pure_x_mode_only_counts_x_residuals():
