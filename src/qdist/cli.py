@@ -45,6 +45,13 @@ def _add_code_selector(sp):
     sp.add_argument("--code-file", help="path to a serialized code file")
 
 
+def _add_decoder_flags(sp):
+    sp.add_argument("--noise", choices=[k.value for k in NoiseKind], default="depolarizing")
+    sp.add_argument("--max-iters", dest="max_iterations", type=int, default=100, metavar="N",
+                    help="BP iterations: at most N; BP stops earlier on a trial whose "
+                         "unsatisfied checks stop changing")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qdist", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -54,8 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--rates", type=_parse_rates, default=estimator.DEFAULT_RATES)
     est.add_argument("--trials", type=int, default=10_000)
     est.add_argument("--seed", type=int, default=0)
-    est.add_argument("--noise", choices=[k.value for k in NoiseKind], default="depolarizing")
-    est.add_argument("--max-iters", dest="max_iterations", type=int, default=100)
+    _add_decoder_flags(est)
     est.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                      help="decoding threads (default: all CPUs); the report does not depend on it")
     est.add_argument("--out", help="write the JSON report here")
@@ -73,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_selector(one)
     one.add_argument("--error", required=True, help="Pauli string, qubit 0 leftmost")
     one.add_argument("--rate", type=float, default=0.1)
-    one.add_argument("--max-iters", dest="max_iterations", type=int, default=100)
+    _add_decoder_flags(one)
 
     sub.add_parser("list-codes", help="list available code families")
     return parser
@@ -88,8 +94,10 @@ def parse_args(argv) -> argparse.Namespace:
         return args
     if (args.code_family is None) == (args.code_file is None):
         parser.error("provide exactly one of --code or --code-file")
-    if args.subcommand in ("estimate", "decode-one") and args.max_iterations < 1:
-        parser.error("--max-iters must be positive")
+    if args.subcommand in ("estimate", "decode-one"):
+        if args.max_iterations < 1:
+            parser.error("--max-iters must be positive")
+        args.noise = NoiseKind(args.noise)
     if args.subcommand == "estimate":
         if not 1 <= args.trials <= estimator.MAX_TRIALS_PER_RATE:
             parser.error("--trials must be between 1 and 2**32")
@@ -103,7 +111,6 @@ def parse_args(argv) -> argparse.Namespace:
                 parser.error(f"{flag}: directory of {path} does not exist")
             if path is not None and os.path.isdir(path):
                 parser.error(f"{flag}: {path} is a directory")
-        args.noise = NoiseKind(args.noise)
     elif args.subcommand == "brute-force":
         if args.max_weight < 1:
             parser.error("--max-weight must be positive")
@@ -170,13 +177,18 @@ def run_spec(args: argparse.Namespace) -> int:
             print(f"error: error string has {err.n} qubits, code has {code.n}", file=sys.stderr)
             return 1
         syndrome = code.syndrome(err)
-        outcome = decode(code, syndrome, ChannelPrior(args.rate), BPConfig(args.max_iterations))
+        outcome = decode(code, syndrome, ChannelPrior(args.rate, args.noise), BPConfig(args.max_iterations))
         residual = pauli.mul(err, outcome.estimate)
         r = (residual.ex[None, :], residual.ez[None, :])
+        # [logical] marks only what a sweep under this noise would count.
         if code.syndromes(*r).any():
             label = "syndrome_nonzero"
+        elif estimator.logical_mask(code, *r, args.noise)[0]:
+            label = "logical"
+        elif estimator.logical_mask(code, *r)[0]:
+            label = "logical_not_x_type"  # pure-X only: a logical with a Z part
         else:
-            label = "logical" if estimator.logical_mask(code, *r)[0] else "stabilizer"
+            label = "stabilizer"
         print(f"syndrome:  {''.join(map(str, syndrome.bits))}")
         print(f"estimate:  {pauli.to_string(outcome.estimate)}")
         print(f"residual:  {pauli.to_string(residual)}  [{label}]")

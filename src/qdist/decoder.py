@@ -8,9 +8,18 @@ the matched prior, the identical X and Y columns of a Z-only code's Hd keep
 BP from settling on pure-X errors.  Messages run in the log domain with a
 flooding schedule; the per-qubit one-hot constraint is enforced at the hard
 decision, which picks the best of {I, X, Z, Y} from the three bit marginals.
-When BP fails to converge, a reliability-ordered OSD-0 solve on the same
-matrix produces a syndrome-consistent raw vector, which the XOR collapse in
-pauli.to_symplectic turns into a valid Pauli with the same syndrome.
+BP stops on a trial once it converges, once it reaches max_iterations, or
+once it stalls: its set of unsatisfied checks is the same at
+_STALL_ITERATIONS + 1 consecutive iterations (t-2, t-1 and t).  Quantum BP
+typically fails by oscillating or in a trapping set (Raveendran & Vasic,
+arXiv:2012.15297); a trial whose unsatisfied checks have stopped changing
+is stuck and rarely converges later, so it goes to OSD-0 early, as BP+OSD
+decoders do with short BP budgets (Roffe et al., arXiv:2005.07016).  A
+trial whose checks are all satisfied finishes as converged, never as
+stalled.  When BP fails to converge, a reliability-ordered OSD-0 solve on
+the same matrix produces a syndrome-consistent raw vector, which the XOR
+collapse in pauli.to_symplectic turns into a valid Pauli with the same
+syndrome.
 
 The batch entry points decode many syndromes at once (flooding is data
 parallel across trials); decode() runs one syndrome through them as a batch
@@ -31,7 +40,9 @@ a trial has converged when each check's decision bits, gathered through a
 per-check slot table, XOR to its syndrome bit.  A trial's results are
 recorded in the iteration it finishes, but its column leaves the arrays
 only once at least an eighth of them are finished (_COMPACT_DEAD_SHARE):
-until then it keeps iterating and nothing reads it.  Every iteration calls
+until then it keeps iterating and nothing reads it.  The stall test costs
+one compare of the check rows against the previous iteration's, one
+any-reduce and a per-column counter.  Every iteration calls
 methods and ufuncs directly, with no Python wrapper in between, so a batch
 of one pays little beyond its arithmetic.
 
@@ -322,6 +333,13 @@ def _prefix(buf: np.ndarray, dtype, *shape: int) -> np.ndarray:
 # drop at once.
 _COMPACT_DEAD_SHARE = 1 / 8
 
+# bp_decode_batch finishes a live trial as not converged once its set of
+# unsatisfied checks has not changed for this many iterations (at 2: the
+# same set at t-2, t-1 and t), and OSD-0 then solves it.  BP stuck this way
+# rarely converges later; at 1 it cuts short trials that would still
+# converge, and at 3 it keeps stuck trials running for half the saving.
+_STALL_ITERATIONS = 2
+
 # float32 clip bounds: the floor under |tanh| before its log, and the bound
 # on |tanh| and on the check product before arctanh.  The loop clips with
 # the ndarray method, which is np.clip without its Python wrapper.
@@ -345,6 +363,8 @@ class _Workspace:
     flip has one row per check and a last row, stuck, which is set for a
     trial that can never converge (a syndrome bit on a vacuous check) or
     has already finished; a trial has converged when no row of flip is set.
+    prev holds the check rows of flip from the previous iteration, which
+    the stall test compares them against; compact() keeps it too.
     """
 
     def __init__(self, ctx: DecoderContext, B: int):
@@ -356,6 +376,9 @@ class _Workspace:
         self._gather = np.empty(ctx.gather_bytes * B, np.uint8)
         self._lsum = np.empty(C * B * 4, np.uint8)
         self._flip = np.empty((C + 1) * B, np.uint8)
+        self.prev_bufs = [np.empty(C * B, np.uint8) for _ in range(2)]
+        self._moved = np.empty(B, np.uint8)
+        self._done = np.empty(B, np.uint8)
         self._bits = np.empty((N + 1) * B, np.uint8)
         self._ok = np.empty(B, np.uint8)
         # Variable tables whose ids are not one range sum here, then scatter.
@@ -363,12 +386,14 @@ class _Workspace:
         self._scatter = np.empty(max(scattered, default=0) * B * 4, np.uint8)
 
     def compact(self, keep: np.ndarray) -> None:
-        """Keep only the message and total columns listed in keep."""
-        E, N, b = self.ctx.num_edges, self.ctx.nbits, keep.shape[0]
+        """Keep only the message, total and previous-check columns listed in keep."""
+        E, N, C, b = self.ctx.num_edges, self.ctx.nbits, self.ctx.check_syndrome_rows.shape[0], keep.shape[0]
         self.msg.take(keep, axis=1, out=_prefix(self.edge_bufs[1], _MSG_DTYPE, E + 1, b), mode="clip")
         self.tot.take(keep, axis=1, out=_prefix(self.tot_bufs[1], _MSG_DTYPE, N, b), mode="clip")
+        self.prev.take(keep, axis=1, out=_prefix(self.prev_bufs[1], bool, C, b), mode="clip")
         self.edge_bufs.reverse()
         self.tot_bufs.reverse()
+        self.prev_bufs.reverse()
         self.resize(b)
 
     def resize(self, b: int) -> None:
@@ -390,7 +415,11 @@ class _Workspace:
         self.flip = _prefix(self._flip, bool, C + 1, b)
         self.flip_rows = [self.flip[rows] for rows in ctx.check_bounds]
         self.stuck = self.flip[C]
+        self.unsat = self.flip[:C]
+        self.prev = _prefix(self.prev_bufs[0], bool, C, b)
         self.ok = _prefix(self._ok, bool, b)
+        self.moved = _prefix(self._moved, bool, b)
+        self.done = _prefix(self._done, bool, b)
         self.bits = _prefix(self._bits, np.uint8, N + 1, b)
         self.bits[N] = 0
         self.decision = self.bits[:N]
@@ -411,7 +440,10 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
     """Flooding sum-product over a batch of syndromes.
 
     syndromes: (B, m) uint8.  Returns (decision_bits (B, 3n) canonical
-    one-hot, posteriors (B, 3n), converged (B,), iterations (B,)).
+    one-hot, posteriors (B, 3n), converged (B,), iterations (B,)), each
+    from the iteration a trial finished in: the first where its checks are
+    all satisfied (converged), where it has stalled (its unsatisfied checks
+    the same for _STALL_ITERATIONS iterations) or max_iterations.
     """
     S = np.asarray(syndromes, dtype=np.uint8)
     if S.ndim != 2 or S.shape[1] != ctx.m:
@@ -455,6 +487,10 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
     s_rows = [s_act[rows] for rows in ctx.check_bounds]
     vac_bad = S[:, ctx.vacuous_checks].any(axis=1)
     ws.stuck[:] = vac_bad
+    ws.prev[:] = False
+    # The iteration in which each column's unsatisfied checks last changed;
+    # the first iteration, which has nothing to compare with, counts as one.
+    last = np.ones(B, dtype=np.intp)
 
     for it in range(1, cfg.max_iterations + 1):
         # Variable-to-check messages from the previous totals (every message
@@ -513,8 +549,20 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
             f ^= s
         ok = np.logical_or.reduce(ws.flip, axis=0, out=ws.ok)
         np.logical_not(ok, out=ok)
+        # Stall test: has the set of unsatisfied checks (flip without the
+        # stuck row) changed since the previous iteration?
+        ws.prev ^= ws.unsat
+        moved = np.logical_or.reduce(ws.prev, axis=0, out=ws.moved)
+        np.copyto(ws.prev, ws.unsat)
+        np.copyto(last, it, where=moved)
 
-        done = ok if it < cfg.max_iterations else live
+        if it < cfg.max_iterations:
+            # A converged trial finishes as converged even if it also stalled.
+            done = np.less_equal(last, it - _STALL_ITERATIONS, out=ws.done)
+            done &= live
+            done |= ok
+        else:
+            done = live
         n_done = np.count_nonzero(done)
         if not n_done:
             continue
@@ -541,6 +589,7 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
             active = active[keep]
             s_act = s_act[:, keep]
             s_rows = [s_act[rows] for rows in ctx.check_bounds]
+            last = last[keep]
             b = n_live
             live = np.ones(b, dtype=bool)
             ws.compact(keep)

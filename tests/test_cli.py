@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from qdist import cli, codes, pauli
+from qdist import cli, codes, decoder, pauli
+from qdist.estimator import NoiseKind
 
 
 def run(argv, capsys):
@@ -152,6 +153,39 @@ def test_decode_one_labels_a_logical_residual(capsys):
     )
     assert code == 0
     assert "[logical]" in out
+
+
+def test_decode_one_pure_x_decodes_as_the_sweep_does(capsys):
+    # A pure-X sweep decodes with the pure-X prior and counts only X-type
+    # logicals; decode-one --noise pureX must do both.
+    code = codes.ztgre(3)
+    one = ["decode-one", "--code", "ztgre", "--params", "3"]
+    assert cli.parse_args([*one, "--error", "XXIIIIII"]).noise is NoiseKind.DEPOLARIZING
+    assert cli.parse_args([*one, "--error", "XXIIIIII", "--noise", "pureX"]).noise is NoiseKind.PURE_X
+    err = pauli.from_string("XXIIIIII")
+    for kind in NoiseKind:
+        want = decoder.decode(code, code.syndrome(err), decoder.ChannelPrior(0.1, kind))
+        status, out, _ = run([*one, "--error", "XXIIIIII", "--noise", kind.value], capsys)
+        assert status == 0
+        assert f"estimate:  {pauli.to_string(want.estimate)}\n" in out
+        assert f"iterations={want.iterations}\n" in out
+        assert "[logical]" in out  # the residual is X-type
+    # The priors differ, and so do the decodes: the flag reaches the decoder.
+    single_x = [*one, "--error", "XIIIIIII"]
+    assert run(single_x, capsys)[1] != run([*single_x, "--noise", "pureX"], capsys)[1]
+    # Z errors leave no syndrome on this Z-only code: Z on one qubit is a
+    # logical that a pure-X sweep does not count.
+    z_one = [*one, "--error", "ZIIIIIII"]
+    assert "[logical]" in run(z_one, capsys)[1]
+    assert "[logical_not_x_type]" in run([*z_one, "--noise", "pureX"], capsys)[1]
+
+
+def test_decode_one_rejects_unknown_noise(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decode-one", "--code", "ztgre", "--params", "3", "--error", "XIIIIIII", "--noise", "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--noise" in err and "invalid choice" in err and "Traceback" not in err
 
 
 def test_decode_one_wrong_length(capsys):

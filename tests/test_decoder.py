@@ -271,8 +271,8 @@ def test_batch_shape_validation():
 # ---------------------------------------------------------------------------
 # Reference BP kernel: the trial-major segment-sum kernel that
 # bp_decode_batch replaced, kept unchanged apart from building its edge
-# layout from the context's edge lists and taking the prior as per-bit
-# (3n,) LLRs and probabilities in place of one scalar of each.
+# layout from the context's edge lists, taking the prior as per-bit (3n,)
+# LLRs and probabilities in place of one scalar of each, and the stall rule.
 # bp_decode_batch must reproduce it bit for bit.
 
 
@@ -308,7 +308,10 @@ def _decision_reference(llr, n):
     return bits
 
 
-def _bp_reference(ctx, syndromes, prior_llr, prior_prob, cfg):
+def _bp_reference(ctx, syndromes, prior_llr, prior_prob, cfg, stall=decoder._STALL_ITERATIONS):
+    """stall: a trial that is not converged finishes once its set of
+    unsatisfied checks is the same at stall + 1 consecutive iterations;
+    None never stalls."""
     _MSG_DTYPE = decoder._MSG_DTYPE
     _TANH_EPS = decoder._TANH_EPS
     _LOG_FLOOR = decoder._LOG_FLOOR
@@ -339,6 +342,7 @@ def _bp_reference(ctx, syndromes, prior_llr, prior_prob, cfg):
     sign_act = (1.0 - 2.0 * s_act).astype(_MSG_DTYPE)
     vac_ok = vacuous_ok
     cur_mcv = np.zeros((B, ctx.num_edges), dtype=_MSG_DTYPE)
+    history = []  # (trials, checks) unsatisfied sets of the last stall + 1 iterations
 
     def posterior_llr(mcv):
         tot = np.tile(prior_llr, (mcv.shape[0], 1))
@@ -361,9 +365,15 @@ def _bp_reference(ctx, syndromes, prior_llr, prior_prob, cfg):
         tot = posterior_llr(cur_mcv)
         bits = _decision_reference(tot, n)
         parity = (_segment_sum(bits[:, edge_var].astype(np.int64), check_ptr) & 1).astype(np.uint8)
-        ok = ~np.any(parity != s_act, axis=1) & vac_ok
+        unsat = parity != s_act
+        ok = ~np.any(unsat, axis=1) & vac_ok
+        stalled = np.zeros(active.shape[0], dtype=bool)
+        if stall is not None:
+            history = (history + [unsat])[-(stall + 1) :]
+            if len(history) == stall + 1:
+                stalled = np.all([(h == unsat).all(axis=1) for h in history], axis=0)
 
-        done = ok if it < cfg.max_iterations else np.ones(active.shape[0], dtype=bool)
+        done = ok | stalled if it < cfg.max_iterations else np.ones(active.shape[0], dtype=bool)
         if done.any():
             idx = active[done]
             out_bits[idx] = bits[done]
@@ -379,6 +389,7 @@ def _bp_reference(ctx, syndromes, prior_llr, prior_prob, cfg):
             sign_act = sign_act[keep]
             s_act = s_act[keep]
             vac_ok = vac_ok[keep]
+            history = [h[keep] for h in history]
     return out_bits, out_post, out_conv, out_iter
 
 
@@ -670,6 +681,76 @@ def test_bp_trials_that_finish_before_any_compaction(monkeypatch):
         assert np.array_equal(g, w)
     assert got[2].all() and list(got[3]) == [1] + [iters[late]] * 8
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# Stall rule: a trial whose unsatisfied checks stop changing finishes early,
+# not converged, and goes to OSD-0.
+
+
+STALL_CASES = [
+    (lambda: codes.toric(3), NoiseKind.DEPOLARIZING),
+    (lambda: codes.chamon(3, 3, 3), NoiseKind.DEPOLARIZING),
+    (lambda: codes.ztgre(5), NoiseKind.PURE_X),
+]
+
+
+def _stall_inputs(make, kind, batch):
+    code = make()
+    ctx = decoder.DecoderContext.for_code(code)
+    ex, ez = estimator._sample_batch(code, 0.09, kind, 41, 0, batch)
+    return ctx, code.syndromes(ex, ez), decoder.ChannelPrior(0.09, kind), decoder.BPConfig(max_iterations=30)
+
+
+@pytest.mark.parametrize("batch", [1, 7, 300])
+@pytest.mark.parametrize("make,kind", STALL_CASES)
+def test_bp_without_stall_rule_matches_rule_free_reference(make, kind, batch, monkeypatch):
+    # Toric and Chamon have dependent generators, ztgre is Z-only; at 300
+    # the arrays are compacted while trials are still running.
+    ctx, S, prior, cfg = _stall_inputs(make, kind, batch)
+    with_rule = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    calls = _spy_compactions(monkeypatch)
+    monkeypatch.setattr(decoder, "_STALL_ITERATIONS", cfg.max_iterations + 1)
+    got = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    want = _bp_reference(ctx, S, *_reference_prior(prior, ctx, cfg), cfg, stall=None)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert np.array_equal(g, w)
+    if batch == 300:
+        assert calls and not got[2].all()
+        assert not np.array_equal(got[3], with_rule[3])  # the rule was on before
+
+
+@pytest.mark.parametrize("make,kind", STALL_CASES)
+def test_stall_rule_only_cuts_failing_trials_short(make, kind):
+    # Each trial's BP runs on its own column, so until the rule finishes a
+    # trial it follows the rule-free run exactly.
+    ctx, S, prior, cfg = _stall_inputs(make, kind, 300)
+    bits, post, conv, iters = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    f_bits, f_post, f_conv, f_iters = _bp_reference(ctx, S, *_reference_prior(prior, ctx, cfg), cfg, stall=None)
+    assert conv.any() and np.array_equal(bits[conv], f_bits[conv]) and np.array_equal(post[conv], f_post[conv])
+    assert np.array_equal(iters[conv], f_iters[conv]) and f_conv[conv].all()
+    assert (iters[~conv] <= f_iters[~conv]).all()
+    # Some trials stalled before the cap: at least three iterations, since
+    # the first has nothing to compare with.
+    stalled = ~conv & (iters < cfg.max_iterations)
+    assert stalled.any() and iters[stalled].min() >= decoder._STALL_ITERATIONS + 1
+
+
+def test_decode_hands_a_stalled_trial_to_osd():
+    code = codes.planar_surface(7)
+    cfg = decoder.BPConfig()
+    prior = decoder.ChannelPrior(0.1)
+    ex, ez = estimator._sample_batch(code, 0.1, NoiseKind.DEPOLARIZING, 43, 0, 40)
+    for x, z in zip(ex, ez):
+        s = code.syndrome(pauli.SymplecticPauli.from_arrays(x, z))
+        out = decoder.decode(code, s, prior, cfg)
+        if not out.bp_converged and out.iterations < cfg.max_iterations:
+            break
+    else:
+        pytest.fail("no trial stalled")
+    assert out.osd_applied
+    assert code.syndrome(out.estimate) == s
 
 
 @pytest.mark.parametrize("degree", range(1, 18))

@@ -188,7 +188,7 @@ def test_symplectic_pauli_is_immutable_and_owns_its_bits():
         with pytest.raises(AttributeError):
             setattr(p, name, np.zeros(3, np.uint8))
     with pytest.raises(ValueError):
-        p.ex[0] = 0  # the row views are read-only
+        p.ex[0] = 0  # the rows are read-only
     assert pauli.to_string(p) == "XZY"
     assert p.ex.dtype == np.uint8 and p.ex.shape == p.ez.shape == (3,)
     # __eq__ compares qubit count and bits.
@@ -200,3 +200,28 @@ def test_symplectic_pauli_is_immutable_and_owns_its_bits():
     # Pickling and copying go through the constructor.
     assert pickle.loads(pickle.dumps(p)) == p
     assert copy.deepcopy(p) == p and copy.copy(p) == p
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 85])
+def test_symplectic_pauli_packed_round_trip(n):
+    # The bits are stored eight to a byte; lengths on and off a byte
+    # boundary must read back exactly, and compare, pickle and lock the same.
+    rng = np.random.default_rng(n)
+    ex = rng.integers(0, 2, n, dtype=np.uint8)
+    ez = rng.integers(0, 2, n, dtype=np.uint8)
+    p = pauli.SymplecticPauli.from_arrays(ex, ez)
+    for got, want in ((p.ex, ex), (p.ez, ez)):
+        assert got.dtype == np.uint8 and got.shape == (n,)
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+        if n:
+            with pytest.raises(ValueError):
+                got[0] ^= 1
+    assert p.n == n and len(p._bits) == 2 * ((n + 7) // 8)
+    assert p == pauli.SymplecticPauli(n, ex.copy(), ez.copy())
+    assert pickle.loads(pickle.dumps(p)) == p
+    if n:
+        flipped = ez.copy()
+        flipped[-1] ^= 1  # the last bit of the last byte
+        assert p != pauli.SymplecticPauli.from_arrays(ex, flipped)
+        assert p != pauli.SymplecticPauli.from_arrays(ez, ex) or np.array_equal(ex, ez)
