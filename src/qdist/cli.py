@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import codes, estimator, pauli
-from .decoder import BPConfig, ChannelPrior, decode
+from .decoder import BPConfig, ChannelPrior, InfeasibleSyndrome, decode
 from .estimator import NoiseKind, TrialConfig
 
 
@@ -177,7 +177,15 @@ def run_spec(args: argparse.Namespace) -> int:
             print(f"error: error string has {err.n} qubits, code has {code.n}", file=sys.stderr)
             return 1
         syndrome = code.syndrome(err)
-        outcome = decode(code, syndrome, ChannelPrior(args.rate, args.noise), BPConfig(args.max_iterations))
+        try:
+            outcome = decode(code, syndrome, ChannelPrior(args.rate, args.noise), BPConfig(args.max_iterations))
+        except InfeasibleSyndrome:
+            # OSD-0 solves on the bits the channel can flip; only pure-X
+            # noise leaves some of a syndrome's explanations out.
+            if args.noise != NoiseKind.PURE_X:
+                raise
+            print("error: no X-type error has this syndrome", file=sys.stderr)
+            return 1
         residual = pauli.mul(err, outcome.estimate)
         r = (residual.ex[None, :], residual.ez[None, :])
         # [logical] marks only what a sweep under this noise would count.

@@ -16,10 +16,13 @@ arXiv:2012.15297); a trial whose unsatisfied checks have stopped changing
 is stuck and rarely converges later, so it goes to OSD-0 early, as BP+OSD
 decoders do with short BP budgets (Roffe et al., arXiv:2005.07016).  A
 trial whose checks are all satisfied finishes as converged, never as
-stalled.  When BP fails to converge, a reliability-ordered OSD-0 solve on
-the same matrix produces a syndrome-consistent raw vector, which the XOR
-collapse in pauli.to_symplectic turns into a valid Pauli with the same
-syndrome.
+stalled.  When BP fails to converge, a reliability-ordered OSD-0 solve
+produces a syndrome-consistent raw vector, which the XOR collapse in
+pauli.to_symplectic turns into a valid Pauli with the same syndrome.  OSD-0
+solves on the columns the channel can flip: all of Hd under depolarizing
+noise, and under pure-X noise the X block alone (Hz on the n X bits, the
+classical BP+OSD setting of Roffe et al.), so a pure-X estimate from OSD-0
+is always X-type.
 
 The batch entry points decode many syndromes at once (flooding is data
 parallel across trials); decode() runs one syndrome through them as a batch
@@ -627,23 +630,41 @@ def _reliability_order(posteriors: np.ndarray) -> np.ndarray:
     return keys.astype(np.intp)
 
 
-def osd_post_process(ctx: DecoderContext, syndromes: np.ndarray, posteriors: np.ndarray) -> np.ndarray:
-    """OSD-0: solve Hd·x = s on the most reliable independent column set.
+class InfeasibleSyndrome(RuntimeError):
+    """A syndrome that no error on the channel's columns of Hd produces."""
+
+
+def osd_post_process(
+    ctx: DecoderContext, syndromes: np.ndarray, posteriors: np.ndarray, prior: ChannelPrior
+) -> np.ndarray:
+    """OSD-0: solve Hd·x = s on the most reliable independent column set
+    among the bits the channel can flip.
 
     Takes a (B, m) syndrome batch with (B, 3n) posteriors and returns
-    (B, 3n) bits.  Columns are ranked by descending float32 posterior
-    P(bit=1) (ties: ascending index) in one sort of integer keys; BP's
-    posteriors are float32 values, so the float32 ranking loses nothing.
-    One batched elimination then solves every row; each equals
-    gf2.solve_selected's.  A trial's elimination ends as soon as its
-    syndrome is solved, usually long before rank(Hd) pivots.  The syndrome
-    of a real error always lies in the column space; Infeasible therefore
-    indicates a broken check matrix and is re-raised as such.
+    (B, 3n) bits.  Only the columns with nonzero prior probability take
+    part: every column under depolarizing noise, the X block (Hz) under
+    pure-X noise, whose estimates therefore have no Z or Y bit.  Those
+    columns are ranked by descending float32 posterior P(bit=1) (ties:
+    ascending index) in one sort of integer keys; BP's posteriors are
+    float32 values, so the float32 ranking loses nothing.  One batched elimination then solves every row;
+    each equals gf2.solve_selected's on the same columns.  A trial's
+    elimination ends as soon as its syndrome is solved, usually long before
+    rank(Hd) pivots.  The syndrome of an error the channel can make always
+    lies in that column space; a syndrome outside it (a broken check
+    matrix, or under pure-X an error with a Z part) raises
+    InfeasibleSyndrome.
     """
+    S = np.asarray(syndromes, dtype=np.uint8)
+    post = np.asarray(posteriors)
+    if S.ndim != 2 or S.shape[1] != ctx.m or post.shape != (S.shape[0], ctx.nbits):
+        raise ValueError("expected a (B, m) syndrome batch and (B, 3n) posteriors")
+    cols = np.flatnonzero(prior.bit_probs(ctx.nbits // 3) > 0)
+    bits = np.zeros((S.shape[0], ctx.nbits), dtype=np.uint8)
     try:
-        return gf2.solve_selected_batch(ctx.hd, syndromes, _reliability_order(posteriors))
+        bits[:, cols] = gf2.solve_selected_batch(ctx.hd[:, cols], S, _reliability_order(post[:, cols]))
     except gf2.Infeasible as exc:
-        raise RuntimeError("syndrome outside the column space of Hd") from exc
+        raise InfeasibleSyndrome("syndrome outside the column space of the channel's columns of Hd") from exc
+    return bits
 
 
 def decode(
@@ -658,7 +679,7 @@ def decode(
     s = syndrome.bits
     bits, post, conv, iters = bp_decode(ctx, s, prior, cfg)
     if not conv:
-        bits = osd_post_process(ctx, s[None, :], post[None, :])[0]
+        bits = osd_post_process(ctx, s[None, :], post[None, :], prior)[0]
     return DecodeOutcome(
         estimate=pauli.to_symplectic(bits),
         bp_converged=conv,

@@ -303,7 +303,7 @@ def _decode_chunk(ctx: DecoderContext, S: np.ndarray, prior: ChannelPrior, cfg: 
     bits, post, conv, _ = bp_decode_batch(ctx, S, prior, cfg)
     failed = ~conv
     if failed.any():
-        bits[failed] = osd_post_process(ctx, S[failed], post[failed])
+        bits[failed] = osd_post_process(ctx, S[failed], post[failed], prior)
     n = ctx.nbits // 3
     a, b, c = bits[:, :n], bits[:, n : 2 * n], bits[:, 2 * n :]
     return a ^ c, b ^ c, conv

@@ -180,6 +180,16 @@ def test_decode_one_pure_x_decodes_as_the_sweep_does(capsys):
     assert "[logical_not_x_type]" in run([*z_one, "--noise", "pureX"], capsys)[1]
 
 
+def test_decode_one_pure_x_syndrome_without_x_type_error(capsys):
+    # A Z error on planar surface 3 trips X-type checks, which no X error
+    # reaches; BP does not converge on it, and OSD-0 solves on the X block.
+    status, out, err = run(
+        ["decode-one", "--code", "surface", "--params", "3", "--noise", "pureX", "--error", "ZIIIIIIIIIIII"], capsys
+    )
+    assert status == 1
+    assert out == "" and err == "error: no X-type error has this syndrome\n"
+
+
 def test_decode_one_rejects_unknown_noise(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["decode-one", "--code", "ztgre", "--params", "3", "--error", "XIIIIIII", "--noise", "bogus"])

@@ -179,7 +179,7 @@ def test_osd_output_always_satisfies_syndrome():
         ez = rng.integers(0, 2, code.n, dtype=np.uint8)
         s = code.syndrome(pauli.SymplecticPauli.from_arrays(ex, ez))
         bits, post, conv, _ = decoder.bp_decode(ctx, s.bits, prior, cfg)
-        raw = decoder.osd_post_process(ctx, s.bits[None, :], post[None, :])
+        raw = decoder.osd_post_process(ctx, s.bits[None, :], post[None, :], prior)
         assert raw.shape == (1, ctx.nbits)
         got = pauli.syndrome_decoupled(code.hd, raw[0])
         assert got == s
@@ -196,17 +196,18 @@ def test_batched_osd_matches_single_on_failed_trials(make):
     ex, ez = estimator._sample_batch(code, 0.12, kind, 5, 0, 120)
     errors = [pauli.SymplecticPauli.from_arrays(x, z) for x, z in zip(ex, ez)]
     S = np.array([code.syndrome(e).bits for e in errors], dtype=np.uint8)
-    _, post, conv, _ = decoder.bp_decode_batch(ctx, S, decoder.ChannelPrior(0.12), decoder.BPConfig(max_iterations=8))
+    prior = decoder.ChannelPrior(0.12)
+    _, post, conv, _ = decoder.bp_decode_batch(ctx, S, prior, decoder.BPConfig(max_iterations=8))
     S, post = S[~conv], post[~conv]
     assert S.shape[0] >= 10
-    batch = decoder.osd_post_process(ctx, S, post)
+    batch = decoder.osd_post_process(ctx, S, post, prior)
     assert batch.shape == (S.shape[0], ctx.nbits)
     for i in range(S.shape[0]):
         # Reference: the serial solve on columns by descending posterior, ties by index.
         order = np.lexsort((np.arange(ctx.nbits), -post[i]))
         ref = gf2.solve_selected(ctx.hd, S[i], order)
         assert np.array_equal(batch[i], ref)
-        assert np.array_equal(decoder.osd_post_process(ctx, S[i : i + 1], post[i : i + 1])[0], ref)
+        assert np.array_equal(decoder.osd_post_process(ctx, S[i : i + 1], post[i : i + 1], prior)[0], ref)
         assert np.array_equal(pauli.syndrome_decoupled(code.hd, ref).bits, S[i])
 
 
@@ -217,11 +218,12 @@ def test_osd_infeasible_syndrome_raises():
     s = np.zeros(ctx.m, dtype=np.uint8)
     s[0] = 1  # a lone violated check cannot happen on a torus
     post = np.full(ctx.nbits, 0.1)
+    prior = decoder.ChannelPrior(0.1)
     with pytest.raises(RuntimeError):
-        decoder.osd_post_process(ctx, s[None, :], post[None, :])
+        decoder.osd_post_process(ctx, s[None, :], post[None, :], prior)
     # OSD takes batches only: one syndrome needs a batch axis.
     with pytest.raises(ValueError):
-        decoder.osd_post_process(ctx, np.zeros(ctx.m, np.uint8), post)
+        decoder.osd_post_process(ctx, np.zeros(ctx.m, np.uint8), post, prior)
 
 
 def test_osd_prefers_reliable_columns():
@@ -231,7 +233,7 @@ def test_osd_prefers_reliable_columns():
     err = pauli.from_string("X" + "I" * (code.n - 1))
     d = pauli.to_decoupled(err)
     post = np.where(d > 0, 0.9, 0.001)
-    raw = decoder.osd_post_process(ctx, code.syndrome(err).bits[None, :], post[None, :])
+    raw = decoder.osd_post_process(ctx, code.syndrome(err).bits[None, :], post[None, :], decoder.ChannelPrior(0.1))
     assert np.array_equal(raw, d[None, :])
 
 
@@ -796,10 +798,17 @@ def test_reliability_order_matches_stable_argsort_on_ties():
     for p in (post, rounded, mixed):
         order = decoder._reliability_order(p)
         assert np.array_equal(order, np.argsort(-p, axis=1, kind="stable"))
-        batch = decoder.osd_post_process(ctx, S, p)
+        # OSD-0 under pure-X ranks the X block alone, whose ties the
+        # rounded and mixed posteriors keep; the depolarizing solve ranks all
+        # 3n columns, the Z block's tied posteriors among them.
+        batch = decoder.osd_post_process(ctx, S, p, prior)
+        full = decoder.osd_post_process(ctx, S, p, decoder.ChannelPrior(0.12))
+        assert not batch[:, n:].any()
         for i in range(S.shape[0]):
+            ref = gf2.solve_selected(ctx.hd[:, :n], S[i], np.lexsort((np.arange(n), -p[i, :n])))
+            assert np.array_equal(batch[i, :n], ref)
             ref = gf2.solve_selected(ctx.hd, S[i], np.lexsort((np.arange(ctx.nbits), -p[i])))
-            assert np.array_equal(batch[i], ref)
+            assert np.array_equal(full[i], ref)
 
 
 def test_osd_mixed_batch_with_one_infeasible_syndrome_raises():
@@ -812,8 +821,81 @@ def test_osd_mixed_batch_with_one_infeasible_syndrome_raises():
     bad = np.zeros(ctx.m, dtype=np.uint8)
     bad[0] = 1  # a lone violated check cannot happen on a torus
     post = np.random.default_rng(5).random((41, ctx.nbits)).astype(np.float32)
+    prior = decoder.ChannelPrior(0.2)
     for at in (0, 17, 40):
         mixed = np.insert(S, at, bad, axis=0)
         with pytest.raises(RuntimeError, match="column space"):
-            decoder.osd_post_process(ctx, mixed, post)
-    assert decoder.osd_post_process(ctx, S, post[:40]).shape == (40, ctx.nbits)
+            decoder.osd_post_process(ctx, mixed, post, prior)
+    assert decoder.osd_post_process(ctx, S, post[:40], prior).shape == (40, ctx.nbits)
+
+
+def _pauli_parts(bits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ex, ez) of (B, 3n) decoupled bits: Y sets both parts."""
+    return bits[:, :n] ^ bits[:, 2 * n :], bits[:, n : 2 * n] ^ bits[:, 2 * n :]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: codes.ztgre(5), lambda: codes.planar_surface(3), lambda: codes.toric(3), lambda: codes.chamon(3, 3, 3)],
+    ids=["ztgre_5", "planar_surface_3", "toric_3", "chamon_3_3_3"],
+)
+def test_pure_x_osd_solves_on_the_x_block(make):
+    # Under pure-X noise OSD-0 solves Hz·x = s on the n X columns alone.
+    # Half of Hz's rows are zero on planar_surface_3 and toric_3, toric_3 has
+    # dependent generators, and chamon_3_3_3 is non-CSS.  Posteriors are
+    # BP's own from trials it failed to decode.
+    code = make()
+    ctx = decoder.DecoderContext.for_code(code)
+    n = code.n
+    prior = decoder.ChannelPrior(0.12, NoiseKind.PURE_X)
+    ex, ez = estimator._sample_batch(code, 0.12, NoiseKind.PURE_X, 5, 0, 200)
+    S = code.syndromes(ex, ez)
+    _, post, conv, _ = decoder.bp_decode_batch(ctx, S, prior, decoder.BPConfig(max_iterations=8))
+    S, post = S[~conv], post[~conv]
+    assert S.shape[0] >= 20
+    batch = decoder.osd_post_process(ctx, S, post, prior)
+    assert batch.shape == (S.shape[0], ctx.nbits)
+    assert not batch[:, n:].any()  # no Z or Y bit
+    for i in range(S.shape[0]):
+        # Reference: the serial solve on Hz by descending X-part posterior, ties by index.
+        order = np.lexsort((np.arange(n), -post[i, :n]))
+        assert np.array_equal(batch[i, :n], gf2.solve_selected(ctx.hd[:, :n], S[i], order))
+    assert np.array_equal(code.syndromes(batch[:, :n], np.zeros_like(batch[:, :n])), S)
+
+
+def test_pure_x_osd_raises_on_a_row_the_x_block_cannot_reach():
+    # An X-type check of planar_surface_3 has no X column, so a syndrome bit
+    # on it has no X-type explanation.
+    code = codes.planar_surface(3)
+    ctx = decoder.DecoderContext.for_code(code)
+    unreachable = np.flatnonzero(~ctx.hd[:, : code.n].any(axis=1))
+    assert unreachable.size == ctx.m // 2
+    ex, ez = estimator._sample_batch(code, 0.12, NoiseKind.PURE_X, 5, 0, 20)
+    S = code.syndromes(ex, ez)
+    S[7, unreachable[0]] ^= 1
+    post = np.full((20, ctx.nbits), 0.1)
+    with pytest.raises(decoder.InfeasibleSyndrome, match="column space"):
+        decoder.osd_post_process(ctx, S, post, decoder.ChannelPrior(0.12, NoiseKind.PURE_X))
+    # The depolarizing solve reaches that row through the Z columns.
+    depol = decoder.osd_post_process(ctx, S, post, decoder.ChannelPrior(0.12))
+    assert np.array_equal(code.syndromes(*_pauli_parts(depol, code.n)), S)
+
+
+def test_pure_x_osd_never_pivots_on_a_y_column():
+    # Trial 359 of ztgre_7 at p = 0.08 (master seed 5, rate index 2): BP does
+    # not converge in 30 iterations, and OSD-0 over all 3n columns picks a
+    # Y column, so its estimate has a Z part.  OSD-0 on the X block cannot.
+    code = codes.ztgre(7)
+    ctx = decoder.DecoderContext.for_code(code)
+    n = code.n
+    err = estimator.sample_error(n, 0.08, NoiseKind.PURE_X, estimator.trial_rng(5, 2, 359))
+    assert np.flatnonzero(err.ex).tolist() == [20, 25, 26, 27, 45, 114, 116]
+    s = code.syndrome(err).bits[None, :]
+    prior = decoder.ChannelPrior(0.08, NoiseKind.PURE_X)
+    _, post, conv, _ = decoder.bp_decode_batch(ctx, s, prior, decoder.BPConfig(max_iterations=30))
+    assert not conv[0]
+    full = gf2.solve_selected(ctx.hd, s[0], np.lexsort((np.arange(ctx.nbits), -post[0])))
+    assert _pauli_parts(full[None, :], n)[1].any()
+    bits = decoder.osd_post_process(ctx, s, post, prior)
+    assert not bits[:, n:].any()
+    assert np.array_equal(code.syndromes(bits[:, :n], np.zeros_like(bits[:, :n])), s)

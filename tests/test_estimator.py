@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qdist import codes, estimator, pauli
-from qdist.decoder import BPConfig
+from qdist.decoder import BPConfig, ChannelPrior, DecoderContext
 from qdist.estimator import NoiseKind, TrialConfig
 
 
@@ -271,10 +271,7 @@ def test_estimate_reports_are_reproducible():
     assert r1.to_json() == r2.to_json()
 
 
-def test_estimate_independent_of_thread_count(monkeypatch):
-    code = codes.planar_surface(2)
-    cfg = TrialConfig(rates=(0.1,), trials_per_rate=600, master_seed=5,
-                      decoder=BPConfig(max_iterations=15))
+def _assert_independent_of_thread_count(monkeypatch, code, cfg):
     chunk_sizes = []
     real = estimator._decode_chunk
 
@@ -291,6 +288,31 @@ def test_estimate_independent_of_thread_count(monkeypatch):
     whole = estimator.estimate_upper_bound(code, cfg).to_json()
     assert chunk_sizes[6:] == [600]
     assert r1 == r3 == whole
+
+
+def test_estimate_independent_of_thread_count(monkeypatch):
+    cfg = TrialConfig(rates=(0.1,), trials_per_rate=600, master_seed=5,
+                      decoder=BPConfig(max_iterations=15))
+    _assert_independent_of_thread_count(monkeypatch, codes.planar_surface(2), cfg)
+
+
+def test_estimate_pure_x_independent_of_thread_count(monkeypatch):
+    cfg = TrialConfig(rates=(0.08,), trials_per_rate=600, master_seed=5, noise_kind=NoiseKind.PURE_X,
+                      decoder=BPConfig(max_iterations=15))
+    _assert_independent_of_thread_count(monkeypatch, codes.ztgre(4), cfg)
+
+
+def test_pure_x_osd_estimates_are_x_type():
+    # The first 400 trials of ztgre_7 at p = 0.08 (master seed 5, rate index
+    # 2) include trial 359, where OSD-0 over all 3n columns picked a Y column.
+    # BP-converged decisions may still have a Z part; logical_mask drops those.
+    code = codes.ztgre(7)
+    ctx = DecoderContext.for_code(code)
+    ex, ez = estimator._sample_batch(code, 0.08, NoiseKind.PURE_X, 5, 2, 400)
+    prior = ChannelPrior(0.08, NoiseKind.PURE_X)
+    est_x, est_z, conv = estimator._decode_chunk(ctx, code.syndromes(ex, ez), prior, BPConfig(max_iterations=30))
+    assert (~conv).sum() >= 100
+    assert not est_z[~conv].any()
 
 
 def test_estimate_rejects_bad_thread_count():

@@ -4,7 +4,8 @@ The Chamon bounds (5,5,5) -> 10 and (4,5,6) -> 20 are the paper's evidence
 for O(N^(2/3)) distance growth; the Z-type expansion N = 512 -> 10 is its
 largest pure-X instance.  At 1,000 trials per rate, p = 0.08 and 30 BP
 iterations, seed 1 reaches each value with a verified witness.  The module is
-marked `stretch` (about 20 s in all); select it with `-m stretch`.
+marked `stretch` (about 7 s in all on 2 vCPUs, 2.3-2.4 s of it for
+ztgre N = 512); select it with `-m stretch`.
 """
 
 import pytest
