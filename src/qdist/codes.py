@@ -67,8 +67,11 @@ class StabilizerCode:
         self.n = hx.shape[1]
         self.metadata = dict(metadata or {})
         self._generator_matrix = np.hstack([hx, hz])
-        # [Hz | Hx]^T, so that [ex | ez] times it is Hz·ex + Hx·ez.
-        self._syndrome_matrix = np.vstack([hz.T, hx.T]).astype(np.float32)
+        # Row i: the columns of [ex | ez] generator i checks, padded with 2n (kept zero).
+        rows, cols = np.divmod(np.flatnonzero(np.hstack([hz, hx]).view(bool)), 2 * self.n)
+        slot = np.arange(rows.shape[0]) - np.searchsorted(rows, rows)
+        self._syndrome_table = np.full((hx.shape[0], slot.max(initial=-1) + 1), 2 * self.n, dtype=np.intp)
+        self._syndrome_table[rows, slot] = cols
         self._stabilizer_reducer = gf2.RowSpanReducer(self._generator_matrix)
         self.k = self.n - self._stabilizer_reducer.rank
         self.hd = decoupled_parity_check(hx, hz)
@@ -91,16 +94,15 @@ class StabilizerCode:
     def syndromes(self, ex: np.ndarray, ez: np.ndarray) -> np.ndarray:
         """Syndromes of a batch of Paulis: row b is (Hx·ez[b] + Hz·ex[b]) mod 2.
 
-        ex and ez are (B, n) 0/1 arrays; returns (B, m) uint8.  The product
-        runs in float32, which is exact here: every dot product is an integer
-        of at most 2n.
+        ex and ez are (B, n) 0/1 arrays; returns (B, m) uint8.  Each bit XORs
+        the bits its generator checks, gathered batch-minor through a padded
+        column table: no BLAS call, whose threads cost more to wake than this.
         """
-        ex = np.asarray(ex)
-        ez = np.asarray(ez)
+        ex, ez = np.asarray(ex), np.asarray(ez)
         if ex.ndim != 2 or ex.shape != ez.shape or ex.shape[1] != self.n:
             raise ValueError(f"expected two (B, {self.n}) arrays ex and ez")
-        dots = np.hstack([ex, ez]) @ self._syndrome_matrix
-        return (dots.astype(np.int32) & 1).astype(np.uint8)
+        bits = np.vstack([ex.T, ez.T, np.zeros((1, ex.shape[0]), np.uint8)]).astype(np.uint8, copy=False)
+        return (np.bitwise_xor.reduce(bits[self._syndrome_table], axis=1) & 1).T.copy()
 
     def syndrome(self, e: pauli.SymplecticPauli) -> pauli.Syndrome:
         return pauli.Syndrome(self.syndromes(e.ex[None, :], e.ez[None, :])[0])

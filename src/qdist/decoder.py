@@ -58,6 +58,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -351,7 +352,8 @@ _PROD_HI = _MSG_DTYPE(1.0 - _TANH_EPS)
 
 
 class _Workspace:
-    """The buffers of one bp_decode_batch call, allocated once for B trials.
+    """The buffers of one bp_decode_batch call for B trials, 64-byte aligned in
+    one allocation: it lifts glibc's trim threshold, so later calls reuse pages.
 
     resize(b) lays C-contiguous (rows, b) arrays over the leading bytes of
     each buffer for the b columns still kept, zeroes the padding rows the
@@ -373,20 +375,16 @@ class _Workspace:
     def __init__(self, ctx: DecoderContext, B: int):
         self.ctx = ctx
         E, N, C = ctx.num_edges, ctx.nbits, ctx.check_syndrome_rows.shape[0]
-        self.edge_bufs = [np.empty((E + 1) * B * 4, np.uint8) for _ in range(2)]  # messages, lg
-        self.tot_bufs = [np.empty(N * B * 4, np.uint8) for _ in range(2)]
-        self._neg = np.empty((E + 1) * B, np.uint8)
-        self._gather = np.empty(ctx.gather_bytes * B, np.uint8)
-        self._lsum = np.empty(C * B * 4, np.uint8)
-        self._flip = np.empty((C + 1) * B, np.uint8)
-        self.prev_bufs = [np.empty(C * B, np.uint8) for _ in range(2)]
-        self._moved = np.empty(B, np.uint8)
-        self._done = np.empty(B, np.uint8)
-        self._bits = np.empty((N + 1) * B, np.uint8)
-        self._ok = np.empty(B, np.uint8)
-        # Variable tables whose ids are not one range sum here, then scatter.
+        # Variable tables whose ids are not one range sum in _scatter, then scatter.
         scattered = [rows.shape[0] for rows in ctx.var_rows if type(rows) is not slice]
-        self._scatter = np.empty(max(scattered, default=0) * B * 4, np.uint8)
+        sizes = [4 * (E + 1) * B] * 2 + [4 * N * B] * 2 + [C * B] * 2 + [(E + 1) * B, ctx.gather_bytes * B]
+        sizes += [4 * C * B, (C + 1) * B, B, B, (N + 1) * B, B, 4 * max(scattered, default=0) * B]
+        whole = np.empty(sum(sizes) + 64 * len(sizes), np.uint8)
+        starts = accumulate([-(-size // 64) * 64 for size in sizes], initial=-whole.ctypes.data % 64)
+        bufs = [whole[at : at + size] for at, size in zip(starts, sizes)]
+        self.edge_bufs, self.tot_bufs, self.prev_bufs = bufs[0:2], bufs[2:4], bufs[4:6]  # edge: messages, lg
+        self._neg, self._gather, self._lsum, self._flip = bufs[6:10]
+        self._moved, self._done, self._bits, self._ok, self._scatter = bufs[10:]
 
     def compact(self, keep: np.ndarray) -> None:
         """Keep only the message, total and previous-check columns listed in keep."""

@@ -1,14 +1,14 @@
 """Monte Carlo upper bound on code distance, plus the brute-force oracle.
 
-For each physical error rate a batch of depolarizing (or pure-X) errors is
-sampled, decoded under the prior of the same noise, and the residual error
+For each physical error rate, chunks of depolarizing (or pure-X) errors are
+sampled, decoded under the prior of the same noise, and their residuals
 tested by logical_mask, the one rule for what counts as a logical operator.
 Every logical residual is an explicit logical operator, so the running
 minimum weight is a certified upper bound on code distance; the best witness
 travels with the report and can be re-verified independently.
 
 Trials are reproducible: each (rate, trial) pair owns an RNG stream derived
-from the master seed, so reports are bit-identical across runs, batch sizes
+from the master seed, so reports are bit-identical across runs, chunk sizes
 and worker counts.
 """
 
@@ -18,6 +18,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -268,31 +269,27 @@ def _errors_from_raw(raw: np.ndarray, n: int, p: float, kind: NoiseKind):
     return hit & x, hit & z, ~u32.all(axis=1)
 
 
-def _sample_batch(code: StabilizerCode, p: float, kind: NoiseKind, seed: int, rate_idx: int, count: int):
-    """Trials 0..count-1 of one rate, row t equal to
-    sample_error(code.n, p, kind, trial_rng(seed, rate_idx, t))."""
+def _sample_batch(code: StabilizerCode, p: float, kind: NoiseKind, seed: int, rate_idx: int, start: int, stop: int):
+    """Trials start..stop-1 of one rate, row i equal to
+    sample_error(code.n, p, kind, trial_rng(seed, rate_idx, start + i))."""
     if not 0.0 < p < 1.0:
         raise ValueError("error rate must be in (0, 1)")
-    if count > MAX_TRIALS_PER_RATE:
+    if stop > MAX_TRIALS_PER_RATE:
         raise ValueError("at most 2**32 trials per rate")
     n = code.n
     draws = n if kind == NoiseKind.PURE_X else n + (n + 1) // 2
-    ex = np.empty((count, n), dtype=np.uint8)
-    ez = np.empty((count, n), dtype=np.uint8)
+    raw = np.empty((stop - start, draws), dtype=np.uint64)
+    # Each trial's seeded state goes onto one reused PCG64.
     bitgen = np.random.PCG64(0)
     pcg = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for a in range(0, count, _CHUNK_TRIALS):
-        b = min(a + _CHUNK_TRIALS, count)
-        raw = np.empty((b - a, draws), dtype=np.uint64)
-        # Each trial's seeded state goes onto one reused PCG64.
-        for row, (pcg["state"], pcg["inc"]) in zip(raw, _pcg64_seeds(seed, rate_idx, np.arange(a, b))):
-            bitgen.state = state
-            row[:] = bitgen.random_raw(draws)
-        ex[a:b], ez[a:b], redraw = _errors_from_raw(raw, n, p, kind)
-        for t in (a + np.flatnonzero(redraw)).tolist():
-            e = sample_error(n, p, kind, trial_rng(seed, rate_idx, t))
-            ex[t], ez[t] = e.ex, e.ez
+    for row, (pcg["state"], pcg["inc"]) in zip(raw, _pcg64_seeds(seed, rate_idx, np.arange(start, stop))):
+        bitgen.state = state
+        row[:] = bitgen.random_raw(draws)
+    ex, ez, redraw = _errors_from_raw(raw, n, p, kind)
+    for i in np.flatnonzero(redraw).tolist():
+        e = sample_error(n, p, kind, trial_rng(seed, rate_idx, start + i))
+        ex[i], ez[i] = e.ex, e.ez
     return ex, ez
 
 
@@ -309,21 +306,35 @@ def _decode_chunk(ctx: DecoderContext, S: np.ndarray, prior: ChannelPrior, cfg: 
     return a ^ c, b ^ c, conv
 
 
-# Trials per chunk.  Trials are independent, so the chunk size changes only
-# speed: at 256 each of BP's float32 (edges + 1, trials) arrays is 0.6-6 MiB
-# on the shipped codes, and larger chunks decoded no faster.  The sampler
-# draws in blocks of the same size, so its scratch holds at most 256 trials.
+# Trials per chunk, the sweep's one unit of work; trials are independent, so
+# only speed and memory depend on it.  Larger chunks decoded no faster.
 _CHUNK_TRIALS = 256
+
+
+def _run_chunk(code: StabilizerCode, ctx: DecoderContext, cfg: TrialConfig, rate_idx: int, start: int):
+    """Sample, decode and classify one rate's chunk from trial start: its
+    logical count and first lightest residual (weight, rx, rz), or None."""
+    p, stop = cfg.rates[rate_idx], min(start + _CHUNK_TRIALS, cfg.trials_per_rate)
+    ex, ez = _sample_batch(code, p, cfg.noise_kind, cfg.master_seed, rate_idx, start, stop)
+    est_x, est_z, _ = _decode_chunk(ctx, code.syndromes(ex, ez), ChannelPrior(p, cfg.noise_kind), cfg.decoder)
+    rx, rz = ex ^ est_x, ez ^ est_z
+    weights = np.count_nonzero(rx | rz, axis=1)
+    idx = np.flatnonzero(weights)
+    idx = idx[logical_mask(code, rx[idx], rz[idx], cfg.noise_kind)]
+    if not idx.size:
+        return 0, None
+    t = idx[np.argmin(weights[idx])]  # the first trial at the chunk's minimum
+    return idx.size, (int(weights[t]), rx[t].copy(), rz[t].copy())
 
 
 def estimate_upper_bound(code: StabilizerCode, cfg: TrialConfig, threads: int = 1) -> DistanceReport:
     """Sweep rates, decode trials, and track the minimum logical weight.
 
     The running minimum starts at the code length; only residuals that
-    logical_mask accepts under cfg.noise_kind lower it.  The first witness
-    attaining the final minimum is kept.  Each rate's trials are decoded in
-    chunks on a pool of `threads` workers; the report does not depend on the
-    thread count.
+    logical_mask accepts under cfg.noise_kind lower it.  `threads` workers
+    run the chunks (_run_chunk), so memory does not grow with the trial
+    count; results are reduced in trial order, so the witness is the first
+    trial at the final minimum.
     """
     if threads < 1:
         raise ValueError("need at least one thread")
@@ -333,35 +344,19 @@ def estimate_upper_bound(code: StabilizerCode, cfg: TrialConfig, threads: int = 
     per_rate: list[RateStats] = []
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        # One worker decodes in the calling thread: a pool thread would get a
+        # One worker runs in the calling thread: a pool thread would get a
         # malloc arena of its own, which keeps about 5 MB more resident.
-        decode_chunks = map if threads == 1 else pool.map
+        run_chunks = map if threads == 1 else pool.map
+        T = cfg.trials_per_rate
         for rate_idx, p in enumerate(cfg.rates):
-            T = cfg.trials_per_rate
-            ex, ez = _sample_batch(code, p, cfg.noise_kind, cfg.master_seed, rate_idx, T)
-            S = code.syndromes(ex, ez)
-            prior = ChannelPrior(p, cfg.noise_kind)
-            chunks = [S[a : a + _CHUNK_TRIALS] for a in range(0, T, _CHUNK_TRIALS)]
-            results = list(decode_chunks(lambda s: _decode_chunk(ctx, s, prior, cfg.decoder), chunks))
-            est_x = np.vstack([r[0] for r in results])
-            est_z = np.vstack([r[1] for r in results])
-
-            rx = ex ^ est_x
-            rz = ez ^ est_z
-            weights = np.count_nonzero(rx | rz, axis=1)
-            idx = np.flatnonzero(weights)
-            logical_idx = idx[logical_mask(code, rx[idx], rz[idx], cfg.noise_kind)]
-            rate_min: int | None = None
-            if logical_idx.size:
-                # argmin gives the first trial at the rate's minimum.
-                t = logical_idx[np.argmin(weights[logical_idx])]
-                rate_min = int(weights[t])
-                if rate_min < best:
-                    best = rate_min
-                    witness = pauli.SymplecticPauli.from_arrays(rx[t], rz[t])
-            per_rate.append(
-                RateStats(p=p, trials=T, logical_events=int(logical_idx.size), min_weight=rate_min)
-            )
+            events, lightest = 0, (code.n + 1,)  # heavier than any residual
+            for count, first in run_chunks(partial(_run_chunk, code, ctx, cfg, rate_idx), range(0, T, _CHUNK_TRIALS)):
+                events += count
+                if first is not None and first[0] < lightest[0]:  # a tie keeps the earlier trial
+                    lightest = first
+            if lightest[0] < best:
+                best, witness = lightest[0], pauli.SymplecticPauli.from_arrays(lightest[1], lightest[2])
+            per_rate.append(RateStats(p, T, logical_events=events, min_weight=lightest[0] if events else None))
 
     return DistanceReport(
         code_name=code.name,

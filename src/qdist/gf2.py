@@ -112,11 +112,16 @@ def _eliminate_batch(rows, cols, nz_rows, nz_cols, S, orders, pos):
     """
     B = S.shape[0]
     w = cols // 64 + 1  # words per row of [M | s]
-    nz_pos = pos[:, nz_cols]
+    nz_pos = pos.take(nz_cols, axis=1)  # C order (pos[:, nz_cols] is F order), so ravel copies nothing
     planes = np.zeros((B, w, rows), dtype=np.uint64)
     # Each nonzero sets a distinct bit of its word, so adding the bits ORs them.
-    words = (np.arange(B)[:, None] * w + (nz_pos >> 6)) * rows + nz_rows
-    np.add.at(planes.reshape(-1), words.ravel(), (_ONE << (nz_pos & 63).astype(np.uint64)).ravel())
+    words = nz_pos >> 6  # built in place, which keeps OSD's peak memory low
+    words += np.arange(B)[:, None] * w
+    words *= rows
+    words += nz_rows
+    bits = np.bitwise_and(nz_pos, 63, out=nz_pos).view(np.uint64)  # nz_pos >= 0
+    np.left_shift(_ONE, bits, out=bits)
+    np.add.at(planes.reshape(-1), words.ravel(), bits.ravel())
     s_word, s_bit = cols >> 6, _ONE << np.uint64(cols & 63)
     planes[:, s_word] |= (S & 1).astype(np.uint64) * s_bit
     slots = np.arange(B)
@@ -299,8 +304,8 @@ class RowSpanReducer:
         if bits.ndim != 2 or bits.shape[1] != self.cols:
             raise ValueError("vector length does not match column count")
         w = _pack_bits(bits)
-        for i, c in enumerate(self.pivot_cols):
-            mask = _column_bits(w, c).astype(bool)
-            if mask.any():
-                w[mask] ^= self._pivot_rows[i]
+        # The rows are fully reduced: a row's coefficient on pivot i is its bit in pivot column i.
+        coef = bits[:, self.pivot_cols] & 1 != 0
+        for i in np.flatnonzero(coef.any(axis=0)).tolist():
+            np.bitwise_xor(w, self._pivot_rows[i], out=w, where=coef[:, i, None])
         return ~w.any(axis=1) if w.shape[1] else np.ones(bits.shape[0], dtype=bool)

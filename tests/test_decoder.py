@@ -193,7 +193,7 @@ def test_batched_osd_matches_single_on_failed_trials(make):
     code = make()
     ctx = decoder.DecoderContext.for_code(code)
     kind = NoiseKind.PURE_X if code.name.startswith("ztgre") else NoiseKind.DEPOLARIZING
-    ex, ez = estimator._sample_batch(code, 0.12, kind, 5, 0, 120)
+    ex, ez = estimator._sample_batch(code, 0.12, kind, 5, 0, 0, 120)
     errors = [pauli.SymplecticPauli.from_arrays(x, z) for x, z in zip(ex, ez)]
     S = np.array([code.syndrome(e).bits for e in errors], dtype=np.uint8)
     prior = decoder.ChannelPrior(0.12)
@@ -426,7 +426,7 @@ def _reference_prior(prior, ctx, cfg):
 def test_bp_matches_reference(make, kind, batch):
     code = make()
     ctx = decoder.DecoderContext.for_code(code)
-    ex, ez = estimator._sample_batch(code, 0.09, kind, 17, 0, batch)
+    ex, ez = estimator._sample_batch(code, 0.09, kind, 17, 0, 0, batch)
     S = code.syndromes(ex, ez)
     prior = decoder.ChannelPrior(0.09, kind)
     cfg = decoder.BPConfig(max_iterations=20)
@@ -460,7 +460,7 @@ def test_bp_matches_reference_when_clip_binds(make, kind, p, clip, batch):
     # only where it cannot bind; at these clips it binds.
     code = make()
     ctx = decoder.DecoderContext.for_code(code)
-    ex, ez = estimator._sample_batch(code, p, kind, 23, 0, batch)
+    ex, ez = estimator._sample_batch(code, p, kind, 23, 0, 0, batch)
     S = code.syndromes(ex, ez)
     prior = decoder.ChannelPrior(p, kind)
     cfg = decoder.BPConfig(max_iterations=12, clip=clip)
@@ -486,7 +486,7 @@ def test_matched_prior_converges_on_pure_x_errors():
     # prior does.
     code = codes.ztgre(6)
     ctx = decoder.DecoderContext.for_code(code)
-    ex, ez = estimator._sample_batch(code, 0.08, NoiseKind.PURE_X, 1, 0, 200)
+    ex, ez = estimator._sample_batch(code, 0.08, NoiseKind.PURE_X, 1, 0, 0, 200)
     S = code.syndromes(ex, ez)
     cfg = decoder.BPConfig(max_iterations=30)
     _, _, conv_d, it_d = decoder.bp_decode_batch(ctx, S, decoder.ChannelPrior(0.08), cfg)
@@ -510,7 +510,7 @@ def test_bp_matches_reference_with_vacuous_check():
     hd = np.vstack([code.hd[:4], np.zeros((1, code.hd.shape[1]), np.uint8), code.hd[4:]])
     ctx = decoder.DecoderContext(hd)
     assert ctx.active_checks.shape[0] == ctx.m - 1
-    ex, ez = estimator._sample_batch(code, 0.06, NoiseKind.DEPOLARIZING, 3, 0, 200)
+    ex, ez = estimator._sample_batch(code, 0.06, NoiseKind.DEPOLARIZING, 3, 0, 0, 200)
     S0 = code.syndromes(ex, ez)
     S = np.hstack([S0[:, :4], (np.arange(200) % 3 == 0)[:, None].astype(np.uint8), S0[:, 4:]])
     prior = decoder.ChannelPrior(0.06)
@@ -600,7 +600,7 @@ def test_bp_memory_per_trial_edge():
     code = codes.chamon(3, 3, 3)
     ctx = decoder.DecoderContext.for_code(code)
     batch = 500
-    ex, ez = estimator._sample_batch(code, 0.08, NoiseKind.DEPOLARIZING, 9, 0, batch)
+    ex, ez = estimator._sample_batch(code, 0.08, NoiseKind.DEPOLARIZING, 9, 0, 0, batch)
     S = code.syndromes(ex, ez)
     tracemalloc.start()
     try:
@@ -644,7 +644,7 @@ def test_bp_deferred_compaction_matches_reference(make, kind, batch, monkeypatch
     calls = _spy_compactions(monkeypatch)
     code = make()
     ctx = decoder.DecoderContext.for_code(code)
-    ex, ez = estimator._sample_batch(code, 0.08, kind, 29, 0, batch)
+    ex, ez = estimator._sample_batch(code, 0.08, kind, 29, 0, 0, batch)
     S = code.syndromes(ex, ez)
     prior = decoder.ChannelPrior(0.08, kind)
     cfg = decoder.BPConfig(max_iterations=30)
@@ -671,7 +671,7 @@ def test_bp_trials_that_finish_before_any_compaction(monkeypatch):
     ctx = decoder.DecoderContext.for_code(code)
     prior = decoder.ChannelPrior(0.08, NoiseKind.PURE_X)
     cfg = decoder.BPConfig(max_iterations=30)
-    ex, ez = estimator._sample_batch(code, 0.08, NoiseKind.PURE_X, 29, 0, 300)
+    ex, ez = estimator._sample_batch(code, 0.08, NoiseKind.PURE_X, 29, 0, 0, 300)
     S = code.syndromes(ex, ez)
     _, _, conv, iters = decoder.bp_decode_batch(ctx, S, prior, cfg)
     late = np.flatnonzero(conv & (iters >= 4))[0]
@@ -700,7 +700,7 @@ STALL_CASES = [
 def _stall_inputs(make, kind, batch):
     code = make()
     ctx = decoder.DecoderContext.for_code(code)
-    ex, ez = estimator._sample_batch(code, 0.09, kind, 41, 0, batch)
+    ex, ez = estimator._sample_batch(code, 0.09, kind, 41, 0, 0, batch)
     return ctx, code.syndromes(ex, ez), decoder.ChannelPrior(0.09, kind), decoder.BPConfig(max_iterations=30)
 
 
@@ -743,7 +743,7 @@ def test_decode_hands_a_stalled_trial_to_osd():
     code = codes.planar_surface(7)
     cfg = decoder.BPConfig()
     prior = decoder.ChannelPrior(0.1)
-    ex, ez = estimator._sample_batch(code, 0.1, NoiseKind.DEPOLARIZING, 43, 0, 40)
+    ex, ez = estimator._sample_batch(code, 0.1, NoiseKind.DEPOLARIZING, 43, 0, 0, 40)
     for x, z in zip(ex, ez):
         s = code.syndrome(pauli.SymplecticPauli.from_arrays(x, z))
         out = decoder.decode(code, s, prior, cfg)
@@ -785,7 +785,7 @@ def test_reliability_order_matches_stable_argsort_on_ties():
     # rounded to a few levels, and 0.0 and 1.0 mixed in.
     code = codes.ztgre(5)
     ctx = decoder.DecoderContext.for_code(code)
-    ex, ez = estimator._sample_batch(code, 0.12, NoiseKind.PURE_X, 31, 0, 120)
+    ex, ez = estimator._sample_batch(code, 0.12, NoiseKind.PURE_X, 31, 0, 0, 120)
     S = code.syndromes(ex, ez)
     prior = decoder.ChannelPrior(0.12, NoiseKind.PURE_X)
     _, post, conv, _ = decoder.bp_decode_batch(ctx, S, prior, decoder.BPConfig(max_iterations=8))
@@ -816,7 +816,7 @@ def test_osd_mixed_batch_with_one_infeasible_syndrome_raises():
     # steps: the batch must still raise, and not run past the rank.
     code = codes.toric(2)
     ctx = decoder.DecoderContext.for_code(code)
-    ex, ez = estimator._sample_batch(code, 0.2, NoiseKind.DEPOLARIZING, 37, 0, 40)
+    ex, ez = estimator._sample_batch(code, 0.2, NoiseKind.DEPOLARIZING, 37, 0, 0, 40)
     S = code.syndromes(ex, ez)
     bad = np.zeros(ctx.m, dtype=np.uint8)
     bad[0] = 1  # a lone violated check cannot happen on a torus
@@ -848,7 +848,7 @@ def test_pure_x_osd_solves_on_the_x_block(make):
     ctx = decoder.DecoderContext.for_code(code)
     n = code.n
     prior = decoder.ChannelPrior(0.12, NoiseKind.PURE_X)
-    ex, ez = estimator._sample_batch(code, 0.12, NoiseKind.PURE_X, 5, 0, 200)
+    ex, ez = estimator._sample_batch(code, 0.12, NoiseKind.PURE_X, 5, 0, 0, 200)
     S = code.syndromes(ex, ez)
     _, post, conv, _ = decoder.bp_decode_batch(ctx, S, prior, decoder.BPConfig(max_iterations=8))
     S, post = S[~conv], post[~conv]
@@ -870,7 +870,7 @@ def test_pure_x_osd_raises_on_a_row_the_x_block_cannot_reach():
     ctx = decoder.DecoderContext.for_code(code)
     unreachable = np.flatnonzero(~ctx.hd[:, : code.n].any(axis=1))
     assert unreachable.size == ctx.m // 2
-    ex, ez = estimator._sample_batch(code, 0.12, NoiseKind.PURE_X, 5, 0, 20)
+    ex, ez = estimator._sample_batch(code, 0.12, NoiseKind.PURE_X, 5, 0, 0, 20)
     S = code.syndromes(ex, ez)
     S[7, unreachable[0]] ^= 1
     post = np.full((20, ctx.nbits), 0.1)

@@ -2,6 +2,7 @@
 witness verification, reproducibility and the brute-force oracle."""
 
 import itertools
+import tracemalloc
 import warnings
 from functools import lru_cache
 from types import SimpleNamespace
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qdist import codes, estimator, pauli
+from qdist import codes, decoder, estimator, pauli
 from qdist.decoder import BPConfig, ChannelPrior, DecoderContext
 from qdist.estimator import NoiseKind, TrialConfig
 
@@ -182,16 +183,16 @@ def test_restored_trial_state_draws_the_fresh_stream():
 @pytest.mark.parametrize("kind", list(NoiseKind))
 @pytest.mark.parametrize("n", [1, 2, 7, 85, 108, 128])
 def test_sample_batch_equals_per_trial_streams(kind, n):
-    # Counts around the 256-trial block edge; each count's rows are a prefix
-    # of the 600-trial reference.
+    # Ranges around the 256-trial chunk edge, from trial 0 and from mid-stream;
+    # each range's rows are a slice of the 600-trial reference.
     code = SimpleNamespace(n=n)
     for seed, rate_idx, p in itertools.product(_SEEDS, (0, 5), (1e-4, 0.1, 0.5, 0.999)):
         want_x, want_z = _per_trial_stack(n, p, kind, seed, rate_idx, 600)
-        for count in (1, 255, 256, 257, 600):
-            ex, ez = estimator._sample_batch(code, p, kind, seed, rate_idx, count)
+        for start, stop in ((0, 1), (0, 255), (0, 256), (0, 257), (0, 600), (255, 257), (256, 600)):
+            ex, ez = estimator._sample_batch(code, p, kind, seed, rate_idx, start, stop)
             assert ex.dtype == ez.dtype == np.uint8
-            assert np.array_equal(ex, want_x[:count]), (seed, rate_idx, p, count)
-            assert np.array_equal(ez, want_z[:count]), (seed, rate_idx, p, count)
+            assert np.array_equal(ex, want_x[start:stop]), (seed, rate_idx, p, start, stop)
+            assert np.array_equal(ez, want_z[start:stop]), (seed, rate_idx, p, start, stop)
 
 
 def test_errors_from_raw_flags_lemire_rejections():
@@ -217,8 +218,7 @@ def test_sample_batch_redraws_rejected_trials_exactly(monkeypatch):
     redrawn = []
 
     def zero_one_draw(raw, *args):
-        if len(raw) == count - 256:  # second block: trial 256 + 3 reads a zero half
-            raw[3, n + 1] &= np.uint64(0xFFFFFFFF00000000)
+        raw[3, n + 1] &= np.uint64(0xFFFFFFFF00000000)  # trial 256 + 3 reads a zero half
         return real_from_raw(raw, *args)
 
     def recording_trial_rng(s, r, t):
@@ -227,10 +227,10 @@ def test_sample_batch_redraws_rejected_trials_exactly(monkeypatch):
 
     monkeypatch.setattr(estimator, "_errors_from_raw", zero_one_draw)
     monkeypatch.setattr(estimator, "trial_rng", recording_trial_rng)
-    ex, ez = estimator._sample_batch(SimpleNamespace(n=n), p, kind, seed, 2, count)
+    ex, ez = estimator._sample_batch(SimpleNamespace(n=n), p, kind, seed, 2, 256, count)
     assert redrawn == [259]
     want_x, want_z = _per_trial_stack(n, p, kind, seed, 2, count)
-    assert np.array_equal(ex, want_x) and np.array_equal(ez, want_z)
+    assert np.array_equal(ex, want_x[256:]) and np.array_equal(ez, want_z[256:])
 
 
 def test_sample_batch_emits_no_warning():
@@ -239,16 +239,16 @@ def test_sample_batch_emits_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for kind, seed in itertools.product(NoiseKind, _SEEDS):
-            estimator._sample_batch(SimpleNamespace(n=3), 0.2, kind, seed, 7, 260)
+            estimator._sample_batch(SimpleNamespace(n=3), 0.2, kind, seed, 7, 0, 260)
 
 
 def test_sample_batch_rejects_bad_inputs():
     code = SimpleNamespace(n=4)
     for p in (0.0, 1.0):
         with pytest.raises(ValueError):
-            estimator._sample_batch(code, p, NoiseKind.DEPOLARIZING, 0, 0, 10)
+            estimator._sample_batch(code, p, NoiseKind.DEPOLARIZING, 0, 0, 0, 10)
     with pytest.raises(ValueError, match="2\\*\\*32"):
-        estimator._sample_batch(code, 0.1, NoiseKind.DEPOLARIZING, 0, 0, 2**32 + 1)
+        estimator._sample_batch(code, 0.1, NoiseKind.DEPOLARIZING, 0, 0, 0, 2**32 + 1)
 
 
 def test_estimate_bound_small_surface():
@@ -280,10 +280,12 @@ def _assert_independent_of_thread_count(monkeypatch, code, cfg):
         return real(ctx, S, prior, bp_cfg)
 
     monkeypatch.setattr(estimator, "_decode_chunk", counted)
-    # Default chunks: 600 trials run as 256 + 256 + 88, so the pool has work to share.
+    # Default chunks: 600 trials run as 256 + 256 + 88, so the pool has work
+    # to share.  Pool workers decode after sampling, in no fixed order.
     r1 = estimator.estimate_upper_bound(code, cfg, threads=1).to_json()
     r3 = estimator.estimate_upper_bound(code, cfg, threads=3).to_json()
-    assert chunk_sizes == [256, 256, 88] * 2
+    assert chunk_sizes[:3] == [256, 256, 88]
+    assert sorted(chunk_sizes) == sorted([256, 256, 88] * 2)
     monkeypatch.setattr(estimator, "_CHUNK_TRIALS", 600)
     whole = estimator.estimate_upper_bound(code, cfg).to_json()
     assert chunk_sizes[6:] == [600]
@@ -302,13 +304,69 @@ def test_estimate_pure_x_independent_of_thread_count(monkeypatch):
     _assert_independent_of_thread_count(monkeypatch, codes.ztgre(4), cfg)
 
 
+@pytest.mark.parametrize(
+    "code, kind",
+    [(codes.planar_surface(3), NoiseKind.DEPOLARIZING), (codes.ztgre(4), NoiseKind.PURE_X)],
+    ids=["surface_3", "ztgre_4_pureX"],
+)
+def test_sweep_matches_per_trial_loop(monkeypatch, code, kind):
+    # The reference draws, decodes and classifies one trial at a time.  With
+    # 128-trial chunks, trials at the final minimum weight fall in several
+    # chunks and both rates, so the witness must come from the first of them.
+    monkeypatch.setattr(estimator, "_CHUNK_TRIALS", 128)
+    cfg = TrialConfig(rates=(0.08, 0.12), trials_per_rate=300, master_seed=3, noise_kind=kind,
+                      decoder=BPConfig(max_iterations=20))
+    rep = estimator.estimate_upper_bound(code, cfg)
+    best, witness, at_weight = code.n, None, {}
+    for rate_idx, (p, stats) in enumerate(zip(cfg.rates, rep.per_rate)):
+        weights = []
+        for t in range(cfg.trials_per_rate):
+            e = estimator.sample_error(code.n, p, kind, estimator.trial_rng(cfg.master_seed, rate_idx, t))
+            est = decoder.decode(code, code.syndrome(e), ChannelPrior(p, kind), cfg.decoder).estimate
+            r = pauli.mul(e, est)
+            if pauli.weight(r) and estimator.logical_mask(code, r.ex[None, :], r.ez[None, :], kind)[0]:
+                weights.append(pauli.weight(r))
+                at_weight.setdefault(weights[-1], []).append((rate_idx, t // 128, r))
+                if weights[-1] < best:
+                    best, witness = weights[-1], r
+        assert (stats.logical_events, stats.min_weight) == (len(weights), min(weights, default=None))
+    assert rep.upper_bound == best
+    assert rep.witness == witness
+    ties = at_weight[best]
+    assert len({(rate_idx, chunk) for rate_idx, chunk, _ in ties}) > 2 and len({t[0] for t in ties}) == 2
+    # The first tie in the witness rate's last tied chunk is another operator,
+    # so a reduction that let a later chunk's tie win would report it.
+    firsts = {}
+    for rate_idx, chunk, r in ties:
+        if rate_idx == ties[0][0]:
+            firsts.setdefault(chunk, r)
+    assert list(firsts.values())[-1] != witness
+
+
+def test_sweep_memory_does_not_grow_with_trials():
+    code = codes.planar_surface(3)
+
+    def peak(trials):
+        cfg = TrialConfig(rates=(0.1,), trials_per_rate=trials, master_seed=1,
+                          decoder=BPConfig(max_iterations=5))
+        tracemalloc.start()
+        try:
+            estimator.estimate_upper_bound(code, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # builds and caches the decoder context outside the measured runs
+    assert peak(8192) <= 1.5 * peak(512)
+
+
 def test_pure_x_osd_estimates_are_x_type():
     # The first 400 trials of ztgre_7 at p = 0.08 (master seed 5, rate index
     # 2) include trial 359, where OSD-0 over all 3n columns picked a Y column.
     # BP-converged decisions may still have a Z part; logical_mask drops those.
     code = codes.ztgre(7)
     ctx = DecoderContext.for_code(code)
-    ex, ez = estimator._sample_batch(code, 0.08, NoiseKind.PURE_X, 5, 2, 400)
+    ex, ez = estimator._sample_batch(code, 0.08, NoiseKind.PURE_X, 5, 2, 0, 400)
     prior = ChannelPrior(0.08, NoiseKind.PURE_X)
     est_x, est_z, conv = estimator._decode_chunk(ctx, code.syndromes(ex, ez), prior, BPConfig(max_iterations=30))
     assert (~conv).sum() >= 100
