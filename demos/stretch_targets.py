@@ -25,6 +25,10 @@ if args.trials < 1:
 if args.seed < 0:
     parser.error("--seed must be non-negative")
 
+# One thread per CPU this process may run on, which a container's affinity
+# mask can narrow below the host's count.
+THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
 JOBS = [
     (codes.ztgre(8), NoiseKind.PURE_X, 8),
     (codes.ztgre(9), NoiseKind.PURE_X, 10),
@@ -40,7 +44,7 @@ for code, kind, published in JOBS:
         noise_kind=kind,
         decoder=BPConfig(max_iterations=30),
     )
-    report = qdist.estimate_upper_bound(code, cfg, threads=os.cpu_count() or 1)
+    report = qdist.estimate_upper_bound(code, cfg, threads=THREADS)
     verified = qdist.verify_witness(code, report.witness, report.upper_bound, kind)
     status = "matches published" if report.upper_bound == published else (
         f"published value {published}")

@@ -3,7 +3,7 @@
 The 3n decoupled bits are treated as independent binary variables with a
 prior that matches the noise: p/3 on each X, Z and Y bit for depolarizing
 noise, and p on the X bits and 0 on the Z and Y bits for pure-X noise (a bit
-that cannot flip gets the largest LLR a message can carry, +clip).  Without
+that cannot flip gets LLR +clip, which no message exceeds).  Without
 the matched prior, the identical X and Y columns of a Z-only code's Hd keep
 BP from settling on pure-X errors.  Messages run in the log domain with a
 flooding schedule; the per-qubit one-hot constraint is enforced at the hard
@@ -45,12 +45,22 @@ recorded in the iteration it finishes, but its column leaves the arrays
 only once at least an eighth of them are finished (_COMPACT_DEAD_SHARE):
 until then it keeps iterating and nothing reads it.  The stall test costs
 one compare of the check rows against the previous iteration's, one
-any-reduce and a per-column counter.  Every iteration calls
-methods and ufuncs directly, with no Python wrapper in between, so a batch
-of one pays little beyond its arithmetic.
+any-reduce and a per-column counter.  Apart from one call of the check
+update, every iteration calls methods and ufuncs directly, with no Python
+wrapper in between, so a batch of one pays little beyond its arithmetic.
+
+In the first iteration every variable sends its prior, so each check
+message is one of two values per edge, picked by its check's syndrome bit.
+The context memoises those values per (prior, clip), computed once by the
+same check update on a two-trial batch, and iteration 1 only sets each
+message's sign bit from its syndrome bit; the variable half of the
+iteration runs as in every other.  That equals the full update while
+numpy's float32 clip and arctanh are odd, which the table build checks bit
+for bit; where they are not, iteration 1 selects between the two values.
 
 OSD-0 ranks each trial's columns with one sort of integer keys built from
-the float32 posteriors and solves the batch in gf2.solve_selected_batch.
+the float32 posteriors and solves the batch in gf2.solve_selected_batch, on
+the channel's columns of Hd, which the context memoises per noise kind.
 """
 
 from __future__ import annotations
@@ -107,7 +117,7 @@ class ChannelPrior:
 
     def llrs(self, n: int, clip: float) -> np.ndarray:
         """(3n,) float32 prior LLRs log((1 - q) / q); a bit with q = 0 gets
-        +clip, the largest magnitude any BP message takes."""
+        +clip, which no BP message exceeds in magnitude."""
         # math.log, not np.log: the float32 of the depolarizing LLR must not
         # move by a last bit, or depolarizing reports would change.
         blocks = [math.log((1.0 - q) / q) if q > 0.0 else clip for q in self.block_probs]
@@ -117,7 +127,10 @@ class ChannelPrior:
 @dataclass(frozen=True)
 class BPConfig:
     max_iterations: int = 100
-    clip: float = 30.0  # log-domain message bound; keeps marginals finite
+    # Bound on a message's LLR.  The default never binds: a message stays
+    # below 2 * arctanh(1 - _TANH_EPS), about 16.6.  What it does set is the
+    # prior LLR of a bit the channel cannot flip (ChannelPrior.llrs).
+    clip: float = 30.0
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -140,8 +153,13 @@ class DecoderContext:
     """Per-code precomputation shared by every decode call.
 
     Holds the decoupled matrix that OSD solves on, its Tanner-graph edge
-    layout and the slot tables BP sums over.  Immutable once built; safe to
-    share.
+    layout and the slot tables BP sums over, all fixed once built.  It also
+    memoises what every decode with one prior shares: BP's first check
+    messages per (prior, clip) and OSD-0's channel columns per noise kind.
+    The memos only ever gain read-only entries, each a pure function of its
+    key, so the context is safe to share between threads: two threads that
+    miss together build equal values, and dict.setdefault, atomic under the
+    GIL, hands both the one it keeps.
     """
 
     def __init__(self, hd: np.ndarray):
@@ -183,6 +201,29 @@ class DecoderContext:
         # Bytes per trial of the gather buffer that every slot table and the
         # per-edge gathers share.
         self.gather_bytes = max([4 * self.num_edges] + [4 * slots.size for _, slots in self.check_slots + self.var_slots])
+        self._first_messages: dict = {}
+        self._channel_columns: dict = {}
+
+    def first_messages(self, prior: ChannelPrior, clip: float):
+        """BP's first check-to-variable messages for (prior, clip), built
+        once (see _first_check_messages)."""
+        key = (prior, clip)
+        first = self._first_messages.get(key)
+        if first is None:
+            first = self._first_messages.setdefault(key, _first_check_messages(self, prior, clip))
+        return first
+
+    def channel_columns(self, prior: ChannelPrior) -> tuple[np.ndarray, np.ndarray]:
+        """(cols, hd[:, cols]): the bits the channel can flip and their
+        columns of Hd, built once per noise kind."""
+        hit = self._channel_columns.get(prior.noise)
+        if hit is None:
+            cols = np.flatnonzero(prior.bit_probs(self.nbits // 3) > 0)
+            sub = self.hd[:, cols]
+            cols.setflags(write=False)
+            sub.setflags(write=False)
+            hit = self._channel_columns.setdefault(prior.noise, (cols, sub))
+        return hit
 
     @classmethod
     def for_code(cls, code: StabilizerCode) -> "DecoderContext":
@@ -437,6 +478,79 @@ class _Workspace:
         ]
 
 
+def _half_prior(prior: ChannelPrior, n: int, clip: float) -> np.ndarray:
+    """(3n,) prior LLRs at half scale, as BP's totals start."""
+    return prior.llrs(n, clip) * _MSG_DTYPE(0.5)
+
+
+def _binding_clip(clip: float):
+    """The half-scale message clip, or None where it can never bind."""
+    half_clip = _MSG_DTYPE(clip) * _MSG_DTYPE(0.5)
+    return half_clip if half_clip < _ATANH_MAX else None
+
+
+def _check_update(ctx: DecoderContext, ws: _Workspace, s_rows: list[np.ndarray], half_clip) -> None:
+    """Replace the variable-to-check messages in ws.t by check-to-variable
+    messages in place, for the syndrome rows s_rows of each check table.
+
+    Runs through the log-magnitude / sign split: a check's sign flips with
+    its syndrome bit and with each negative tanh; padding is neutral (lg = 0,
+    not negative).  half_clip is _binding_clip's.
+    """
+    t, neg, lg = ws.t, ws.neg, ws.lg
+    edge_row = ctx.edge_row
+    np.tanh(t, out=t)
+    np.less(t, 0, out=ws.neg_e)
+    np.abs(t, out=t)
+    t.clip(_LG_LO, _PROD_HI, out=t)
+    np.log(t, out=ws.lg_e)
+    for (_, slots), g, gb, ls, f, s in zip(ctx.check_slots, ws.check_g, ws.check_gb, ws.lsum_rows, ws.flip_rows, s_rows):
+        lg.take(slots, axis=0, out=g, mode="clip")
+        _ordered_sum(g, out=ls)
+        neg.take(slots, axis=0, out=gb, mode="clip")
+        np.logical_xor.reduce(gb, axis=0, out=f)
+        f ^= s
+    prod = ws.lsum.take(edge_row, axis=0, out=t, mode="clip")
+    prod -= ws.lg_e
+    np.exp(prod, out=prod)
+    # Negate by flipping the sign bit: exact, and cheaper than a masked
+    # ufunc.  lg is spent, so its rows hold the sign words.
+    sign = ws.flip.take(edge_row, axis=0, out=ws.edge_flags, mode="clip")
+    sign ^= ws.neg_e
+    np.copyto(ws.sign_words, sign)
+    ws.sign_words <<= 31
+    ws.t_words ^= ws.sign_words
+    prod.clip(-_PROD_HI, _PROD_HI, out=prod)
+    np.arctanh(prod, out=prod)
+    if half_clip is not None:
+        prod.clip(-half_clip, half_clip, out=prod)
+
+
+def _first_check_messages(ctx: DecoderContext, prior: ChannelPrior, clip: float):
+    """BP's first check-to-variable messages, when every variable sends its
+    prior: (col0, col1), two (E, 1) float32 arrays for syndrome bit 0 and 1.
+
+    Both columns come from one _check_update on a two-trial workspace, so
+    they are the kernel's own values.  col1 is None when it equals col0
+    with the sign bit flipped, bit for bit: then a message's sign bit XOR
+    its check's syndrome bit gives it.  That holds while numpy's float32
+    clip and arctanh are odd; where they are not, BP selects between the
+    columns instead.
+    """
+    ws = _Workspace(ctx, 2)
+    ws.resize(2)
+    np.copyto(ws.t, _half_prior(prior, ctx.nbits // 3, clip)[ctx.edge_var, None])
+    s = np.zeros((ctx.check_syndrome_rows.shape[0], 2), dtype=bool)
+    s[:, 1] = True
+    _check_update(ctx, ws, [s[rows] for rows in ctx.check_bounds], _binding_clip(clip))
+    col0, col1 = (np.ascontiguousarray(ws.t[:, j : j + 1]) for j in (0, 1))
+    col0.setflags(write=False)
+    col1.setflags(write=False)
+    if np.array_equal(col1.view(np.uint32), col0.view(np.uint32) ^ np.uint32(1 << 31)):
+        col1 = None
+    return col0, col1
+
+
 def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPrior, cfg: BPConfig):
     """Flooding sum-product over a batch of syndromes.
 
@@ -445,6 +559,11 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
     from the iteration a trial finished in: the first where its checks are
     all satisfied (converged), where it has stalled (its unsatisfied checks
     the same for _STALL_ITERATIONS iterations) or max_iterations.
+
+    Iteration 1 takes its check-to-variable messages from the context's
+    table for (prior, clip) (DecoderContext.first_messages), with each sign
+    set by the check's syndrome bit; later iterations run the full check
+    update.
     """
     S = np.asarray(syndromes, dtype=np.uint8)
     if S.ndim != 2 or S.shape[1] != ctx.m:
@@ -471,9 +590,10 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
     # Messages and posterior totals are stored at half scale.  Doubling is
     # exact in float32, so T - M is the full-scale (tot - mcv) / 2 bit for
     # bit, and arctanh gives the new half-scale message directly.
-    half_prior = prior.llrs(n, cfg.clip) * _MSG_DTYPE(0.5)
-    half_clip = _MSG_DTYPE(cfg.clip) * _MSG_DTYPE(0.5)
-    clip_binds = half_clip < _ATANH_MAX
+    half_prior = _half_prior(prior, n, cfg.clip)
+    half_clip = _binding_clip(cfg.clip)
+    first0, first1 = ctx.first_messages(prior, cfg.clip)
+    first_words = first0.view(np.uint32)
     var_prior = [half_prior[rows, None] for rows in ctx.var_rows]
     scatter_rows = [None if type(rows) is slice else rows for rows in ctx.var_rows]
 
@@ -494,44 +614,22 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
     last = np.ones(B, dtype=np.intp)
 
     for it in range(1, cfg.max_iterations + 1):
-        # Variable-to-check messages from the previous totals (every message
-        # is zero before the first iteration); the new check-to-variable
-        # messages then replace them in place.
         t, T = ws.t, ws.tot
         if it == 1:
-            T.take(edge_var, axis=0, out=t, mode="clip")
+            # Every variable sends its prior, so each message is the table's,
+            # negated where its check's syndrome bit is set.
+            if first1 is None:
+                s_words = np.left_shift(s_act, np.uint32(31), dtype=np.uint32)
+                s_words.take(edge_row, axis=0, out=ws.sign_words, mode="clip")
+                np.bitwise_xor(first_words, ws.sign_words, out=ws.t_words)
+            else:
+                np.copyto(t, first0)
+                np.copyto(t, first1, where=s_act.take(edge_row, axis=0, out=ws.edge_flags, mode="clip"))
         else:
+            # Variable-to-check messages from the previous totals; the new
+            # check-to-variable messages then replace them in place.
             np.subtract(T.take(edge_var, axis=0, out=ws.edge_g, mode="clip"), t, out=t)
-        np.tanh(t, out=t)
-        # Check-to-variable messages via the log-magnitude / sign split.  A
-        # check's sign flips with its syndrome bit and with each negative t;
-        # padding is neutral: lg = 0, not negative.
-        neg, lg = ws.neg, ws.lg
-        np.less(t, 0, out=ws.neg_e)
-        np.abs(t, out=t)
-        t.clip(_LG_LO, _PROD_HI, out=t)
-        np.log(t, out=ws.lg_e)
-        check_tables = zip(ctx.check_slots, ws.check_g, ws.check_gb, ws.lsum_rows, ws.flip_rows, s_rows)
-        for (_, slots), g, gb, ls, f, s in check_tables:
-            lg.take(slots, axis=0, out=g, mode="clip")
-            _ordered_sum(g, out=ls)
-            neg.take(slots, axis=0, out=gb, mode="clip")
-            np.logical_xor.reduce(gb, axis=0, out=f)
-            f ^= s
-        prod = ws.lsum.take(edge_row, axis=0, out=t, mode="clip")
-        prod -= ws.lg_e
-        np.exp(prod, out=prod)
-        # Negate by flipping the sign bit: exact, and cheaper than a masked
-        # ufunc.  lg is spent, so its rows hold the sign words.
-        sign = ws.flip.take(edge_row, axis=0, out=ws.edge_flags, mode="clip")
-        sign ^= ws.neg_e
-        np.copyto(ws.sign_words, sign)
-        ws.sign_words <<= 31
-        ws.t_words ^= ws.sign_words
-        prod.clip(-_PROD_HI, _PROD_HI, out=prod)
-        np.arctanh(prod, out=prod)
-        if clip_binds:
-            prod.clip(-half_clip, half_clip, out=prod)
+            _check_update(ctx, ws, s_rows, half_clip)
 
         # Posterior totals, constrained decision, convergence test.
         M = ws.msg
@@ -656,10 +754,10 @@ def osd_post_process(
     post = np.asarray(posteriors)
     if S.ndim != 2 or S.shape[1] != ctx.m or post.shape != (S.shape[0], ctx.nbits):
         raise ValueError("expected a (B, m) syndrome batch and (B, 3n) posteriors")
-    cols = np.flatnonzero(prior.bit_probs(ctx.nbits // 3) > 0)
+    cols, hd_cols = ctx.channel_columns(prior)
     bits = np.zeros((S.shape[0], ctx.nbits), dtype=np.uint8)
     try:
-        bits[:, cols] = gf2.solve_selected_batch(ctx.hd[:, cols], S, _reliability_order(post[:, cols]))
+        bits[:, cols] = gf2.solve_selected_batch(hd_cols, S, _reliability_order(post[:, cols]))
     except gf2.Infeasible as exc:
         raise InfeasibleSyndrome("syndrome outside the column space of the channel's columns of Hd") from exc
     return bits

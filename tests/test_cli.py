@@ -27,6 +27,16 @@ def test_parse_estimate_flags():
     assert spec.noise.value == "pureX" and spec.max_iterations == 17
 
 
+def test_threads_default_to_the_cpus_this_process_may_use(monkeypatch):
+    # A container's affinity mask can allow fewer CPUs than the host has.
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    spec = cli.parse_args(["estimate", "--code", "toric", "--params", "3"])
+    assert spec.threads == 3
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert cli.parse_args(["estimate", "--code", "toric", "--params", "3"]).threads == 64
+
+
 def test_parse_rejects_bad_inputs():
     with pytest.raises(SystemExit):
         cli.parse_args(["estimate"])  # no code source

@@ -541,6 +541,138 @@ def test_bp_matches_reference_on_odd_degree_checks():
     assert got[2].any() and not got[2].all()
 
 
+# ---------------------------------------------------------------------------
+# Iteration 1 fills its check messages from a table built once per context,
+# prior and clip; at max_iterations=1 the outputs are that iteration's alone.
+
+
+def _assert_first_iteration_matches_reference(ctx, S, prior, clip=30.0):
+    cfg = decoder.BPConfig(max_iterations=1, clip=clip)
+    got = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    want = _bp_reference(ctx, S, *_reference_prior(prior, ctx, cfg), cfg)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert np.array_equal(g, w)
+    return got
+
+
+@pytest.mark.parametrize("batch", [1, 300])
+@pytest.mark.parametrize("make,kind", REFERENCE_CASES)
+def test_first_iteration_matches_reference(make, kind, batch):
+    code = make()
+    ex, ez = estimator._sample_batch(code, 0.09, kind, 19, 0, 0, batch)
+    _assert_first_iteration_matches_reference(
+        decoder.DecoderContext.for_code(code), code.syndromes(ex, ez), decoder.ChannelPrior(0.09, kind))
+
+
+FIRST_ITERATION_EDGE_CASES = [
+    # Prior LLR exactly 0 on the X bits: tanh(0) sits on the log floor.
+    (lambda: codes.ztgre(5), 0.5, 30.0),
+    (lambda: codes.toric(3), 0.5, 30.0),
+    # Negative prior LLR: iteration 1 already sends negative messages.
+    (lambda: codes.ztgre(5), 0.7, 30.0),
+    (lambda: codes.toric(3), 0.7, 30.0),
+    # The clip binds in iteration 1.
+    (lambda: codes.ztgre(5), 0.09, 1.0),
+    (lambda: codes.toric(3), 0.09, 1.0),
+]
+
+
+@pytest.mark.parametrize("make,p,clip", FIRST_ITERATION_EDGE_CASES)
+def test_first_iteration_matches_reference_on_edge_priors(make, p, clip):
+    code = make()
+    ex, ez = estimator._sample_batch(code, p, NoiseKind.PURE_X, 31, 0, 0, 300)
+    S = code.syndromes(ex, ez)
+    ctx = decoder.DecoderContext.for_code(code)
+    _assert_first_iteration_matches_reference(ctx, S, decoder.ChannelPrior(p, NoiseKind.PURE_X), clip)
+    # And with a depolarizing prior on the same syndromes.
+    _assert_first_iteration_matches_reference(ctx, S, decoder.ChannelPrior(p), clip)
+
+
+def test_first_iteration_matches_reference_with_vacuous_check():
+    code = codes.toric(3)
+    hd = np.vstack([code.hd[:4], np.zeros((1, code.hd.shape[1]), np.uint8), code.hd[4:]])
+    ctx = decoder.DecoderContext(hd)
+    ex, ez = estimator._sample_batch(code, 0.06, NoiseKind.DEPOLARIZING, 3, 0, 0, 200)
+    S0 = code.syndromes(ex, ez)
+    S = np.hstack([S0[:, :4], (np.arange(200) % 3 == 0)[:, None].astype(np.uint8), S0[:, 4:]])
+    got = _assert_first_iteration_matches_reference(ctx, S, decoder.ChannelPrior(0.06))
+    assert not got[2][S[:, 4] == 1].any() and got[2][S[:, 4] == 0].any()
+
+
+def test_first_messages_flip_sign_with_the_syndrome_bit():
+    # The sign-bit fill rests on the syndrome-1 column being the syndrome-0
+    # column negated, bit for bit, which numpy's odd float32 clip and
+    # arctanh give.
+    for make, p, clip in FIRST_ITERATION_EDGE_CASES:
+        ctx = decoder.DecoderContext.for_code(make())
+        for kind in NoiseKind:
+            col0, col1 = ctx.first_messages(decoder.ChannelPrior(p, kind), clip)
+            assert col0.shape == (ctx.num_edges, 1) and col0.dtype == np.float32 and col1 is None
+
+
+@pytest.mark.parametrize("make,kind", [REFERENCE_CASES[2], REFERENCE_CASES[4]])
+def test_first_iteration_selects_columns_where_sign_flip_is_not_exact(make, kind, monkeypatch):
+    # Where the two columns are not exact negatives, BP picks a column per
+    # message; forcing that path must give the same bits.
+    real = decoder._first_check_messages
+
+    def two_columns(ctx, prior, clip):
+        col0, _ = real(ctx, prior, clip)
+        return col0, -col0
+
+    monkeypatch.setattr(decoder, "_first_check_messages", two_columns)
+    code = make()
+    ctx = decoder.DecoderContext(code.hd)
+    ex, ez = estimator._sample_batch(code, 0.09, kind, 17, 0, 0, 300)
+    S = code.syndromes(ex, ez)
+    prior = decoder.ChannelPrior(0.09, kind)
+    cfg = decoder.BPConfig(max_iterations=20)
+    got = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    assert ctx.first_messages(prior, cfg.clip)[1] is not None
+    want = _bp_reference(ctx, S, *_reference_prior(prior, ctx, cfg), cfg)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_decode_builds_first_messages_once_per_prior(monkeypatch):
+    builds = []
+    real = decoder._first_check_messages
+
+    def counted(ctx, prior, clip):
+        builds.append((prior, clip))
+        return real(ctx, prior, clip)
+
+    monkeypatch.setattr(decoder, "_first_check_messages", counted)
+    code = codes.planar_surface(5)
+    ctx = decoder.DecoderContext.for_code(code)
+    cfg = decoder.BPConfig(max_iterations=10)
+    ex, ez = estimator._sample_batch(code, 0.1, NoiseKind.DEPOLARIZING, 7, 0, 0, 2)
+    for x, z in zip(ex, ez):
+        # A new but equal prior on each call.
+        decoder.decode(code, code.syndrome(pauli.SymplecticPauli.from_arrays(x, z)), decoder.ChannelPrior(0.1), cfg)
+        table = ctx.first_messages(decoder.ChannelPrior(0.1), cfg.clip)
+        assert table is ctx.first_messages(decoder.ChannelPrior(0.1), cfg.clip)
+    assert builds == [(decoder.ChannelPrior(0.1), cfg.clip)]
+    assert not table[0].flags.writeable
+    # Another clip is another table.
+    ctx.first_messages(decoder.ChannelPrior(0.1), 5.0)
+    assert len(builds) == 2
+
+
+def test_osd_channel_columns_are_built_once_per_noise_kind():
+    code = codes.ztgre(4)
+    ctx = decoder.DecoderContext(code.hd)
+    n = code.n
+    dep = ctx.channel_columns(decoder.ChannelPrior(0.1))
+    assert dep is ctx.channel_columns(decoder.ChannelPrior(0.05))
+    assert np.array_equal(dep[0], np.arange(3 * n)) and np.array_equal(dep[1], ctx.hd)
+    px = ctx.channel_columns(decoder.ChannelPrior(0.1, NoiseKind.PURE_X))
+    assert px is ctx.channel_columns(decoder.ChannelPrior(0.3, NoiseKind.PURE_X))
+    assert np.array_equal(px[0], np.arange(n)) and np.array_equal(px[1], ctx.hd[:, :n])
+    assert not px[1].flags.writeable
+
+
 def test_empty_batch_returns_at_once(monkeypatch):
     code = codes.chamon(2, 2, 2)
     ctx = decoder.DecoderContext.for_code(code)

@@ -1,6 +1,7 @@
 """Monte Carlo estimator tests: sampling statistics, residual classification,
 witness verification, reproducibility and the brute-force oracle."""
 
+import dataclasses
 import itertools
 import tracemalloc
 import warnings
@@ -271,7 +272,7 @@ def test_estimate_reports_are_reproducible():
     assert r1.to_json() == r2.to_json()
 
 
-def _assert_independent_of_thread_count(monkeypatch, code, cfg):
+def _assert_independent_of_thread_count(monkeypatch, code, cfg, threads=3):
     chunk_sizes = []
     real = estimator._decode_chunk
 
@@ -283,13 +284,13 @@ def _assert_independent_of_thread_count(monkeypatch, code, cfg):
     # Default chunks: 600 trials run as 256 + 256 + 88, so the pool has work
     # to share.  Pool workers decode after sampling, in no fixed order.
     r1 = estimator.estimate_upper_bound(code, cfg, threads=1).to_json()
-    r3 = estimator.estimate_upper_bound(code, cfg, threads=3).to_json()
+    rt = estimator.estimate_upper_bound(code, cfg, threads=threads).to_json()
     assert chunk_sizes[:3] == [256, 256, 88]
     assert sorted(chunk_sizes) == sorted([256, 256, 88] * 2)
     monkeypatch.setattr(estimator, "_CHUNK_TRIALS", 600)
     whole = estimator.estimate_upper_bound(code, cfg).to_json()
     assert chunk_sizes[6:] == [600]
-    assert r1 == r3 == whole
+    assert r1 == rt == whole
 
 
 def test_estimate_independent_of_thread_count(monkeypatch):
@@ -302,6 +303,22 @@ def test_estimate_pure_x_independent_of_thread_count(monkeypatch):
     cfg = TrialConfig(rates=(0.08,), trials_per_rate=600, master_seed=5, noise_kind=NoiseKind.PURE_X,
                       decoder=BPConfig(max_iterations=15))
     _assert_independent_of_thread_count(monkeypatch, codes.ztgre(4), cfg)
+
+
+def test_sweep_builds_first_messages_once_per_rate(monkeypatch):
+    # BP's first-iteration table is memoised on the code's decoder context
+    # per prior: a 3-rate sweep leaves 3 tables, and report bytes do not
+    # depend on whether two threads start on an empty memo or a full one.
+    rates = (0.06, 0.09, 0.12)
+    cfg = TrialConfig(rates=rates, trials_per_rate=600, master_seed=5, decoder=BPConfig(max_iterations=15))
+    code = codes.planar_surface(3)
+    cold = estimator.estimate_upper_bound(code, cfg, threads=2).to_json()
+    memo = DecoderContext.for_code(code)._first_messages
+    assert set(memo) == {(ChannelPrior(p), cfg.decoder.clip) for p in rates}
+    tables = dict(memo)
+    assert cold == estimator.estimate_upper_bound(codes.planar_surface(3), cfg).to_json()
+    _assert_independent_of_thread_count(monkeypatch, code, dataclasses.replace(cfg, rates=(0.09,)), threads=2)
+    assert memo.keys() == tables.keys() and all(memo[key] is tables[key] for key in tables)
 
 
 @pytest.mark.parametrize(
