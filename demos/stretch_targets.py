@@ -9,7 +9,6 @@ classified end to end, so memory does not grow with --trials.
 """
 
 import argparse
-import os
 
 import qdist
 from qdist import codes, estimator
@@ -24,10 +23,6 @@ if args.trials < 1:
     parser.error("--trials must be at least 1")
 if args.seed < 0:
     parser.error("--seed must be non-negative")
-
-# One thread per CPU this process may run on, which a container's affinity
-# mask can narrow below the host's count.
-THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 JOBS = [
     (codes.ztgre(8), NoiseKind.PURE_X, 8),
@@ -44,7 +39,7 @@ for code, kind, published in JOBS:
         noise_kind=kind,
         decoder=BPConfig(max_iterations=30),
     )
-    report = qdist.estimate_upper_bound(code, cfg, threads=THREADS)
+    report = qdist.estimate_upper_bound(code, cfg, threads=estimator.usable_cpus())
     verified = qdist.verify_witness(code, report.witness, report.upper_bound, kind)
     status = "matches published" if report.upper_bound == published else (
         f"published value {published}")

@@ -52,14 +52,6 @@ def _add_decoder_flags(sp):
                          "unsatisfied checks stop changing")
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the platform
-    has one, which a container or taskset narrows below the host's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qdist", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -70,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--trials", type=int, default=10_000)
     est.add_argument("--seed", type=int, default=0)
     _add_decoder_flags(est)
-    est.add_argument("--threads", type=int, default=_usable_cpus(),
+    est.add_argument("--threads", type=int, default=estimator.usable_cpus(),
                      help="decoding threads (default: the CPUs this process may use); "
                           "the report does not depend on it")
     est.add_argument("--out", help="write the JSON report here")

@@ -52,11 +52,8 @@ wrapper in between, so a batch of one pays little beyond its arithmetic.
 In the first iteration every variable sends its prior, so each check
 message is one of two values per edge, picked by its check's syndrome bit.
 The context memoises those values per (prior, clip), computed once by the
-same check update on a two-trial batch, and iteration 1 only sets each
-message's sign bit from its syndrome bit; the variable half of the
-iteration runs as in every other.  That equals the full update while
-numpy's float32 clip and arctanh are odd, which the table build checks bit
-for bit; where they are not, iteration 1 selects between the two values.
+same check update on a two-trial batch, and iteration 1 selects between
+them bit for bit; the variable half of the iteration runs as in every other.
 
 OSD-0 ranks each trial's columns with one sort of integer keys built from
 the float32 posteriors and solves the batch in gf2.solve_selected_batch, on
@@ -528,14 +525,12 @@ def _check_update(ctx: DecoderContext, ws: _Workspace, s_rows: list[np.ndarray],
 
 def _first_check_messages(ctx: DecoderContext, prior: ChannelPrior, clip: float):
     """BP's first check-to-variable messages, when every variable sends its
-    prior: (col0, col1), two (E, 1) float32 arrays for syndrome bit 0 and 1.
+    prior: (words, flips), two read-only (E, 1) uint32 arrays.  words holds
+    the float32 bits of each edge's message for syndrome bit 0, and
+    words ^ flips those for syndrome bit 1.
 
-    Both columns come from one _check_update on a two-trial workspace, so
-    they are the kernel's own values.  col1 is None when it equals col0
-    with the sign bit flipped, bit for bit: then a message's sign bit XOR
-    its check's syndrome bit gives it.  That holds while numpy's float32
-    clip and arctanh are odd; where they are not, BP selects between the
-    columns instead.
+    Both messages come from one _check_update on a two-trial workspace, so
+    they are the kernel's own values.
     """
     ws = _Workspace(ctx, 2)
     ws.resize(2)
@@ -543,12 +538,11 @@ def _first_check_messages(ctx: DecoderContext, prior: ChannelPrior, clip: float)
     s = np.zeros((ctx.check_syndrome_rows.shape[0], 2), dtype=bool)
     s[:, 1] = True
     _check_update(ctx, ws, [s[rows] for rows in ctx.check_bounds], _binding_clip(clip))
-    col0, col1 = (np.ascontiguousarray(ws.t[:, j : j + 1]) for j in (0, 1))
-    col0.setflags(write=False)
-    col1.setflags(write=False)
-    if np.array_equal(col1.view(np.uint32), col0.view(np.uint32) ^ np.uint32(1 << 31)):
-        col1 = None
-    return col0, col1
+    words = np.ascontiguousarray(ws.t_words[:, :1])
+    flips = words ^ ws.t_words[:, 1:]
+    words.setflags(write=False)
+    flips.setflags(write=False)
+    return words, flips
 
 
 def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPrior, cfg: BPConfig):
@@ -561,9 +555,8 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
     the same for _STALL_ITERATIONS iterations) or max_iterations.
 
     Iteration 1 takes its check-to-variable messages from the context's
-    table for (prior, clip) (DecoderContext.first_messages), with each sign
-    set by the check's syndrome bit; later iterations run the full check
-    update.
+    table for (prior, clip) (DecoderContext.first_messages), selected by
+    each check's syndrome bit; later iterations run the full check update.
     """
     S = np.asarray(syndromes, dtype=np.uint8)
     if S.ndim != 2 or S.shape[1] != ctx.m:
@@ -592,8 +585,7 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
     # bit, and arctanh gives the new half-scale message directly.
     half_prior = _half_prior(prior, n, cfg.clip)
     half_clip = _binding_clip(cfg.clip)
-    first0, first1 = ctx.first_messages(prior, cfg.clip)
-    first_words = first0.view(np.uint32)
+    first_words, first_flips = ctx.first_messages(prior, cfg.clip)
     var_prior = [half_prior[rows, None] for rows in ctx.var_rows]
     scatter_rows = [None if type(rows) is slice else rows for rows in ctx.var_rows]
 
@@ -616,15 +608,12 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
     for it in range(1, cfg.max_iterations + 1):
         t, T = ws.t, ws.tot
         if it == 1:
-            # Every variable sends its prior, so each message is the table's,
-            # negated where its check's syndrome bit is set.
-            if first1 is None:
-                s_words = np.left_shift(s_act, np.uint32(31), dtype=np.uint32)
-                s_words.take(edge_row, axis=0, out=ws.sign_words, mode="clip")
-                np.bitwise_xor(first_words, ws.sign_words, out=ws.t_words)
-            else:
-                np.copyto(t, first0)
-                np.copyto(t, first1, where=s_act.take(edge_row, axis=0, out=ws.edge_flags, mode="clip"))
+            # Every variable sends its prior, so each message is the table's
+            # syndrome-0 value, with the flips to its syndrome-1 value where
+            # its check's syndrome bit is set: exact, whatever the two are.
+            s_act.astype(np.uint32).take(edge_row, axis=0, out=ws.sign_words, mode="clip")
+            ws.sign_words *= first_flips
+            np.bitwise_xor(first_words, ws.sign_words, out=ws.t_words)
         else:
             # Variable-to-check messages from the previous totals; the new
             # check-to-variable messages then replace them in place.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -325,6 +326,14 @@ def _run_chunk(code: StabilizerCode, ctx: DecoderContext, cfg: TrialConfig, rate
         return 0, None
     t = idx[np.argmin(weights[idx])]  # the first trial at the chunk's minimum
     return idx.size, (int(weights[t]), rx[t].copy(), rz[t].copy())
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one, which a container or taskset narrows below the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def estimate_upper_bound(code: StabilizerCode, cfg: TrialConfig, threads: int = 1) -> DistanceReport:

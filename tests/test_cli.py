@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from qdist import cli, codes, decoder, pauli
+from qdist import cli, codes, decoder, estimator, pauli
 from qdist.estimator import NoiseKind
 
 
@@ -29,11 +29,11 @@ def test_parse_estimate_flags():
 
 def test_threads_default_to_the_cpus_this_process_may_use(monkeypatch):
     # A container's affinity mask can allow fewer CPUs than the host has.
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(estimator.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(estimator.os, "cpu_count", lambda: 64)
     spec = cli.parse_args(["estimate", "--code", "toric", "--params", "3"])
     assert spec.threads == 3
-    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    monkeypatch.delattr(estimator.os, "sched_getaffinity")
     assert cli.parse_args(["estimate", "--code", "toric", "--params", "3"]).threads == 64
 
 
