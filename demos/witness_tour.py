@@ -27,7 +27,7 @@ print(f"syndrome:  {''.join(map(str, s.bits))}  (decoupled form agrees: {s == s2
 
 outcome = decoder.decode(code, s, decoder.ChannelPrior(0.1))
 print(f"estimate:  {pauli.to_string(outcome.estimate)}  "
-      f"(BP converged: {outcome.bp_converged}, OSD used: {outcome.osd_applied})")
+      f"(BP converged: {outcome.bp_converged}, OSD used: {not outcome.bp_converged})")
 
 residual = pauli.mul(err, outcome.estimate)
 is_logical = estimator.logical_mask(code, residual.ex[None, :], residual.ez[None, :])[0]

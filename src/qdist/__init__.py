@@ -1,7 +1,6 @@
 """Distance upper bounds for quantum stabilizer codes via decoupled BP-OSD."""
 
 from .codes import (
-    ClassicalCode,
     StabilizerCode,
     chamon,
     hypergraph_product,
@@ -31,7 +30,6 @@ from .pauli import SymplecticPauli, from_string, to_string
 __all__ = [
     "BPConfig",
     "ChannelPrior",
-    "ClassicalCode",
     "DecodeOutcome",
     "DistanceReport",
     "NoiseKind",

@@ -202,7 +202,7 @@ def run_spec(args: argparse.Namespace) -> int:
         print(f"estimate:  {pauli.to_string(outcome.estimate)}")
         print(f"residual:  {pauli.to_string(residual)}  [{label}]")
         print(
-            f"bp_converged={outcome.bp_converged} osd_applied={outcome.osd_applied} "
+            f"bp_converged={outcome.bp_converged} osd_applied={not outcome.bp_converged} "
             f"iterations={outcome.iterations}"
         )
         return 0

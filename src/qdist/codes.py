@@ -1,6 +1,6 @@
 """Stabilizer code constructions and characterization.
 
-Families covered: repetition-based classical ingredients, planar/toric/XZZX
+Families covered: repetition-code check matrices, planar/toric/XZZX
 surface codes, the rate-1/2 Z-type recursive Tanner-graph expansion family,
 the hypergraph product, the three-fold XYZ product and its Chamon
 specialization from cyclic repetition codes.
@@ -13,30 +13,13 @@ always recomputed by GF(2) rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import gf2, pauli
 
 
-@dataclass(frozen=True)
-class ClassicalCode:
-    """Classical binary code given by its parity-check matrix."""
-
-    h: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.h.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.h.shape[0]
-
-
-def repetition(n: int, cyclic: bool = False) -> ClassicalCode:
-    """Repetition-code parity checks: length-n chain or n-cycle."""
+def repetition(n: int, cyclic: bool = False) -> np.ndarray:
+    """(m, n) uint8 repetition-code parity checks: length-n chain or n-cycle."""
     if n < 2:
         raise ValueError("repetition code needs n >= 2")
     rows = n if cyclic else n - 1
@@ -44,7 +27,7 @@ def repetition(n: int, cyclic: bool = False) -> ClassicalCode:
     for i in range(rows):
         h[i, i] = 1
         h[i, (i + 1) % n] = 1
-    return ClassicalCode(h)
+    return h
 
 
 class StabilizerCode:
@@ -121,14 +104,14 @@ def decoupled_parity_check(hx: np.ndarray, hz: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def hypergraph_product(c1: ClassicalCode, c2: ClassicalCode, name: str = "hgp") -> StabilizerCode:
-    """CSS product of two classical codes.
+def hypergraph_product(h1: np.ndarray, h2: np.ndarray, name: str = "hgp") -> StabilizerCode:
+    """CSS product of two classical codes, given by their (m, n) uint8
+    parity-check matrices.
 
     Qubit blocks: (n1*n2) then (m1*m2).  X checks are
     [1 (x) H2 , H1^T (x) 1], Z checks are [H1 (x) 1 , 1 (x) H2^T].
     """
-    h1, h2 = c1.h, c2.h
-    n1, m1, n2, m2 = c1.n, c1.m, c2.n, c2.m
+    (m1, n1), (m2, n2) = h1.shape, h2.shape
     hx_css = np.hstack([
         np.kron(np.eye(n1, dtype=np.uint8), h2),
         np.kron(h1.T, np.eye(m2, dtype=np.uint8)),
@@ -239,20 +222,16 @@ def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.kron(np.kron(a, b), c).astype(np.uint8)
 
 
-def xyz_product(
-    c1: ClassicalCode, c2: ClassicalCode, c3: ClassicalCode, name: str = "xyz"
-) -> StabilizerCode:
-    """Non-CSS three-fold product of classical codes.
+def xyz_product(h1: np.ndarray, h2: np.ndarray, h3: np.ndarray, name: str = "xyz") -> StabilizerCode:
+    """Non-CSS three-fold product of classical codes, given by their (m, n)
+    uint8 parity-check matrices.
 
     Qubit blocks A, B, C, D of sizes n1n2n3, m1m2n3, m1n2m3, n1m2m3; four
     generator row blocks with X/Y/Z tensor placements.  A Pauli tensor over a
     binary matrix M drops M into the ex block for X, the ez block for Z and
     both for Y.
     """
-    h1, h2, h3 = c1.h, c2.h, c3.h
-    n1, m1 = c1.n, c1.m
-    n2, m2 = c2.n, c2.m
-    n3, m3 = c3.n, c3.m
+    (m1, n1), (m2, n2), (m3, n3) = h1.shape, h2.shape, h3.shape
     i = lambda d: np.eye(d, dtype=np.uint8)  # noqa: E731
 
     sizes = [n1 * n2 * n3, m1 * m2 * n3, m1 * n2 * m3, n1 * m2 * m3]

@@ -3,11 +3,12 @@
 The 3n decoupled bits are treated as independent binary variables with a
 prior that matches the noise: p/3 on each X, Z and Y bit for depolarizing
 noise, and p on the X bits and 0 on the Z and Y bits for pure-X noise (a bit
-that cannot flip gets LLR +clip, which no message exceeds).  Without
-the matched prior, the identical X and Y columns of a Z-only code's Hd keep
-BP from settling on pure-X errors.  Messages run in the log domain with a
-flooding schedule; the per-qubit one-hot constraint is enforced at the hard
-decision, which picks the best of {I, X, Z, Y} from the three bit marginals.
+that cannot flip gets the fixed LLR CERTAIN_LLR, which no message reaches).
+Without the matched prior, the identical X and Y columns of a Z-only code's
+Hd keep BP from settling on pure-X errors.  Messages run in the log domain
+with a flooding schedule; the per-qubit one-hot constraint is enforced at the
+hard decision, which picks the best of {I, X, Z, Y} from the three bit
+marginals.
 BP stops on a trial once it converges, once it reaches max_iterations, or
 once it stalls: its set of unsatisfied checks is the same at
 _STALL_ITERATIONS + 1 consecutive iterations (t-2, t-1 and t).  Quantum BP
@@ -51,7 +52,7 @@ wrapper in between, so a batch of one pays little beyond its arithmetic.
 
 In the first iteration every variable sends its prior, so each check
 message is one of two values per edge, picked by its check's syndrome bit.
-The context memoises those values per (prior, clip), computed once by the
+The context memoises those values per prior, computed once by the
 same check update on a two-trial batch, and iteration 1 selects between
 them bit for bit; the variable half of the iteration runs as in every other.
 
@@ -77,6 +78,11 @@ from .codes import StabilizerCode
 _MSG_DTYPE = np.float32
 _TANH_EPS = 1e-7
 _LOG_FLOOR = 1e-37
+# Prior LLR of a bit the channel cannot flip (ChannelPrior.llrs).  It exceeds
+# every message: a message is 2 * arctanh of a check product held within
+# 1 - _TANH_EPS, so its magnitude is at most about 16.6.  Reports write it as
+# schema v1's decoder_config "clip".
+CERTAIN_LLR = 30.0
 
 
 class NoiseKind(str, enum.Enum):
@@ -112,37 +118,28 @@ class ChannelPrior:
         """(3n,) float64 prior probabilities in (x' | z' | y') block order."""
         return np.repeat(np.array(self.block_probs), n)
 
-    def llrs(self, n: int, clip: float) -> np.ndarray:
+    def llrs(self, n: int) -> np.ndarray:
         """(3n,) float32 prior LLRs log((1 - q) / q); a bit with q = 0 gets
-        +clip, which no BP message exceeds in magnitude."""
+        CERTAIN_LLR."""
         # math.log, not np.log: the float32 of the depolarizing LLR must not
         # move by a last bit, or depolarizing reports would change.
-        blocks = [math.log((1.0 - q) / q) if q > 0.0 else clip for q in self.block_probs]
+        blocks = [math.log((1.0 - q) / q) if q > 0.0 else CERTAIN_LLR for q in self.block_probs]
         return np.repeat(np.array(blocks, dtype=_MSG_DTYPE), n)
 
 
 @dataclass(frozen=True)
 class BPConfig:
     max_iterations: int = 100
-    # Bound on a message's LLR.  The default never binds: a message stays
-    # below 2 * arctanh(1 - _TANH_EPS), about 16.6.  What it does set is the
-    # prior LLR of a bit the channel cannot flip (ChannelPrior.llrs).
-    clip: float = 30.0
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
-        # A clip of 0 or less pins every message at or below 0, and NaN
-        # poisons them; either silently breaks BP instead of failing.
-        if not 0.0 < self.clip < math.inf:
-            raise ValueError("clip must be finite and positive")
 
 
 @dataclass
 class DecodeOutcome:
     estimate: pauli.SymplecticPauli
-    bp_converged: bool
-    osd_applied: bool
+    bp_converged: bool  # when False, the estimate is OSD-0's
     iterations: int
 
 
@@ -152,7 +149,7 @@ class DecoderContext:
     Holds the decoupled matrix that OSD solves on, its Tanner-graph edge
     layout and the slot tables BP sums over, all fixed once built.  It also
     memoises what every decode with one prior shares: BP's first check
-    messages per (prior, clip) and OSD-0's channel columns per noise kind.
+    messages per prior and OSD-0's channel columns per noise kind.
     The memos only ever gain read-only entries, each a pure function of its
     key, so the context is safe to share between threads: two threads that
     miss together build equal values, and dict.setdefault, atomic under the
@@ -201,13 +198,12 @@ class DecoderContext:
         self._first_messages: dict = {}
         self._channel_columns: dict = {}
 
-    def first_messages(self, prior: ChannelPrior, clip: float):
-        """BP's first check-to-variable messages for (prior, clip), built
-        once (see _first_check_messages)."""
-        key = (prior, clip)
-        first = self._first_messages.get(key)
+    def first_messages(self, prior: ChannelPrior):
+        """BP's first check-to-variable messages for prior, built once (see
+        _first_check_messages)."""
+        first = self._first_messages.get(prior)
         if first is None:
-            first = self._first_messages.setdefault(key, _first_check_messages(self, prior, clip))
+            first = self._first_messages.setdefault(prior, _first_check_messages(self, prior))
         return first
 
     def channel_columns(self, prior: ChannelPrior) -> tuple[np.ndarray, np.ndarray]:
@@ -357,11 +353,6 @@ def _decision_bits_from_llr(llr: np.ndarray, n: int, out: np.ndarray | None = No
     return bits
 
 
-# Largest |arctanh| of a clipped check product.  A message clip at or above it
-# never binds, and the kernel skips it.
-_ATANH_MAX = max(abs(np.arctanh(np.array([-1.0 + _TANH_EPS, 1.0 - _TANH_EPS], dtype=_MSG_DTYPE))))
-
-
 def _prefix(buf: np.ndarray, dtype, *shape: int) -> np.ndarray:
     """A C-contiguous array of the given dtype and shape over the leading
     bytes of the byte buffer buf."""
@@ -475,24 +466,18 @@ class _Workspace:
         ]
 
 
-def _half_prior(prior: ChannelPrior, n: int, clip: float) -> np.ndarray:
+def _half_prior(prior: ChannelPrior, n: int) -> np.ndarray:
     """(3n,) prior LLRs at half scale, as BP's totals start."""
-    return prior.llrs(n, clip) * _MSG_DTYPE(0.5)
+    return prior.llrs(n) * _MSG_DTYPE(0.5)
 
 
-def _binding_clip(clip: float):
-    """The half-scale message clip, or None where it can never bind."""
-    half_clip = _MSG_DTYPE(clip) * _MSG_DTYPE(0.5)
-    return half_clip if half_clip < _ATANH_MAX else None
-
-
-def _check_update(ctx: DecoderContext, ws: _Workspace, s_rows: list[np.ndarray], half_clip) -> None:
+def _check_update(ctx: DecoderContext, ws: _Workspace, s_rows: list[np.ndarray]) -> None:
     """Replace the variable-to-check messages in ws.t by check-to-variable
     messages in place, for the syndrome rows s_rows of each check table.
 
     Runs through the log-magnitude / sign split: a check's sign flips with
     its syndrome bit and with each negative tanh; padding is neutral (lg = 0,
-    not negative).  half_clip is _binding_clip's.
+    not negative).
     """
     t, neg, lg = ws.t, ws.neg, ws.lg
     edge_row = ctx.edge_row
@@ -519,11 +504,9 @@ def _check_update(ctx: DecoderContext, ws: _Workspace, s_rows: list[np.ndarray],
     ws.t_words ^= ws.sign_words
     prod.clip(-_PROD_HI, _PROD_HI, out=prod)
     np.arctanh(prod, out=prod)
-    if half_clip is not None:
-        prod.clip(-half_clip, half_clip, out=prod)
 
 
-def _first_check_messages(ctx: DecoderContext, prior: ChannelPrior, clip: float):
+def _first_check_messages(ctx: DecoderContext, prior: ChannelPrior):
     """BP's first check-to-variable messages, when every variable sends its
     prior: (words, flips), two read-only (E, 1) uint32 arrays.  words holds
     the float32 bits of each edge's message for syndrome bit 0, and
@@ -534,10 +517,10 @@ def _first_check_messages(ctx: DecoderContext, prior: ChannelPrior, clip: float)
     """
     ws = _Workspace(ctx, 2)
     ws.resize(2)
-    np.copyto(ws.t, _half_prior(prior, ctx.nbits // 3, clip)[ctx.edge_var, None])
+    np.copyto(ws.t, _half_prior(prior, ctx.nbits // 3)[ctx.edge_var, None])
     s = np.zeros((ctx.check_syndrome_rows.shape[0], 2), dtype=bool)
     s[:, 1] = True
-    _check_update(ctx, ws, [s[rows] for rows in ctx.check_bounds], _binding_clip(clip))
+    _check_update(ctx, ws, [s[rows] for rows in ctx.check_bounds])
     words = np.ascontiguousarray(ws.t_words[:, :1])
     flips = words ^ ws.t_words[:, 1:]
     words.setflags(write=False)
@@ -555,8 +538,8 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
     the same for _STALL_ITERATIONS iterations) or max_iterations.
 
     Iteration 1 takes its check-to-variable messages from the context's
-    table for (prior, clip) (DecoderContext.first_messages), selected by
-    each check's syndrome bit; later iterations run the full check update.
+    table for prior (DecoderContext.first_messages), selected by each
+    check's syndrome bit; later iterations run the full check update.
     """
     S = np.asarray(syndromes, dtype=np.uint8)
     if S.ndim != 2 or S.shape[1] != ctx.m:
@@ -583,9 +566,8 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
     # Messages and posterior totals are stored at half scale.  Doubling is
     # exact in float32, so T - M is the full-scale (tot - mcv) / 2 bit for
     # bit, and arctanh gives the new half-scale message directly.
-    half_prior = _half_prior(prior, n, cfg.clip)
-    half_clip = _binding_clip(cfg.clip)
-    first_words, first_flips = ctx.first_messages(prior, cfg.clip)
+    half_prior = _half_prior(prior, n)
+    first_words, first_flips = ctx.first_messages(prior)
     var_prior = [half_prior[rows, None] for rows in ctx.var_rows]
     scatter_rows = [None if type(rows) is slice else rows for rows in ctx.var_rows]
 
@@ -618,7 +600,7 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
             # Variable-to-check messages from the previous totals; the new
             # check-to-variable messages then replace them in place.
             np.subtract(T.take(edge_var, axis=0, out=ws.edge_g, mode="clip"), t, out=t)
-            _check_update(ctx, ws, s_rows, half_clip)
+            _check_update(ctx, ws, s_rows)
 
         # Posterior totals, constrained decision, convergence test.
         M = ws.msg
@@ -768,6 +750,5 @@ def decode(
     return DecodeOutcome(
         estimate=pauli.to_symplectic(bits),
         bp_converged=conv,
-        osd_applied=not conv,
         iterations=iters,
     )

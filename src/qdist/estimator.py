@@ -27,7 +27,7 @@ import numpy as np
 
 from . import pauli
 from .codes import StabilizerCode
-from .decoder import BPConfig, ChannelPrior, DecoderContext, NoiseKind, bp_decode_batch, osd_post_process
+from .decoder import CERTAIN_LLR, BPConfig, ChannelPrior, DecoderContext, NoiseKind, bp_decode_batch, osd_post_process
 
 SCHEMA_VERSION = 1
 DEFAULT_RATES = (0.01, 0.02, 0.05, 0.08, 0.10, 0.12, 0.15)
@@ -94,7 +94,7 @@ class DistanceReport:
             "seed": self.seed,
             "decoder_config": {
                 "max_iterations": self.decoder.max_iterations,
-                "clip": self.decoder.clip,
+                "clip": CERTAIN_LLR,  # schema v1 records the fixed prior LLR here
             },
         }
 

@@ -9,12 +9,14 @@ from qdist import codes, estimator, gf2, pauli
 
 def test_repetition_shapes_and_rank():
     cyc = codes.repetition(3, cyclic=True)
-    rows = {tuple(r) for r in cyc.h}
+    assert cyc.dtype == np.uint8 and cyc.shape == (3, 3)
+    rows = {tuple(r) for r in cyc}
     assert rows == {(1, 1, 0), (0, 1, 1), (1, 0, 1)}
     chain = codes.repetition(3, cyclic=False)
-    assert {tuple(r) for r in chain.h} == {(1, 1, 0), (0, 1, 1)}
+    assert chain.shape == (2, 3)
+    assert {tuple(r) for r in chain} == {(1, 1, 0), (0, 1, 1)}
     for n in (2, 4, 7):
-        assert gf2.rank(codes.repetition(n, True).h) == n - 1
+        assert gf2.rank(codes.repetition(n, True)) == n - 1
     with pytest.raises(ValueError):
         codes.repetition(1)
 
@@ -85,14 +87,14 @@ def test_hypergraph_product_random_inputs_commute():
     for _ in range(25):
         h1 = rng.integers(0, 2, size=(rng.integers(1, 4), rng.integers(2, 5)), dtype=np.uint8)
         h2 = rng.integers(0, 2, size=(rng.integers(1, 4), rng.integers(2, 5)), dtype=np.uint8)
-        code = codes.hypergraph_product(codes.ClassicalCode(h1), codes.ClassicalCode(h2))
+        code = codes.hypergraph_product(h1, h2)
         assert codes.validate(code) == []
 
 
 def test_hypergraph_product_degenerate_block():
     h1 = np.array([[1, 1, 0], [0, 1, 1]], np.uint8)
-    empty = codes.ClassicalCode(np.zeros((0, 4), np.uint8))
-    code = codes.hypergraph_product(codes.ClassicalCode(h1), empty)
+    empty = np.zeros((0, 4), np.uint8)
+    code = codes.hypergraph_product(h1, empty)
     assert code.n == 3 * 4 + 2 * 0
     assert codes.validate(code) == []
 
@@ -100,14 +102,10 @@ def test_hypergraph_product_degenerate_block():
 def test_xyz_product_random_inputs_commute():
     rng = np.random.default_rng(43)
     for _ in range(15):
-        cs = []
-        for _ in range(3):
-            h = rng.integers(0, 2, size=(rng.integers(1, 3), rng.integers(2, 4)), dtype=np.uint8)
-            cs.append(codes.ClassicalCode(h))
-        code = codes.xyz_product(*cs)
+        hs = [rng.integers(0, 2, size=(rng.integers(1, 3), rng.integers(2, 4)), dtype=np.uint8) for _ in range(3)]
+        code = codes.xyz_product(*hs)
         assert codes.validate(code) == []
-        n1, n2, n3 = (c.n for c in cs)
-        m1, m2, m3 = (c.m for c in cs)
+        (m1, n1), (m2, n2), (m3, n3) = (h.shape for h in hs)
         assert code.n == n1 * n2 * n3 + m1 * m2 * n3 + m1 * n2 * m3 + n1 * m2 * m3
 
 

@@ -314,7 +314,7 @@ def test_sweep_builds_first_messages_once_per_rate(monkeypatch):
     code = codes.planar_surface(3)
     cold = estimator.estimate_upper_bound(code, cfg, threads=2).to_json()
     memo = DecoderContext.for_code(code)._first_messages
-    assert set(memo) == {(ChannelPrior(p), cfg.decoder.clip) for p in rates}
+    assert set(memo) == {ChannelPrior(p) for p in rates}
     tables = dict(memo)
     assert cold == estimator.estimate_upper_bound(codes.planar_surface(3), cfg).to_json()
     _assert_independent_of_thread_count(monkeypatch, code, dataclasses.replace(cfg, rates=(0.09,)), threads=2)
@@ -407,7 +407,7 @@ def _random_small_hgp(seed):
         h = (cols[None, :] >> np.arange(3)[:, None]) & 1
         if rng.random() < 0.5:
             h = np.vstack([h, h[0] ^ h[1]])
-        return codes.ClassicalCode(h.astype(np.uint8))
+        return h.astype(np.uint8)
 
     return codes.hypergraph_product(classical(), classical())
 
@@ -469,7 +469,9 @@ def test_report_json_and_csv_shapes():
     assert d["schema_version"] == estimator.SCHEMA_VERSION
     assert d["n"] == code.n and d["k"] == code.k
     assert len(d["per_rate"]) == 1
-    assert d["decoder_config"]["max_iterations"] == 10
+    # Schema v1 writes CERTAIN_LLR, the prior LLR of a bit that cannot flip,
+    # under "clip".
+    assert d["decoder_config"] == {"max_iterations": 10, "clip": 30.0}
     csv = rep.to_csv()
     assert csv.splitlines()[0] == "p,trials,logical_events,min_weight"
     assert len(csv.splitlines()) == 2
