@@ -467,6 +467,42 @@ def test_bp_matches_reference_on_edge_priors(make, p, batch):
         assert np.array_equal(g, w)
 
 
+CLIP_CASES = [
+    (lambda: codes.toric(3), NoiseKind.DEPOLARIZING, 0.09),
+    (lambda: codes.chamon(3, 3, 3), NoiseKind.DEPOLARIZING, 0.09),
+    (lambda: codes.ztgre(5), NoiseKind.PURE_X, 0.09),
+    # p = 0.5: the X bits' prior LLR is exactly 0.
+    (lambda: codes.toric(3), NoiseKind.PURE_X, 0.5),
+    (lambda: codes.chamon(3, 3, 3), NoiseKind.PURE_X, 0.5),
+    (lambda: codes.ztgre(5), NoiseKind.PURE_X, 0.5),
+]
+
+
+@pytest.mark.parametrize("batch", [0, 1, 300])
+@pytest.mark.parametrize("clip", [1.0, 5.0, 10.0, 16.0])
+@pytest.mark.parametrize("make,kind,p", CLIP_CASES)
+def test_bp_matches_reference_when_clip_binds(make, kind, p, clip, batch, monkeypatch):
+    # The kernel's one clip on messages is the float32 bound on |tanh| and on
+    # the check product, so a message is at most 2 * arctanh(_PROD_HI).
+    # Lowering the bound to tanh(clip / 2) caps messages at +-clip, so it binds
+    # on far more messages than at the default; the reference reads the same
+    # bound.
+    eps = 1.0 - math.tanh(0.5 * clip)
+    monkeypatch.setattr(decoder, "_TANH_EPS", eps)
+    monkeypatch.setattr(decoder, "_PROD_HI", decoder._MSG_DTYPE(1.0 - eps))
+    code = make()
+    ctx = decoder.DecoderContext.for_code(code)
+    ex, ez = estimator._sample_batch(code, p, kind, 23, 0, 0, batch)
+    S = code.syndromes(ex, ez)
+    prior = decoder.ChannelPrior(p, kind)
+    cfg = decoder.BPConfig(max_iterations=12)
+    got = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    want = _bp_reference(ctx, S, *_reference_prior(prior, ctx), cfg)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
 def test_certain_llr_exceeds_every_message():
     # A message is 2 * arctanh of a check product held within 1 - _TANH_EPS,
     # so none reaches the prior LLR of a bit the channel cannot flip.
