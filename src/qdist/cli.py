@@ -15,8 +15,6 @@ import os
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import codes, estimator, pauli
 from .decoder import BPConfig, ChannelPrior, InfeasibleSyndrome, decode
 from .estimator import NoiseKind, TrialConfig

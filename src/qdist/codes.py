@@ -8,7 +8,9 @@ specialization from cyclic repetition codes.
 Generator matrices are kept as dense uint8 (Hx | Hz) blocks; the qubit count
 stays small enough (N <= ~1000) that dense storage is the simple and fast
 choice.  Dependent generator rows are legal; the logical dimension k is
-always recomputed by GF(2) rank.
+always recomputed by GF(2) rank.  A built code is read-only: its Hx, Hz, Hd
+and generator-matrix arrays reject writes, so k, the syndrome table and the
+stabilizer reducer derived from them never go stale.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class StabilizerCode:
     both that rank and the stabilizer reducer.
     """
 
-    def __init__(self, name: str, hx: np.ndarray, hz: np.ndarray, metadata=None):
+    def __init__(self, name: str, hx: np.ndarray, hz: np.ndarray):
         hx = np.asarray(hx, dtype=np.uint8) & 1
         hz = np.asarray(hz, dtype=np.uint8) & 1
         if hx.shape != hz.shape:
@@ -48,7 +50,6 @@ class StabilizerCode:
         self.hx = hx
         self.hz = hz
         self.n = hx.shape[1]
-        self.metadata = dict(metadata or {})
         self._generator_matrix = np.hstack([hx, hz])
         # Row i: the columns of [ex | ez] generator i checks, padded with 2n (kept zero).
         rows, cols = np.divmod(np.flatnonzero(np.hstack([hz, hx]).view(bool)), 2 * self.n)
@@ -58,6 +59,8 @@ class StabilizerCode:
         self._stabilizer_reducer = gf2.RowSpanReducer(self._generator_matrix)
         self.k = self.n - self._stabilizer_reducer.rank
         self.hd = decoupled_parity_check(hx, hz)
+        for a in (self.hx, self.hz, self.hd, self._generator_matrix):
+            a.setflags(write=False)
 
     @property
     def num_generators(self) -> int:
@@ -120,21 +123,23 @@ def hypergraph_product(h1: np.ndarray, h2: np.ndarray, name: str = "hgp") -> Sta
         np.kron(h1, np.eye(n2, dtype=np.uint8)),
         np.kron(np.eye(m1, dtype=np.uint8), h2.T),
     ]).astype(np.uint8)
-    return css_code(name, hx_css, hz_css, metadata={"n1": n1, "m1": m1, "n2": n2, "m2": m2})
+    return css_code(name, hx_css, hz_css)
 
 
-def css_code(name: str, hx_css: np.ndarray, hz_css: np.ndarray, metadata=None) -> StabilizerCode:
-    """Stack pure-X and pure-Z check blocks into one generator matrix."""
+def css_code(name: str, hx_css: np.ndarray, hz_css: np.ndarray) -> StabilizerCode:
+    """Stack pure-X and pure-Z check blocks into one generator matrix;
+    raises ValueError when an X check anticommutes with a Z check."""
     hx_css = np.asarray(hx_css, dtype=np.uint8)
     hz_css = np.asarray(hz_css, dtype=np.uint8)
-    n = hx_css.shape[1]
-    if hz_css.shape[1] != n:
+    if hz_css.shape[1] != hx_css.shape[1]:
         raise ValueError("X and Z blocks must act on the same qubit count")
-    if np.any((hx_css.astype(np.int64) @ hz_css.T) & 1):
-        raise ValueError("CSS blocks do not commute (Hx Hz^T != 0)")
     hx = np.vstack([hx_css, np.zeros_like(hz_css)])
     hz = np.vstack([np.zeros_like(hx_css), hz_css])
-    return StabilizerCode(name, hx, hz, metadata=metadata)
+    code = StabilizerCode(name, hx, hz)
+    failures = validate(code)
+    if failures:
+        raise ValueError("CSS blocks do not commute: " + "; ".join(failures))
+    return code
 
 
 def planar_surface(L: int) -> StabilizerCode:
@@ -142,9 +147,7 @@ def planar_surface(L: int) -> StabilizerCode:
     if L < 2:
         raise ValueError("planar surface code needs L >= 2")
     rep = repetition(L, cyclic=False)
-    code = hypergraph_product(rep, rep, name=f"planar_surface_{L}")
-    code.metadata["L"] = L
-    return code
+    return hypergraph_product(rep, rep, name=f"planar_surface_{L}")
 
 
 def toric(L: int) -> StabilizerCode:
@@ -152,9 +155,7 @@ def toric(L: int) -> StabilizerCode:
     if L < 2:
         raise ValueError("toric code needs L >= 2")
     rep = repetition(L, cyclic=True)
-    code = hypergraph_product(rep, rep, name=f"toric_{L}")
-    code.metadata["L"] = L
-    return code
+    return hypergraph_product(rep, rep, name=f"toric_{L}")
 
 
 def xzzx_surface(L: int) -> StabilizerCode:
@@ -171,7 +172,7 @@ def xzzx_surface(L: int) -> StabilizerCode:
     hx = base.hx.copy()
     hz = base.hz.copy()
     hx[:, split:], hz[:, split:] = base.hz[:, split:], base.hx[:, split:]
-    return StabilizerCode(f"xzzx_surface_{L}", hx, hz, metadata={"L": L})
+    return StabilizerCode(f"xzzx_surface_{L}", hx, hz)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +211,7 @@ def ztgre(L: int) -> StabilizerCode:
         h = np.vstack([np.hstack([h, cross]), np.hstack([cross, h])])
     hz = h
     hx = np.zeros_like(hz)
-    return StabilizerCode(f"ztgre_{L}", hx, hz, metadata={"L": L})
+    return StabilizerCode(f"ztgre_{L}", hx, hz)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +274,7 @@ def xyz_product(h1: np.ndarray, h2: np.ndarray, h3: np.ndarray, name: str = "xyz
 
     hx = np.vstack([np.hstack(b) for b in (ex_s, ex_t, ex_u, ex_v)])
     hz = np.vstack([np.hstack(b) for b in (ez_s, ez_t, ez_u, ez_v)])
-    meta = {"n": (n1, n2, n3), "m": (m1, m2, m3), "block_sizes": sizes}
-    return StabilizerCode(name, hx, hz, metadata=meta)
+    return StabilizerCode(name, hx, hz)
 
 
 def chamon(n1: int, n2: int, n3: int) -> StabilizerCode:
@@ -295,25 +295,19 @@ def chamon(n1: int, n2: int, n3: int) -> StabilizerCode:
 
 
 def validate(code: StabilizerCode) -> list[str]:
-    """Check generator commutation, the cached k and the cached Hd.
+    """Check that every pair of generators commutes.
 
-    Returns one message per failed check; an empty list means the code is
-    valid.
+    Returns a message naming the first anticommuting pair, or an empty list
+    when the code is valid.  The generators' own syndromes form the
+    symmetric (m, m) matrix of their symplectic products.  Commutation is
+    the only check: k and Hd need none, because the constructor derives both
+    from Hx and Hz and a built code's arrays are read-only.
     """
-    failures = []
-    comm = (
-        code.hx.astype(np.int64) @ code.hz.T + code.hz.astype(np.int64) @ code.hx.T
-    ) & 1
-    bad = np.argwhere(comm)
+    bad = np.argwhere(code.syndromes(code.hx, code.hz))
     if bad.size:
         i, j = map(int, bad[0])
-        failures.append(f"generators {i} and {j} anticommute")
-    k = code.n - gf2.rank(code.generator_matrix())
-    if k != code.k:
-        failures.append(f"cached k={code.k} but rank gives k={k}")
-    if not np.array_equal(code.hd, decoupled_parity_check(code.hx, code.hz)):
-        failures.append("cached decoupled matrix is stale")
-    return failures
+        return [f"generators {i} and {j} anticommute"]
+    return []
 
 
 def logical_basis(code: StabilizerCode) -> list[pauli.SymplecticPauli]:

@@ -220,10 +220,10 @@ class DecoderContext:
 
     @classmethod
     def for_code(cls, code: StabilizerCode) -> "DecoderContext":
-        ctx = code.metadata.get("_decoder_ctx")
+        """The code's one context, built on first use and kept on the code."""
+        ctx = getattr(code, "_decoder_context", None)
         if ctx is None:
-            ctx = cls(code.hd)
-            code.metadata["_decoder_ctx"] = ctx
+            ctx = code._decoder_context = cls(code.hd)
         return ctx
 
 

@@ -20,7 +20,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -409,14 +408,12 @@ def brute_force_distance(code: StabilizerCode, w_max: int, budget: int = 50_000_
     if total > budget:
         raise BudgetExceeded(f"search size {total} exceeds budget {budget}")
 
-    # Syndrome of each single-qubit Pauli as a python int (bit i = generator i).
-    synd = []
-    hx_cols = code.hx.T
-    hz_cols = code.hz.T
-    for q in range(n):
-        sx = int.from_bytes(np.packbits(hz_cols[q], bitorder="little").tobytes(), "little")
-        sz = int.from_bytes(np.packbits(hx_cols[q], bitorder="little").tobytes(), "little")
-        synd.append((0, sx, sz, sx ^ sz))  # index by Pauli code 0=I,1=X,2=Z,3=Y
+    # Syndrome of each single-qubit Pauli as a python int (bit i = generator i):
+    # rows 0..n-1 are X on qubit q, rows n..2n-1 are Z on qubit q, and Y = X xor Z.
+    paulis = np.eye(2 * n, dtype=np.uint8)
+    single = code.syndromes(paulis[:, :n], paulis[:, n:])
+    ints = [int.from_bytes(row.tobytes(), "little") for row in np.packbits(single, axis=1, bitorder="little")]
+    synd = [(0, sx, sz, sx ^ sz) for sx, sz in zip(ints[:n], ints[n:])]  # index by Pauli code 0=I,1=X,2=Z,3=Y
 
     found: list = []
 

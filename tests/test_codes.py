@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qdist import codes, estimator, gf2, pauli
+from qdist.decoder import DecoderContext
 
 
 def test_repetition_shapes_and_rank():
@@ -142,9 +143,63 @@ SUITE = [
 ]
 
 
-@pytest.mark.parametrize("make", SUITE)
+def _validate_reference(code):
+    """validate's earlier definition: commutation by int64 matmuls, plus k
+    re-derived by a second elimination and Hd rebuilt from Hx and Hz."""
+    failures = []
+    comm = (code.hx.astype(np.int64) @ code.hz.T + code.hz.astype(np.int64) @ code.hx.T) & 1
+    bad = np.argwhere(comm)
+    if bad.size:
+        i, j = map(int, bad[0])
+        failures.append(f"generators {i} and {j} anticommute")
+    k = code.n - gf2.rank(code.generator_matrix())
+    if k != code.k:
+        failures.append(f"cached k={code.k} but rank gives k={k}")
+    if not np.array_equal(code.hd, codes.decoupled_parity_check(code.hx, code.hz)):
+        failures.append("cached decoupled matrix is stale")
+    return failures
+
+
+@pytest.mark.parametrize("make", SUITE + [lambda: codes.chamon(3, 3, 3)])
 def test_every_constructor_validates(make):
-    assert codes.validate(make()) == []
+    code = make()
+    assert codes.validate(code) == _validate_reference(code) == []
+
+
+def _random_generator_pairs(seed, count):
+    """(hx, hz) pairs: uniformly random rows, which mostly anticommute, and
+    commuting sets made non-CSS and dependent from a small code's generators
+    by random row sums, qubit permutations and per-qubit Clifford maps (swap
+    X and Z, or add X into Z), with one bit flipped in some of them."""
+    rng = np.random.default_rng(seed)
+    bases = [codes.toric(2), codes.planar_surface(2), codes.chamon(2, 2, 2), codes.ztgre(3)]
+    for t in range(count):
+        if t % 2 == 0:
+            m, n = rng.integers(0, 7), rng.integers(1, 9)
+            yield rng.integers(0, 2, (m, n), dtype=np.uint8), rng.integers(0, 2, (m, n), dtype=np.uint8)
+            continue
+        base = bases[rng.integers(len(bases))]
+        mix = rng.integers(0, 2, (rng.integers(1, base.num_generators + 3), base.num_generators), dtype=np.uint8)
+        hx = (mix.astype(np.int64) @ base.hx % 2).astype(np.uint8)
+        hz = (mix.astype(np.int64) @ base.hz % 2).astype(np.uint8)
+        perm = rng.permutation(base.n)
+        hx, hz = hx[:, perm], hz[:, perm]
+        swap = rng.integers(0, 2, base.n).astype(bool)
+        hx[:, swap], hz[:, swap] = hz[:, swap], hx[:, swap]
+        hz ^= hx * rng.integers(0, 2, base.n, dtype=np.uint8)
+        if t % 4 == 1:
+            hx[rng.integers(hx.shape[0]), rng.integers(base.n)] ^= 1
+        yield hx, hz
+
+
+def test_validate_matches_the_int64_reference_on_random_generators():
+    outcomes = set()
+    for hx, hz in _random_generator_pairs(2026, 400):
+        code = codes.StabilizerCode("random", hx, hz)
+        failures = codes.validate(code)
+        assert failures == _validate_reference(code)
+        outcomes.add((code.num_generators == 0, bool(failures)))
+    assert outcomes == {(True, False), (False, False), (False, True)}
 
 
 def test_validate_catches_corruption():
@@ -154,6 +209,26 @@ def test_validate_catches_corruption():
     broken = codes.StabilizerCode("broken", hx, code.hz)
     failures = codes.validate(broken)
     assert any("anticommute" in f for f in failures)
+    assert failures == _validate_reference(broken)
+
+
+def test_css_code_rejects_anticommuting_blocks():
+    # X on qubits 0, 1 against Z on qubits 1, 2: one shared qubit.
+    with pytest.raises(ValueError, match="do not commute: generators 0 and 1 anticommute"):
+        codes.css_code("bad", np.array([[1, 1, 0]], np.uint8), np.array([[0, 1, 1]], np.uint8))
+    with pytest.raises(ValueError, match="same qubit count"):
+        codes.css_code("bad", np.array([[1, 1, 0]], np.uint8), np.array([[1, 1]], np.uint8))
+    assert codes.css_code("ok", np.array([[1, 1, 0]], np.uint8), np.array([[1, 1, 1]], np.uint8)).k == 1
+
+
+def test_built_code_is_read_only():
+    code = codes.chamon(2, 2, 2)
+    for array in (code.hx, code.hz, code.hd, code.generator_matrix()):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] ^= 1
+    ctx = DecoderContext.for_code(code)
+    assert DecoderContext.for_code(code) is ctx
+    assert DecoderContext.for_code(codes.chamon(2, 2, 2)) is not ctx
 
 
 def test_decoupled_parity_check_blocks():
