@@ -70,9 +70,6 @@ class StabilizerCode:
         """Generators as rows of the 2n-column (Hx | Hz) binary matrix."""
         return self._generator_matrix
 
-    def generator(self, i: int) -> pauli.SymplecticPauli:
-        return pauli.SymplecticPauli.from_arrays(self.hx[i], self.hz[i])
-
     def stabilizer_reducer(self) -> gf2.RowSpanReducer:
         """RREF of the generator matrix for coset-membership tests."""
         return self._stabilizer_reducer
@@ -319,42 +316,33 @@ def logical_basis(code: StabilizerCode) -> list[pauli.SymplecticPauli]:
     """
     if code.k == 0:
         raise ValueError("code has no logical qubits")
-    n = code.n
     # Centralizer: vectors v = (vx|vz) with Hx·vz + Hz·vx = 0, i.e. kernel
     # of the half-swapped generator matrix.
-    swapped = np.hstack([code.hz, code.hx])
-    kernel = gf2.kernel_basis(swapped)
+    kernel = gf2.kernel_basis(np.hstack([code.hz, code.hx]))
     # Keep kernel vector i iff it is independent of the generators and of
     # kernel vectors 0..i-1: its column of [G; kernel]^T is a pivot column.
     g = code.generator_matrix()
     _, pivot_cols = gf2.row_reduce(np.vstack([g, kernel]).T)
-    reps = [kernel[c - g.shape[0]] for c in pivot_cols if c >= g.shape[0]]
-    if len(reps) != 2 * code.k:
+    pivot_cols = np.array(pivot_cols, dtype=np.intp)
+    pool = kernel[pivot_cols[pivot_cols >= g.shape[0]] - g.shape[0]]
+    if pool.shape[0] != 2 * code.k:
         raise RuntimeError("centralizer quotient has unexpected dimension")
 
-    def form(u, v):
-        return int((np.dot(u[:n], v[n:]) + np.dot(u[n:], v[:n])) & 1)
-
-    pairs = []
-    pool = list(reps)
-    while pool:
-        u = pool.pop(0)
-        partner = None
-        for idx, w in enumerate(pool):
-            if form(u, w):
-                partner = pool.pop(idx)
-                break
-        if partner is None:
+    # Pair the first vector u with the first one it anticommutes with, then
+    # make every other vector commute with both: w += <w, partner> u + <w, u> partner.
+    pairs = np.empty_like(pool)
+    for i in range(0, pairs.shape[0], 2):
+        u, rest = pool[0], pool[1:]
+        with_u = pauli.symplectic_product(rest, u)
+        hits = np.flatnonzero(with_u)
+        if not hits.size:
             raise RuntimeError("symplectic pairing failed on the quotient")
-        for idx, w in enumerate(pool):
-            w2 = w ^ (form(w, partner) * u) ^ (form(w, u) * partner)
-            pool[idx] = w2 & 1
-        pairs.append((u, partner))
-    out = []
-    for u, v in pairs:
-        out.append(pauli.SymplecticPauli.from_arrays(u[:n], u[n:]))
-        out.append(pauli.SymplecticPauli.from_arrays(v[:n], v[n:]))
-    return out
+        partner = rest[hits[0]]
+        pairs[i], pairs[i + 1] = u, partner
+        keep = np.arange(rest.shape[0]) != hits[0]
+        pool, with_u = rest[keep], with_u[keep]
+        pool ^= (pauli.symplectic_product(pool, partner)[:, None] & u) ^ (with_u[:, None] & partner)
+    return [pauli.SymplecticPauli.from_arrays(v[: code.n], v[code.n :]) for v in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +361,7 @@ def dumps(code: StabilizerCode) -> str:
     if code.name != code.name.strip() or code.name.splitlines() != [code.name]:
         raise ValueError(f"code name {code.name!r} cannot be written to a code file")
     lines = [_FORMAT_HEADER, f"name {code.name}", f"n {code.n}", f"k {code.k}"]
-    for i in range(code.num_generators):
-        lines.append(pauli.to_string(code.generator(i)))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + pauli.format_rows(code.hx, code.hz)) + "\n"
 
 
 def loads(text: str) -> StabilizerCode:
@@ -394,14 +380,9 @@ def loads(text: str) -> StabilizerCode:
             raise ValueError(f"missing header field {key!r}")
     n = int(fields["n"])
     k = int(fields["k"])
-    gens = [pauli.from_string(ln) for ln in lines[idx:]]
-    if not gens:
+    if idx == len(lines):
         raise ValueError("code file lists no generators")
-    for g in gens:
-        if g.n != n:
-            raise ValueError("generator length does not match declared n")
-    hx = np.vstack([g.ex for g in gens])
-    hz = np.vstack([g.ez for g in gens])
+    hx, hz = pauli.parse_rows(lines[idx:], n)
     code = StabilizerCode(fields["name"], hx, hz)
     failures = validate(code)
     if failures:

@@ -19,7 +19,7 @@ decoders do with short BP budgets (Roffe et al., arXiv:2005.07016).  A
 trial whose checks are all satisfied finishes as converged, never as
 stalled.  When BP fails to converge, a reliability-ordered OSD-0 solve
 produces a syndrome-consistent raw vector, which the XOR collapse in
-pauli.to_symplectic turns into a valid Pauli with the same syndrome.  OSD-0
+pauli.collapse turns into a valid Pauli with the same syndrome.  OSD-0
 solves on the columns the channel can flip: all of Hd under depolarizing
 noise, and under pure-X noise the X block alone (Hz on the n X bits, the
 classical BP+OSD setting of Roffe et al.), so a pure-X estimate from OSD-0

@@ -301,9 +301,7 @@ def _decode_chunk(ctx: DecoderContext, S: np.ndarray, prior: ChannelPrior, cfg: 
     failed = ~conv
     if failed.any():
         bits[failed] = osd_post_process(ctx, S[failed], post[failed], prior)
-    n = ctx.nbits // 3
-    a, b, c = bits[:, :n], bits[:, n : 2 * n], bits[:, 2 * n :]
-    return a ^ c, b ^ c, conv
+    return (*pauli.collapse(bits), conv)
 
 
 # Trials per chunk, the sweep's one unit of work; trials are independent, so

@@ -46,17 +46,16 @@ def _column_bits(data: np.ndarray, c: int) -> np.ndarray:
     return (data[:, c >> 6] >> np.uint64(c & 63)) & _ONE
 
 
-def _eliminate(data, cols, col_order=None, aug=None):
+def _eliminate(data, cols):
     """In-place Gauss-Jordan sweep; returns [(pivot_row, pivot_col), ...].
 
-    Pivot search walks columns in col_order (default: ascending) and always
-    takes the topmost available row, so the reduction is deterministic.
+    Pivot search walks columns in ascending order and always takes the
+    topmost available row, so the reduction is deterministic.
     """
     m = data.shape[0]
     pivots = []
     r = 0
-    order = range(cols) if col_order is None else col_order
-    for c in order:
+    for c in range(cols):
         if r == m:
             break
         colbits = _column_bits(data, c)
@@ -66,14 +65,10 @@ def _eliminate(data, cols, col_order=None, aug=None):
         p = r + int(cand[0])
         if p != r:
             data[[r, p]] = data[[p, r]]
-            if aug is not None:
-                aug[[r, p]] = aug[[p, r]]
         mask = _column_bits(data, c).astype(bool)
         mask[r] = False
         if mask.any():
             data[mask] ^= data[r]
-            if aug is not None:
-                aug[mask] ^= aug[r]
         pivots.append((r, c))
         r += 1
     return pivots
@@ -228,13 +223,13 @@ def solve_selected(M, s, col_order) -> np.ndarray:
     col_order = np.asarray(list(col_order), dtype=np.int64)
     if not np.array_equal(np.sort(col_order), np.arange(cols)):
         raise ValueError("col_order must be a permutation of the columns")
-    aug = s & 1
-    pivots = _eliminate(_pack_bits(a), cols, col_order=col_order, aug=aug)
-    if aug[len(pivots):].any():
+    # Reduce [M | s] with M's columns in col_order: s is solvable iff its
+    # column is no pivot, and then x on each pivot is the pivot row's s bit.
+    data, pivot_cols, _ = _reduce(np.hstack([a[:, col_order], s[:, None]]))
+    if pivot_cols and pivot_cols[-1] == cols:
         raise Infeasible("syndrome outside the column space")
     x = np.zeros(cols, dtype=np.uint8)
-    for r, c in pivots:
-        x[c] = aug[r]
+    x[col_order[pivot_cols]] = _column_bits(data[: len(pivot_cols)], cols)
     return x
 
 

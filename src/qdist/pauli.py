@@ -1,13 +1,17 @@
-"""Pauli operators in symplectic and decoupled binary form.
+"""Pauli operators as rows of bits: one alphabet, one product, one collapse.
 
-A phase-free n-qubit Pauli is a pair of bit vectors (ex | ez).  Its
-decoupled form is a plain (3n,) uint8 0/1 array of three n-bit blocks
-(x' | z' | y'); to_decoupled sets at most one bit per qubit, and
-to_symplectic collapses any 3n-bit vector back, one-hot or not.  Syndromes
-are computed from the symplectic form, in batches, by
-StabilizerCode.syndromes.  syndrome_decoupled (Hd times the decoupled
-vector) is the reference it is tested against: the decoder works on Hd, so
-the two must agree.
+A phase-free n-qubit Pauli is a pair of 0/1 vectors (ex | ez); m of them are
+two (m, n) uint8 arrays, as StabilizerCode keeps its hx and hz.  Its
+symplectic row is [ex | ez], and its decoupled form is a (3n,) uint8 array of
+three n-bit blocks (x' | z' | y').  Each rule has one batched implementation,
+which the one-Pauli functions call on one row:
+- PAULI_CHARS, indexed by 2*ez + ex: parse_rows reads strings through its
+  inverse, and format_rows writes them by lookup (from_string, to_string);
+- symplectic_product on [x | z] rows (commutes, codes.logical_basis);
+- collapse, (..., 3n) decoupled bits to (ex, ez) (to_symplectic, the sweep).
+StabilizerCode.syndromes computes syndromes from the symplectic form, and
+syndrome_decoupled (Hd times the decoupled vector) is the reference it is
+tested against: the decoder works on Hd, so the two must agree.
 """
 
 from __future__ import annotations
@@ -16,7 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PAULI_CHARS = "IXZY"  # index = 2*ez + ex
+PAULI_CHARS = np.frombuffer(b"IXZY", np.uint8)  # ASCII bytes, index = 2*ez + ex
+# ASCII byte -> its index in PAULI_CHARS, upper or lower case; 4 for any other byte.
+_INDEX = np.full(128, 4, np.uint8)
+_INDEX[PAULI_CHARS] = _INDEX[PAULI_CHARS | 0x20] = np.arange(4)
 
 
 class SymplecticPauli:
@@ -105,17 +112,19 @@ def to_decoupled(p: SymplecticPauli) -> np.ndarray:
     return np.concatenate([p.ex ^ y, p.ez ^ y, y])
 
 
-def to_symplectic(d) -> SymplecticPauli:
-    """Collapse a 3n-bit decoupled vector back to (ex | ez).
+def collapse(d) -> tuple[np.ndarray, np.ndarray]:
+    """(ex, ez) of 0/1 decoupled bits (x' | z' | y'): (..., 3n) -> two (..., n).
 
-    The vector need not be one-hot: per qubit the XOR map x = a^c, z = b^c
-    resolves non-canonical triples to the phase-free Pauli product, which is
-    exactly syndrome-preserving.
-    """
-    bits = np.asarray(d, dtype=np.uint8) & 1
-    n = bits.shape[0] // 3
-    a, b, c = bits[:n], bits[n : 2 * n], bits[2 * n :]
-    return SymplecticPauli.from_arrays(a ^ c, b ^ c)
+    Per qubit x = x' ^ y' and z = z' ^ y', so bits that are not one-hot
+    collapse to the phase-free product of their Paulis, with its syndrome."""
+    d = np.asarray(d, dtype=np.uint8)
+    n = d.shape[-1] // 3
+    return d[..., :n] ^ d[..., 2 * n :], d[..., n : 2 * n] ^ d[..., 2 * n :]
+
+
+def to_symplectic(d) -> SymplecticPauli:
+    """Collapse one 3n-bit decoupled vector back to a Pauli."""
+    return SymplecticPauli.from_arrays(*collapse(d))
 
 
 def weight(p: SymplecticPauli) -> int:
@@ -123,15 +132,20 @@ def weight(p: SymplecticPauli) -> int:
     return int(np.count_nonzero(p.ex | p.ez))
 
 
-def commutes(a: SymplecticPauli, b: SymplecticPauli) -> bool:
-    """True iff the symplectic product a.ex·b.ez + a.ez·b.ex vanishes mod 2."""
-    return symplectic_form(a, b) == 0
-
-
-def symplectic_form(a: SymplecticPauli, b: SymplecticPauli) -> int:
-    if a.n != b.n:
+def symplectic_product(a, b) -> np.ndarray:
+    """a_x·b_z + a_z·b_x mod 2 of [x | z] 0/1 rows, broadcast over the
+    leading axes: (..., 2n) and (..., 2n) -> (...) uint8, 0 where they
+    commute."""
+    a, b = np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8)
+    if a.shape[-1] != b.shape[-1] or a.shape[-1] % 2:
         raise ValueError("qubit count mismatch")
-    return int((int(np.dot(a.ex, b.ez)) + int(np.dot(a.ez, b.ex))) & 1)
+    n = a.shape[-1] // 2
+    return np.bitwise_xor.reduce(a & np.concatenate([b[..., n:], b[..., :n]], axis=-1), axis=-1)
+
+
+def commutes(a: SymplecticPauli, b: SymplecticPauli) -> bool:
+    """True iff the symplectic product of a and b vanishes."""
+    return not symplectic_product(np.concatenate([a.ex, a.ez]), np.concatenate([b.ex, b.ez]))
 
 
 def mul(a: SymplecticPauli, b: SymplecticPauli) -> SymplecticPauli:
@@ -149,26 +163,34 @@ def syndrome_decoupled(hd: np.ndarray, d) -> Syndrome:
     return Syndrome(((hd.astype(np.int64) @ bits) & 1).astype(np.uint8))
 
 
+def parse_rows(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ex, ez), two (m, n) uint8 arrays, from m 'IXYZ' strings of n
+    characters (qubit 0 leftmost; ASCII only, either case).  ValueError names
+    a wrong length, or else the first other character and its position."""
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"Pauli string length does not match n = {n}")
+    # One '?' byte per non-ASCII character keeps bytes and characters aligned.
+    idx = _INDEX[np.frombuffer("".join(rows).encode("ascii", "replace"), np.uint8)].reshape(len(rows), n)
+    bad = np.argwhere(idx == 4)
+    if bad.size:
+        row, at = bad[0]
+        raise ValueError(f"invalid Pauli character {rows[row][at]!r} at position {at}")
+    return idx & 1, idx >> 1
+
+
+def format_rows(ex, ez) -> list[str]:
+    """One 'IXYZ' string per row of two (m, n) 0/1 arrays, qubit 0 leftmost."""
+    idx = 2 * np.asarray(ez, dtype=np.uint8) + np.asarray(ex, dtype=np.uint8)
+    return [row.tobytes().decode("ascii") for row in PAULI_CHARS[idx]]
+
+
 def from_string(s: str) -> SymplecticPauli:
-    """Parse an 'IXYZ' string, qubit 0 leftmost."""
-    s = s.strip().upper()
-    n = len(s)
-    ex = np.zeros(n, dtype=np.uint8)
-    ez = np.zeros(n, dtype=np.uint8)
-    for i, ch in enumerate(s):
-        if ch == "X":
-            ex[i] = 1
-        elif ch == "Z":
-            ez[i] = 1
-        elif ch == "Y":
-            ex[i] = 1
-            ez[i] = 1
-        elif ch != "I":
-            raise ValueError(f"invalid Pauli character {ch!r} at position {i}")
-    return SymplecticPauli(n, ex, ez)
+    """Parse an 'IXYZ' string, qubit 0 leftmost, without surrounding space."""
+    s = s.strip()
+    ex, ez = parse_rows([s], len(s))
+    return SymplecticPauli(len(s), ex[0], ez[0])
 
 
 def to_string(p: SymplecticPauli) -> str:
     """Format as an 'IXYZ' string, qubit 0 leftmost."""
-    idx = p.ex + 2 * p.ez
-    return "".join(PAULI_CHARS[i] for i in idx)
+    return format_rows(p.ex[None], p.ez[None])[0]

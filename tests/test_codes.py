@@ -287,6 +287,35 @@ def test_logical_basis_spans_the_greedy_quotient_basis(make):
     assert gf2.rank(np.vstack([reps, logicals])) == 2 * code.k
 
 
+def _logical_basis_reference(code):
+    """Symplectic Gram-Schmidt one vector at a time: pop u, take the first
+    vector it anticommutes with as its partner, then update every other
+    vector w by <w, partner> u + <w, u> partner, one Python step per vector."""
+    n = code.n
+    g = code.generator_matrix()
+    kernel = gf2.kernel_basis(np.hstack([code.hz, code.hx]))
+    _, pivot_cols = gf2.row_reduce(np.vstack([g, kernel]).T)
+    pool = [kernel[c - g.shape[0]] for c in pivot_cols if c >= g.shape[0]]
+
+    def form(u, v):
+        return int((np.dot(u[:n], v[n:]) + np.dot(u[n:], v[:n])) & 1)
+
+    rows = []
+    while pool:
+        u = pool.pop(0)
+        partner = pool.pop(next(i for i, w in enumerate(pool) if form(u, w)))
+        pool = [(w ^ (form(w, partner) * u) ^ (form(w, u) * partner)) & 1 for w in pool]
+        rows += [u, partner]
+    return np.array(rows, dtype=np.uint8)
+
+
+@pytest.mark.parametrize("family, params", [("toric", (3,)), ("chamon", (3, 3, 3)), ("ztgre", (7,))])
+def test_logical_basis_matches_the_one_vector_reference(family, params):
+    code = codes.make(family, params)
+    got = np.array([np.concatenate([l.ex, l.ez]) for l in codes.logical_basis(code)])
+    assert np.array_equal(got, _logical_basis_reference(code))
+
+
 def test_logical_basis_weights_planar2():
     code = codes.planar_surface(2)
     for l in codes.logical_basis(code):
@@ -321,6 +350,47 @@ def test_dumps_keeps_inner_spaces_in_names():
     code = codes.toric(2)
     named = codes.StabilizerCode("toric 2 (test)", code.hx, code.hz)
     assert codes.loads(codes.dumps(named)).name == "toric 2 (test)"
+
+
+def _dumps_reference(code):
+    """The code file written one generator and one character at a time."""
+    lines = [codes._FORMAT_HEADER, f"name {code.name}", f"n {code.n}", f"k {code.k}"]
+    for x_row, z_row in zip(code.hx, code.hz):
+        lines.append("".join("IXZY"[int(x) + 2 * int(z)] for x, z in zip(x_row, z_row)))
+    return "\n".join(lines) + "\n"
+
+
+# Every family at the acceptance gate's sizes, and the three stretch codes.
+GATE_AND_STRETCH_CODES = (
+    [(family, (L,)) for family in ("surface", "toric", "xzzx") for L in (3, 5, 7)]
+    + [("ztgre", (L,)) for L in range(2, 8)]
+    + [("chamon", p) for p in ((2, 2, 2), (3, 3, 3), (4, 4, 4), (2, 3, 4), (3, 4, 5))]
+    + [("chamon", (5, 5, 5)), ("chamon", (4, 5, 6)), ("ztgre", (9,))]
+)
+
+
+@pytest.mark.parametrize("family, params", GATE_AND_STRETCH_CODES,
+                         ids=[f"{f}_{'_'.join(map(str, p))}" for f, p in GATE_AND_STRETCH_CODES])
+def test_dumps_matches_the_per_generator_reference_and_reads_back(family, params):
+    code = codes.make(family, params)
+    text = codes.dumps(code)
+    assert text == _dumps_reference(code)
+    loaded = codes.loads(text)
+    assert loaded.name == code.name and loaded.k == code.k
+    assert np.array_equal(loaded.hx, code.hx) and np.array_equal(loaded.hz, code.hz)
+
+
+@pytest.mark.parametrize("generator, message", [
+    ("XXXXı", "'ı' at position 4"),  # dotless i, which upper-cases to I
+    ("xxxxß", "'ß' at position 4"),  # sharp s, which upper-cases to SS
+    ("XXQXX", "'Q' at position 2"),
+], ids=["dotless_i", "sharp_s", "q"])
+def test_loads_rejects_non_pauli_characters(generator, message):
+    lines = codes.dumps(codes.planar_surface(2)).splitlines()
+    assert len(lines[4]) == 5
+    with pytest.raises(ValueError, match=message):
+        codes.loads("\n".join(lines[:5] + [generator] + lines[6:]))
+    assert codes.loads("\n".join(lines[:4] + [lines[4].lower()] + lines[5:])).k == 1
 
 
 def test_serialization_rejects_corruption(tmp_path):

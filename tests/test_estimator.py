@@ -97,7 +97,8 @@ def test_classify_residual_trichotomy():
     code = codes.planar_surface(3)
     logical, z_logical = codes.logical_basis(code)
     one_x = pauli.from_string("X" + "I" * (code.n - 1))
-    rows = [pauli.SymplecticPauli.identity(code.n), code.generator(0), logical, one_x]
+    generator = pauli.SymplecticPauli.from_arrays(code.hx[0], code.hz[0])
+    rows = [pauli.SymplecticPauli.identity(code.n), generator, logical, one_x]
     ex = np.array([r.ex for r in rows])
     ez = np.array([r.ez for r in rows])
     assert estimator.logical_mask(code, ex, ez).tolist() == [False, False, True, False]
@@ -118,7 +119,7 @@ def test_verify_witness():
     assert estimator.verify_witness(code, logical, w)
     assert not estimator.verify_witness(code, logical, w + 1)
     assert not estimator.verify_witness(code, None)
-    assert not estimator.verify_witness(code, code.generator(0))
+    assert not estimator.verify_witness(code, pauli.SymplecticPauli.from_arrays(code.hx[0], code.hz[0]))
     assert not estimator.verify_witness(code, pauli.from_string("X" + "I" * (code.n - 1)))
     assert not estimator.verify_witness(code, pauli.SymplecticPauli.identity(3))
 

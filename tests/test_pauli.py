@@ -69,13 +69,15 @@ def test_commutes_size_mismatch():
 
 def test_symplectic_form_is_bilinear():
     rng = np.random.default_rng(21)
-    for _ in range(200):
-        a, b, c = (random_pauli(rng, 10) for _ in range(3))
-        bc = pauli.mul(b, c)
-        assert pauli.symplectic_form(a, bc) == (
-            pauli.symplectic_form(a, b) ^ pauli.symplectic_form(a, c)
-        )
-        assert pauli.symplectic_form(a, b) == pauli.symplectic_form(b, a)
+    a, b, c = rng.integers(0, 2, (3, 200, 20), dtype=np.uint8)  # [x | z] rows, n = 10
+    ab = pauli.symplectic_product(a, b)
+    assert ab.shape == (200,) and ab.dtype == np.uint8
+    assert np.array_equal(pauli.symplectic_product(a, b ^ c), ab ^ pauli.symplectic_product(a, c))
+    assert np.array_equal(pauli.symplectic_product(b, a), ab)
+    # Broadcast against one row, and the integer formula row by row.
+    assert np.array_equal(pauli.symplectic_product(a, b[0]), [(x[:10] @ b[0, 10:] + x[10:] @ b[0, :10]) % 2 for x in a])
+    with pytest.raises(ValueError):
+        pauli.symplectic_product(a[:, :18], b)
 
 
 def test_mul():
@@ -106,7 +108,8 @@ def test_syndrome_matches_commutation_oracle():
         e = random_pauli(rng, code.n)
         s = code.syndrome(e)
         for i in range(code.num_generators):
-            assert s.bits[i] == (0 if pauli.commutes(code.generator(i), e) else 1)
+            generator = pauli.SymplecticPauli.from_arrays(code.hx[i], code.hz[i])
+            assert s.bits[i] == (0 if pauli.commutes(generator, e) else 1)
 
 
 def test_syndrome_decoupled_single_y_column():
@@ -174,6 +177,37 @@ def test_string_round_trip():
     assert pauli.to_string(pauli.from_string(s)) == s
     with pytest.raises(ValueError):
         pauli.from_string("IXQ")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("Xı", "'ı' at position 1"),  # dotless i upper-cases to I
+    ("Xß", "'ß' at position 1"),  # sharp s upper-cases to SS
+    ("ixq", "'q' at position 2"),
+    ("X Z", "' ' at position 1"),
+], ids=["dotless_i", "sharp_s", "lower_case_q", "space"])
+def test_from_string_takes_ascii_paulis_only(text, message):
+    with pytest.raises(ValueError, match=message):
+        pauli.from_string(text)
+
+
+def test_from_string_takes_lower_case_and_surrounding_whitespace():
+    assert pauli.to_string(pauli.from_string(" ixyz\n")) == "IXYZ"
+    assert pauli.from_string("") == pauli.SymplecticPauli.identity(0)
+
+
+def test_rows_parse_and_format_through_one_table():
+    rng = np.random.default_rng(4)
+    ex, ez = rng.integers(0, 2, (2, 6, 11), dtype=np.uint8)
+    rows = pauli.format_rows(ex, ez)
+    assert rows == [pauli.to_string(pauli.SymplecticPauli.from_arrays(x, z)) for x, z in zip(ex, ez)]
+    got_x, got_z = pauli.parse_rows(rows, 11)
+    assert got_x.dtype == got_z.dtype == np.uint8
+    assert np.array_equal(got_x, ex) and np.array_equal(got_z, ez)
+    assert [r.shape for r in pauli.parse_rows([], 4)] == [(0, 4), (0, 4)]
+    with pytest.raises(ValueError, match="'Q' at position 1"):
+        pauli.parse_rows(["XX", "XQ", "Q?"], 2)
+    with pytest.raises(ValueError, match="length"):
+        pauli.parse_rows(["XX", "XXQ"], 2)
 
 
 def test_symplectic_pauli_is_immutable_and_owns_its_bits():
