@@ -3,9 +3,11 @@
 Published stretch values: Z-type expansion N = 256 -> 8 and N = 512 -> 10
 (pure-X minimum logical weight); Chamon (5,5,5) -> 10 and (4,5,6) -> 20.
 These need large trial counts (the published runs use T = 1e5) and hours of
-CPU; pass --trials to scale down for a smoke run.  Each rate's trials run
-in chunks of 256 on one thread per CPU, each chunk sampled, decoded and
-classified end to end, so memory does not grow with --trials.
+CPU; pass --trials to scale down for a smoke run.  A code's trials run in
+(rate, trial) order in chunks of at most 1,024 that may span rates (one
+chunk per thread when there are fewer trials), on one thread per CPU, each
+chunk sampled, decoded and classified end to end, so memory does not grow
+with --trials.
 """
 
 import argparse

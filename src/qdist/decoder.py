@@ -26,8 +26,9 @@ classical BP+OSD setting of Roffe et al.), so a pure-X estimate from OSD-0
 is always X-type.
 
 The batch entry points decode many syndromes at once (flooding is data
-parallel across trials); decode() runs one syndrome through them as a batch
-of one.
+parallel across trials), each under its own prior of one noise kind, so a
+sweep decodes trials of several error rates in one call; decode() runs one
+syndrome through them as a batch of one.
 
 BP works batch-minor: messages are (edges + 1, trials) arrays, so every
 per-edge operation runs over contiguous rows of trials, and the last row is
@@ -41,14 +42,22 @@ order against np.add.reduceat.  Runs of up to 7 terms are one np.add.reduce
 from -0.0, which adds them in sequence.  Messages and totals are kept at
 half scale (exact in float32), every buffer is allocated once per call, and
 a trial has converged when each check's decision bits, gathered through a
-per-check slot table, XOR to its syndrome bit.  A trial's results are
-recorded in the iteration it finishes, but its column leaves the arrays
-only once at least an eighth of them are finished (_COMPACT_DEAD_SHARE):
-until then it keeps iterating and nothing reads it.  The stall test costs
-one compare of the check rows against the previous iteration's, one
-any-reduce and a per-column counter.  Apart from one call of the check
-update, every iteration calls methods and ufuncs directly, with no Python
-wrapper in between, so a batch of one pays little beyond its arithmetic.
+per-check slot table, XOR to its syndrome bit.  The arrays hold at most
+as many columns as fit in _WIDTH_BYTES, whatever the batch size.  A
+trial's results are recorded in the iteration it finishes, but its column
+is reused only once at least an eighth of them are finished
+(_COMPACT_DEAD_SHARE): until then it keeps iterating and nothing reads it.
+Then the finished columns take the batch's next trials, each from messages
+0 and totals at its own prior, which makes its next iteration exactly its
+first, and each column counts its own iterations; so the last few slow
+trials of one group share their iterations with the next group's, instead
+of running a tail alone.  Once no trial is left, finished columns are
+dropped instead.  The stall test costs one compare of the check rows
+against the previous iteration's, one any-reduce and a per-column counter.
+Apart from one call of the check update, every iteration calls methods and
+ufuncs directly, with no Python wrapper in between, so a batch of one pays
+little beyond its arithmetic.  BP hands back float32 posteriors only for
+the trials it did not converge on, the rows OSD-0 reads.
 
 In the first iteration every variable sends its prior, so each check
 message is one of two values per edge, picked by its check's syndrome bit.
@@ -57,8 +66,10 @@ same check update on a two-trial batch, and iteration 1 selects between
 them bit for bit; the variable half of the iteration runs as in every other.
 
 OSD-0 ranks each trial's columns with one sort of integer keys built from
-the float32 posteriors and solves the batch in gf2.solve_selected_batch, on
-the channel's columns of Hd, which the context memoises per noise kind.
+the float32 posteriors and solves them with a gf2.SelectedSolver on the
+channel's columns of Hd, which the context memoises per noise kind with
+their nonzero index lists.  It takes the failed trials in blocks whose
+working set, keys included, stays within gf2._BATCH_BYTES.
 """
 
 from __future__ import annotations
@@ -149,7 +160,8 @@ class DecoderContext:
     Holds the decoupled matrix that OSD solves on, its Tanner-graph edge
     layout and the slot tables BP sums over, all fixed once built.  It also
     memoises what every decode with one prior shares: BP's first check
-    messages per prior and OSD-0's channel columns per noise kind.
+    messages per prior, and OSD-0's channel columns with their solver (the
+    columns' nonzero index lists) per noise kind.
     The memos only ever gain read-only entries, each a pure function of its
     key, so the context is safe to share between threads: two threads that
     miss together build equal values, and dict.setdefault, atomic under the
@@ -192,6 +204,11 @@ class DecoderContext:
             slice(ids[0], ids[-1] + 1) if ids[-1] - ids[0] + 1 == ids.shape[0] else ids
             for ids, _ in self.var_slots
         ]
+        # BP keeps each column's prior in variable table order: table k adds
+        # rows var_bounds[k] of it.
+        self.var_ids = np.concatenate([np.zeros(0, np.intp)] + [ids for ids, _ in self.var_slots])
+        ends = np.cumsum([ids.shape[0] for ids, _ in self.var_slots], dtype=np.intp)
+        self.var_bounds = [slice(hi - ids.shape[0], hi) for (ids, _), hi in zip(self.var_slots, ends)]
         # Bytes per trial of the gather buffer that every slot table and the
         # per-edge gathers share.
         self.gather_bytes = max([4 * self.num_edges] + [4 * slots.size for _, slots in self.check_slots + self.var_slots])
@@ -206,16 +223,14 @@ class DecoderContext:
             first = self._first_messages.setdefault(prior, _first_check_messages(self, prior))
         return first
 
-    def channel_columns(self, prior: ChannelPrior) -> tuple[np.ndarray, np.ndarray]:
-        """(cols, hd[:, cols]): the bits the channel can flip and their
-        columns of Hd, built once per noise kind."""
+    def channel_columns(self, prior: ChannelPrior) -> tuple[np.ndarray, gf2.SelectedSolver]:
+        """(cols, solver): the bits the channel can flip, and OSD-0's solver
+        on their columns of Hd, built once per noise kind."""
         hit = self._channel_columns.get(prior.noise)
         if hit is None:
             cols = np.flatnonzero(prior.bit_probs(self.nbits // 3) > 0)
-            sub = self.hd[:, cols]
             cols.setflags(write=False)
-            sub.setflags(write=False)
-            hit = self._channel_columns.setdefault(prior.noise, (cols, sub))
+            hit = self._channel_columns.setdefault(prior.noise, (cols, gf2.SelectedSolver(self.hd[:, cols])))
         return hit
 
     @classmethod
@@ -359,11 +374,11 @@ def _prefix(buf: np.ndarray, dtype, *shape: int) -> np.ndarray:
     return buf[: math.prod(shape) * np.dtype(dtype).itemsize].view(dtype).reshape(shape)
 
 
-# bp_decode_batch compacts its arrays only once at least this share of
-# their columns belongs to trials that have finished.  One compaction costs
-# about as much as 2 of an iteration's ~20 edge-sized passes, so a finished
-# column is cheaper to carry along (unread) for a few iterations than to
-# drop at once.
+# bp_decode_batch refills or compacts its columns only once at least this
+# share of them belongs to trials that have finished.  One refill or
+# compaction costs about as much as 2 of an iteration's ~20 edge-sized
+# passes, so a finished column is cheaper to carry along (unread) for a few
+# iterations than to replace or drop at once.
 _COMPACT_DEAD_SHARE = 1 / 8
 
 # bp_decode_batch finishes a live trial as not converged once its set of
@@ -373,6 +388,13 @@ _COMPACT_DEAD_SHARE = 1 / 8
 # converge, and at 3 it keeps stuck trials running for half the saving.
 _STALL_ITERATIONS = 2
 
+# bp_decode_batch's workspace holds as many columns as fit in this many
+# bytes (at least one), like gf2._BATCH_BYTES: 173 on planar_surface(7),
+# 108 on chamon(3,3,3), 105 on ztgre(7) and 23-24 on the stretch codes.  A
+# wider batch runs through those columns, each taking the batch's next
+# trial when its own finishes, so BP's memory does not grow with the batch.
+_WIDTH_BYTES = 9 << 18
+
 # float32 clip bounds: the floor under |tanh| before its log, and the bound
 # on |tanh| and on the check product before arctanh.  The loop clips with
 # the ndarray method, which is np.clip without its Python wrapper.
@@ -380,43 +402,54 @@ _LG_LO = _MSG_DTYPE(_LOG_FLOOR)
 _PROD_HI = _MSG_DTYPE(1.0 - _TANH_EPS)
 
 
+def _column_bytes(ctx: DecoderContext) -> list[int]:
+    """Bytes per column of each _Workspace buffer."""
+    E, N, C = ctx.num_edges, ctx.nbits, ctx.check_syndrome_rows.shape[0]
+    # Variable tables whose ids are not one range sum in _scatter, then scatter.
+    scattered = [rows.shape[0] for rows in ctx.var_rows if type(rows) is not slice]
+    sizes = [4 * (E + 1)] * 2 + [4 * N] * 2 + [C] * 2 + [E + 1, ctx.gather_bytes]
+    return sizes + [4 * C, C + 1, 1, 1, N + 1, 1, 4 * max(scattered, default=0), 4 * ctx.var_ids.shape[0]]
+
+
 class _Workspace:
-    """The buffers of one bp_decode_batch call for B trials, 64-byte aligned in
-    one allocation: it lifts glibc's trim threshold, so later calls reuse pages.
+    """The buffers of one bp_decode_batch call for `width` columns, 64-byte
+    aligned in one allocation: it lifts glibc's trim threshold, so later
+    calls reuse pages.
 
     resize(b) lays C-contiguous (rows, b) arrays over the leading bytes of
     each buffer for the b columns still kept, zeroes the padding rows the
     slot tables point at (edge row E and variable row N), and builds the
     views an iteration uses once per width, not once per iteration.  Columns of
     finished trials stay in place, still iterated but never read, until
-    bp_decode_batch drops them with compact(): that copies the kept message
-    columns into the log-magnitude buffer, which is spent by then, and the
-    kept totals into a spare; the two pairs then trade roles.  One gather
-    buffer serves every slot table and the per-edge gathers in turn.
+    bp_decode_batch gives them new trials or, once no trial is left, drops
+    them with compact(): that copies the kept message columns into the
+    log-magnitude buffer, which is spent by then, and the kept totals into a
+    spare; the pairs then trade roles.  The kept priors go through the
+    gather buffer, also spent, and back.  One gather buffer serves every
+    slot table and the per-edge gathers in turn.
 
     flip has one row per check and a last row, stuck, which is set for a
     trial that can never converge (a syndrome bit on a vacuous check) or
     has already finished; a trial has converged when no row of flip is set.
     prev holds the check rows of flip from the previous iteration, which
     the stall test compares them against; compact() keeps it too.
+    pri holds each column's half-scale prior in variable table order, and
+    var_prior views its rows for each variable table.
     """
 
-    def __init__(self, ctx: DecoderContext, B: int):
+    def __init__(self, ctx: DecoderContext, width: int):
         self.ctx = ctx
-        E, N, C = ctx.num_edges, ctx.nbits, ctx.check_syndrome_rows.shape[0]
-        # Variable tables whose ids are not one range sum in _scatter, then scatter.
-        scattered = [rows.shape[0] for rows in ctx.var_rows if type(rows) is not slice]
-        sizes = [4 * (E + 1) * B] * 2 + [4 * N * B] * 2 + [C * B] * 2 + [(E + 1) * B, ctx.gather_bytes * B]
-        sizes += [4 * C * B, (C + 1) * B, B, B, (N + 1) * B, B, 4 * max(scattered, default=0) * B]
+        sizes = [size * width for size in _column_bytes(ctx)]
         whole = np.empty(sum(sizes) + 64 * len(sizes), np.uint8)
         starts = accumulate([-(-size // 64) * 64 for size in sizes], initial=-whole.ctypes.data % 64)
         bufs = [whole[at : at + size] for at, size in zip(starts, sizes)]
         self.edge_bufs, self.tot_bufs, self.prev_bufs = bufs[0:2], bufs[2:4], bufs[4:6]  # edge: messages, lg
         self._neg, self._gather, self._lsum, self._flip = bufs[6:10]
-        self._moved, self._done, self._bits, self._ok, self._scatter = bufs[10:]
+        self._moved, self._done, self._bits, self._ok, self._scatter, self._pri = bufs[10:16]
 
     def compact(self, keep: np.ndarray) -> None:
-        """Keep only the message, total and previous-check columns listed in keep."""
+        """Keep only the message, total, previous-check and prior columns
+        listed in keep."""
         E, N, C, b = self.ctx.num_edges, self.ctx.nbits, self.ctx.check_syndrome_rows.shape[0], keep.shape[0]
         self.msg.take(keep, axis=1, out=_prefix(self.edge_bufs[1], _MSG_DTYPE, E + 1, b), mode="clip")
         self.tot.take(keep, axis=1, out=_prefix(self.tot_bufs[1], _MSG_DTYPE, N, b), mode="clip")
@@ -424,7 +457,9 @@ class _Workspace:
         self.edge_bufs.reverse()
         self.tot_bufs.reverse()
         self.prev_bufs.reverse()
+        kept = self.pri.take(keep, axis=1, out=_prefix(self._gather, _MSG_DTYPE, self.pri.shape[0], b), mode="clip")
         self.resize(b)
+        np.copyto(self.pri, kept)
 
     def resize(self, b: int) -> None:
         ctx = self.ctx
@@ -464,6 +499,8 @@ class _Workspace:
             self.tot[rows] if type(rows) is slice else _prefix(self._scatter, _MSG_DTYPE, rows.shape[0], b)
             for rows in ctx.var_rows
         ]
+        self.pri = _prefix(self._pri, _MSG_DTYPE, ctx.var_ids.shape[0], b)
+        self.var_prior = [self.pri[rows] for rows in ctx.var_bounds]
 
 
 def _half_prior(prior: ChannelPrior, n: int) -> np.ndarray:
@@ -528,27 +565,46 @@ def _first_check_messages(ctx: DecoderContext, prior: ChannelPrior):
     return words, flips
 
 
-def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPrior, cfg: BPConfig):
+def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, priors, cfg: BPConfig, which=None):
     """Flooding sum-product over a batch of syndromes.
 
-    syndromes: (B, m) uint8.  Returns (decision_bits (B, 3n) canonical
-    one-hot, posteriors (B, 3n), converged (B,), iterations (B,)), each
-    from the iteration a trial finished in: the first where its checks are
-    all satisfied (converged), where it has stalled (its unsatisfied checks
-    the same for _STALL_ITERATIONS iterations) or max_iterations.
+    syndromes: (B, m) uint8; priors: a sequence of ChannelPriors of one
+    noise kind; which: (B,) index of each syndrome's prior in priors, all
+    0 when not given.  Returns (decision_bits (B, 3n) canonical one-hot,
+    posteriors (B, 3n) float32, converged (B,), iterations (B,)), each from
+    the iteration a trial finished in: the first where its checks are all
+    satisfied (converged), where it has stalled (its unsatisfied checks the
+    same for _STALL_ITERATIONS iterations) or its max_iterations-th.
+    posteriors holds P(bit = 1) in the rows of the trials BP did not
+    converge on, the rows OSD-0 reads, and zeros elsewhere.
 
-    Iteration 1 takes its check-to-variable messages from the context's
-    table for prior (DecoderContext.first_messages), selected by each
-    check's syndrome bit; later iterations run the full check update.
+    At most a _WIDTH_BYTES workspace of columns runs at once.  Once
+    _COMPACT_DEAD_SHARE of them have finished, they take the batch's next
+    trials: a refilled column gets messages 0 and totals at its trial's
+    half prior, so its next iteration is exactly its first, and each column
+    counts its own iterations.  Once no trial is left, finished columns are
+    dropped instead.  Iteration 1 takes its check-to-variable messages from
+    the context's table for each column's prior
+    (DecoderContext.first_messages), selected by each check's syndrome bit;
+    a refilled column computes the same messages with the full check update.
     """
     S = np.asarray(syndromes, dtype=np.uint8)
     if S.ndim != 2 or S.shape[1] != ctx.m:
         raise ValueError("syndrome batch shape does not match the check matrix")
     B = S.shape[0]
     n = ctx.nbits // 3
+    priors = list(priors)
+    if not priors or any(q.noise != priors[0].noise for q in priors):
+        raise ValueError("need at least one prior, all of one noise kind")
+    if which is None:
+        which = np.zeros(B, dtype=np.intp)
+    else:
+        which = np.asarray(which, dtype=np.intp)
+        if which.shape != (B,) or (B and not 0 <= which.min() <= which.max() < len(priors)):
+            raise ValueError("need one prior index per syndrome")
 
     out_bits = np.zeros((B, ctx.nbits), dtype=np.uint8)
-    out_post = np.empty((B, ctx.nbits), dtype=np.float64)  # every trial's row is written
+    out_post = np.zeros((B, ctx.nbits), dtype=_MSG_DTYPE)
     out_conv = np.zeros(B, dtype=bool)
     out_iter = np.full(B, cfg.max_iterations, dtype=np.int64)
     if B == 0:
@@ -556,9 +612,10 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
 
     if ctx.num_edges == 0:
         # No constraints at all: the identity decision and the prior stand.
-        out_post[:] = prior.bit_probs(n)
         out_conv[:] = ~S.any(axis=1)
         out_iter[:] = 1
+        probs = np.array([q.bit_probs(n) for q in priors], dtype=_MSG_DTYPE)
+        out_post[~out_conv] = probs[which[~out_conv]]
         return out_bits, out_post, out_conv, out_iter
 
     edge_var = ctx.edge_var
@@ -566,28 +623,42 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
     # Messages and posterior totals are stored at half scale.  Doubling is
     # exact in float32, so T - M is the full-scale (tot - mcv) / 2 bit for
     # bit, and arctanh gives the new half-scale message directly.
-    half_prior = _half_prior(prior, n)
-    first_words, first_flips = ctx.first_messages(prior)
-    var_prior = [half_prior[rows, None] for rows in ctx.var_rows]
+    half = np.stack([_half_prior(q, n) for q in priors], axis=1)  # (3n, priors)
+    var_half = half[ctx.var_ids]
     scatter_rows = [None if type(rows) is slice else rows for rows in ctx.var_rows]
 
-    ws = _Workspace(ctx, B)
-    ws.resize(B)
-    ws.tot[:] = half_prior[:, None]
-    b = B
-    active = np.arange(B)  # the trial of each kept column
-    live = np.ones(B, dtype=bool)  # kept columns whose trial has not finished
-    n_live = B
-    s_act = np.ascontiguousarray(S.T[ctx.check_syndrome_rows], dtype=bool)  # (C, B)
+    b = min(B, max(1, _WIDTH_BYTES // sum(_column_bytes(ctx))))
+    ws = _Workspace(ctx, b)
+    ws.resize(b)
+    half.take(which[:b], axis=1, out=ws.tot, mode="clip")
+    var_half.take(which[:b], axis=1, out=ws.pri, mode="clip")
+    # Each column's first-message table, gathered into buffers that
+    # iteration 1 has not yet written: the words into the messages it turns
+    # into, the flips into the gather buffer.
+    words, flips = (np.concatenate(part, axis=1) for part in zip(*[ctx.first_messages(q) for q in priors]))
+    first_words = words.take(which[:b], axis=1, out=ws.t_words, mode="clip")
+    first_flips = flips.take(which[:b], axis=1, out=ws.edge_g.view(np.uint32), mode="clip")
+    next_trial = b  # the first trial no column has taken yet
+    active = np.arange(b)  # the trial of each kept column
+    live = np.ones(b, dtype=bool)  # kept columns whose trial has not finished
+    n_live = b
+    s_trials = S[:, ctx.check_syndrome_rows].astype(bool)
+    s_act = np.ascontiguousarray(s_trials[:b].T)  # (C, b)
     s_rows = [s_act[rows] for rows in ctx.check_bounds]
     vac_bad = S[:, ctx.vacuous_checks].any(axis=1)
-    ws.stuck[:] = vac_bad
+    ws.stuck[:] = vac_bad[:b]
     ws.prev[:] = False
-    # The iteration in which each column's unsatisfied checks last changed;
-    # the first iteration, which has nothing to compare with, counts as one.
-    last = np.ones(B, dtype=np.intp)
+    # The iteration in which each column's unsatisfied checks last changed
+    # (its first iteration, which has nothing to compare with, counts as
+    # one), and the iteration before its first.  No live column reaches
+    # max_iterations before iteration cap.
+    last = np.ones(b, dtype=np.intp)
+    start = np.zeros(b, dtype=np.intp)
+    cap = cfg.max_iterations
 
-    for it in range(1, cfg.max_iterations + 1):
+    it = 0
+    while True:
+        it += 1
         t, T = ws.t, ws.tot
         if it == 1:
             # Every variable sends its prior, so each message is the table's
@@ -604,7 +675,7 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
 
         # Posterior totals, constrained decision, convergence test.
         M = ws.msg
-        for (_, slots), g, post, pr, rows in zip(ctx.var_slots, ws.var_g, ws.var_sums, var_prior, scatter_rows):
+        for (_, slots), g, post, pr, rows in zip(ctx.var_slots, ws.var_g, ws.var_sums, ws.var_prior, scatter_rows):
             M.take(slots, axis=0, out=g, mode="clip")
             _ordered_sum(g, out=post)
             post += pr
@@ -626,40 +697,64 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, prior: ChannelPr
         np.copyto(ws.prev, ws.unsat)
         np.copyto(last, it, where=moved)
 
-        if it < cfg.max_iterations:
-            # A converged trial finishes as converged even if it also stalled.
-            done = np.less_equal(last, it - _STALL_ITERATIONS, out=ws.done)
+        # A converged trial finishes as converged even if it also stalled.
+        done = np.less_equal(last, it - _STALL_ITERATIONS, out=ws.done)
+        if it >= cap:
+            done |= start <= it - cfg.max_iterations
             done &= live
-            done |= ok
+            rest = start[live & ~done]
+            cap = (rest.min() if rest.size else it) + cfg.max_iterations
         else:
-            done = live
+            done &= live
+        done |= ok
         n_done = np.count_nonzero(done)
         if not n_done:
             continue
         idx = active[done]
         out_bits[idx] = bits[:, done].T
-        # P(bit = 1) = 1 / (1 + exp(llr)) in float32, from the full-scale totals.
-        prob = T[:, done]
-        prob += prob
-        with np.errstate(over="ignore"):
-            np.exp(prob, out=prob)
-        prob += 1.0
-        np.divide(1.0, prob, out=prob)
-        out_post[idx] = prob.T
         out_conv[idx] = ok[done]
-        out_iter[idx] = it
+        out_iter[idx] = it - start[done]
+        failed = done & ~ok
+        if failed.any():
+            # P(bit = 1) = 1 / (1 + exp(llr)) in float32, from the full-scale totals.
+            prob = T[:, failed]
+            prob += prob
+            with np.errstate(over="ignore"):
+                np.exp(prob, out=prob)
+            prob += 1.0
+            np.divide(1.0, prob, out=prob)
+            out_post[active[failed]] = prob.T
         n_live -= n_done
-        if n_live == 0:
+        if n_live == 0 and next_trial == B:
             break
         live[done] = False
         ws.stuck[done] = True
-        if b - n_live >= _COMPACT_DEAD_SHARE * b:
-            # Drop the finished trials' columns.
+        if b - n_live < _COMPACT_DEAD_SHARE * b:
+            continue
+        if next_trial < B:
+            # Hand the finished columns the next trials, each starting afresh.
+            cols = np.flatnonzero(~live)[: B - next_trial]
+            new = slice(next_trial, next_trial + cols.shape[0])
+            next_trial = new.stop
+            active[cols] = np.arange(new.start, new.stop)
+            live[cols] = True
+            n_live += cols.shape[0]
+            ws.t[:, cols] = 0.0
+            ws.tot[:, cols] = half[:, which[new]]
+            ws.pri[:, cols] = var_half[:, which[new]]
+            s_act[:, cols] = s_trials[new].T
+            ws.stuck[cols] = vac_bad[new]
+            ws.prev[:, cols] = False
+            last[cols] = it + 1
+            start[cols] = it
+        else:
+            # No trial is left: drop the finished trials' columns.
             keep = np.flatnonzero(live)
             active = active[keep]
             s_act = s_act[:, keep]
             s_rows = [s_act[rows] for rows in ctx.check_bounds]
             last = last[keep]
+            start = start[keep]
             b = n_live
             live = np.ones(b, dtype=bool)
             ws.compact(keep)
@@ -671,9 +766,10 @@ def bp_decode(ctx: DecoderContext, syndrome: np.ndarray, prior: ChannelPrior, cf
     """Sum-product on one (m,) syndrome; see bp_decode_batch for the semantics.
 
     Returns (raw_bits, posteriors, converged, iterations) where raw_bits is
-    the canonical one-hot decision vector of length 3n.
+    the canonical one-hot decision vector of length 3n, and posteriors are
+    float32, zeros when BP converged.
     """
-    bits, post, conv, iters = bp_decode_batch(ctx, np.asarray(syndrome)[None, :], prior, cfg)
+    bits, post, conv, iters = bp_decode_batch(ctx, np.asarray(syndrome)[None, :], [prior], cfg)
     return bits[0], post[0], bool(conv[0]), int(iters[0])
 
 
@@ -694,7 +790,7 @@ def _reliability_order(posteriors: np.ndarray) -> np.ndarray:
     keys |= np.arange(post.shape[1], dtype=np.uint64)
     keys.sort(axis=1)
     keys &= np.uint64(0xFFFFFFFF)
-    return keys.astype(np.intp)
+    return keys.view(np.intp)  # each key is now its column, below 2**32
 
 
 class InfeasibleSyndrome(RuntimeError):
@@ -713,10 +809,11 @@ def osd_post_process(
     pure-X noise, whose estimates therefore have no Z or Y bit.  Those
     columns are ranked by descending float32 posterior P(bit=1) (ties:
     ascending index) in one sort of integer keys; BP's posteriors are
-    float32 values, so the float32 ranking loses nothing.  One batched elimination then solves every row;
-    each equals gf2.solve_selected's on the same columns.  A trial's
-    elimination ends as soon as its syndrome is solved, usually long before
-    rank(Hd) pivots.  The syndrome of an error the channel can make always
+    float32 values, so the float32 ranking loses nothing.  Blocks of trials,
+    each within gf2._BATCH_BYTES with its keys, are then solved in one
+    batched elimination each; every row equals gf2.solve_selected's on the
+    same columns.  A trial's elimination ends as soon as its syndrome is
+    solved, usually long before rank(Hd) pivots.  The syndrome of an error the channel can make always
     lies in that column space; a syndrome outside it (a broken check
     matrix, or under pure-X an error with a Z part) raises
     InfeasibleSyndrome.
@@ -725,10 +822,16 @@ def osd_post_process(
     post = np.asarray(posteriors)
     if S.ndim != 2 or S.shape[1] != ctx.m or post.shape != (S.shape[0], ctx.nbits):
         raise ValueError("expected a (B, m) syndrome batch and (B, 3n) posteriors")
-    cols, hd_cols = ctx.channel_columns(prior)
-    bits = np.zeros((S.shape[0], ctx.nbits), dtype=np.uint8)
+    cols, solver = ctx.channel_columns(prior)
+    B = S.shape[0]
+    bits = np.zeros((B, ctx.nbits), dtype=np.uint8)
+    # A block's reliability order is built with it: the posteriors' float32
+    # copy, their inverted bits and the uint64 keys, 16 bytes per column.
+    block = solver.block_trials(16 * cols.shape[0])
     try:
-        bits[:, cols] = gf2.solve_selected_batch(hd_cols, S, _reliability_order(post[:, cols]))
+        for lo in range(0, B, block):
+            order = _reliability_order(post[lo : lo + block, cols])
+            bits[lo : lo + block, cols] = solver.solve_batch(S[lo : lo + block], order)
     except gf2.Infeasible as exc:
         raise InfeasibleSyndrome("syndrome outside the column space of the channel's columns of Hd") from exc
     return bits

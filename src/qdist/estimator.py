@@ -1,15 +1,18 @@
 """Monte Carlo upper bound on code distance, plus the brute-force oracle.
 
-For each physical error rate, chunks of depolarizing (or pure-X) errors are
-sampled, decoded under the prior of the same noise, and their residuals
-tested by logical_mask, the one rule for what counts as a logical operator.
-Every logical residual is an explicit logical operator, so the running
-minimum weight is a certified upper bound on code distance; the best witness
-travels with the report and can be re-verified independently.
+A sweep's trials run in (rate, trial) order, in chunks that may span
+rates.  Each chunk's depolarizing (or pure-X) errors are sampled, decoded
+under the prior of the same noise at each trial's own rate (one BP call and
+one OSD-0 call per chunk), and their residuals tested by logical_mask, the
+one rule for what counts as a logical operator.  Every logical residual is
+an explicit logical operator, so the running minimum weight is a certified
+upper bound on code distance; the best witness travels with the report and
+can be re-verified independently.
 
 Trials are reproducible: each (rate, trial) pair owns an RNG stream derived
-from the master seed, so reports are bit-identical across runs, chunk sizes
-and worker counts.
+from the master seed, and chunk results are reduced per rate in trial
+order, so reports are bit-identical across runs, chunk sizes and worker
+counts.
 """
 
 from __future__ import annotations
@@ -293,36 +296,82 @@ def _sample_batch(code: StabilizerCode, p: float, kind: NoiseKind, seed: int, ra
     return ex, ez
 
 
-def _decode_chunk(ctx: DecoderContext, S: np.ndarray, prior: ChannelPrior, cfg: BPConfig):
+def _decode_chunk(ctx: DecoderContext, S: np.ndarray, priors, which, cfg: BPConfig):
     """Decode a syndrome chunk: BP on every trial, then one batched OSD-0
-    solve over the trials BP did not converge on.  Returns canonical
-    (ex, ez) estimates and the convergence flags."""
-    bits, post, conv, _ = bp_decode_batch(ctx, S, prior, cfg)
+    solve over the trials BP did not converge on.  priors are ChannelPriors
+    of one noise kind and which is each trial's index into them (see
+    bp_decode_batch).  Returns canonical (ex, ez) estimates and the
+    convergence flags."""
+    bits, post, conv, _ = bp_decode_batch(ctx, S, priors, cfg, which)
     failed = ~conv
     if failed.any():
-        bits[failed] = osd_post_process(ctx, S[failed], post[failed], prior)
+        post = post[failed]  # the converged trials' rows are zeros: free them before OSD-0 runs
+        # OSD-0 reads only the noise kind, which every trial's prior shares.
+        bits[failed] = osd_post_process(ctx, S[failed], post, priors[0])
     return (*pauli.collapse(bits), conv)
 
 
-# Trials per chunk, the sweep's one unit of work; trials are independent, so
-# only speed and memory depend on it.  Larger chunks decoded no faster.
-_CHUNK_TRIALS = 256
+# Most trials per chunk, the sweep's one unit of work.  A chunk takes the
+# next trials in (rate, trial) order, across rates, so its BP keeps its
+# columns busy until the chunk's last trials, and its OSD-0 and
+# classification run once.  Trials are independent, so only speed and
+# memory depend on it; BP and OSD-0 bound their own working sets by bytes,
+# so a larger chunk costs only its per-trial arrays.  A sweep on several
+# threads cuts smaller chunks when it has fewer than this many trials per
+# thread, so every thread gets one.  Every benchmark sweep (400-1,000
+# trials, one thread) is one chunk.
+_CHUNK_TRIALS = 1024
 
 
-def _run_chunk(code: StabilizerCode, ctx: DecoderContext, cfg: TrialConfig, rate_idx: int, start: int):
-    """Sample, decode and classify one rate's chunk from trial start: its
-    logical count and first lightest residual (weight, rx, rz), or None."""
-    p, stop = cfg.rates[rate_idx], min(start + _CHUNK_TRIALS, cfg.trials_per_rate)
-    ex, ez = _sample_batch(code, p, cfg.noise_kind, cfg.master_seed, rate_idx, start, stop)
-    est_x, est_z, _ = _decode_chunk(ctx, code.syndromes(ex, ez), ChannelPrior(p, cfg.noise_kind), cfg.decoder)
+def _chunks(cfg: TrialConfig, threads: int = 1):
+    """Each chunk's consecutive (rate_idx, start, stop) segments: trial t of
+    rate r is number r * trials_per_rate + t in a sweep's order.  Chunks
+    hold at most _CHUNK_TRIALS trials, and at most a threads-th of the
+    sweep."""
+    T = cfg.trials_per_rate
+    total = T * len(cfg.rates)
+    size = min(_CHUNK_TRIALS, -(-total // threads))
+    for lo in range(0, total, size):
+        hi = min(lo + size, total)
+        segments = []
+        while lo < hi:
+            rate_idx, start = divmod(lo, T)
+            stop = min(T, start + hi - lo)
+            segments.append((rate_idx, start, stop))
+            lo += stop - start
+        yield segments
+
+
+def _run_chunk(code: StabilizerCode, ctx: DecoderContext, cfg: TrialConfig, segments):
+    """Sample, decode and classify one chunk of (rate_idx, start, stop)
+    segments: per segment, (rate_idx, logical count, first lightest residual
+    (weight, rx, rz) or None)."""
+    sizes = [stop - start for _, start, stop in segments]
+    ex = np.empty((sum(sizes), code.n), dtype=np.uint8)
+    ez = np.empty_like(ex)
+    lo = 0
+    for (rate_idx, start, stop), size in zip(segments, sizes):
+        p = cfg.rates[rate_idx]
+        rows = slice(lo, lo + size)
+        ex[rows], ez[rows] = _sample_batch(code, p, cfg.noise_kind, cfg.master_seed, rate_idx, start, stop)
+        lo += size
+    # One prior per segment: each segment holds one rate's trials.
+    priors = [ChannelPrior(cfg.rates[rate_idx], cfg.noise_kind) for rate_idx, _, _ in segments]
+    which = np.repeat(np.arange(len(segments)), sizes)
+    est_x, est_z, _ = _decode_chunk(ctx, code.syndromes(ex, ez), priors, which, cfg.decoder)
     rx, rz = ex ^ est_x, ez ^ est_z
     weights = np.count_nonzero(rx | rz, axis=1)
     idx = np.flatnonzero(weights)
     idx = idx[logical_mask(code, rx[idx], rz[idx], cfg.noise_kind)]
-    if not idx.size:
-        return 0, None
-    t = idx[np.argmin(weights[idx])]  # the first trial at the chunk's minimum
-    return idx.size, (int(weights[t]), rx[t].copy(), rz[t].copy())
+    results = []
+    bounds = np.searchsorted(idx, np.cumsum([0] + sizes))
+    for (rate_idx, _, _), lo, hi in zip(segments, bounds[:-1], bounds[1:]):
+        if lo == hi:
+            results.append((rate_idx, 0, None))
+            continue
+        t = idx[lo + np.argmin(weights[idx[lo:hi]])]  # the first trial at the segment's minimum
+        results.append((rate_idx, int(hi - lo), (int(weights[t]), rx[t].copy(), rz[t].copy())))
+    return results
 
 
 def usable_cpus() -> int:
@@ -339,8 +388,8 @@ def estimate_upper_bound(code: StabilizerCode, cfg: TrialConfig, threads: int = 
     The running minimum starts at the code length; only residuals that
     logical_mask accepts under cfg.noise_kind lower it.  `threads` workers
     run the chunks (_run_chunk), so memory does not grow with the trial
-    count; results are reduced in trial order, so the witness is the first
-    trial at the final minimum.
+    count; results are reduced per rate in trial order, so the witness is
+    the first trial at the final minimum.
     """
     if threads < 1:
         raise ValueError("need at least one thread")
@@ -349,20 +398,21 @@ def estimate_upper_bound(code: StabilizerCode, cfg: TrialConfig, threads: int = 
     witness: pauli.SymplecticPauli | None = None
     per_rate: list[RateStats] = []
 
+    events = [0] * len(cfg.rates)
+    lightest = [(code.n + 1,)] * len(cfg.rates)  # heavier than any residual
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # One worker runs in the calling thread: a pool thread would get a
         # malloc arena of its own, which keeps about 5 MB more resident.
         run_chunks = map if threads == 1 else pool.map
-        T = cfg.trials_per_rate
-        for rate_idx, p in enumerate(cfg.rates):
-            events, lightest = 0, (code.n + 1,)  # heavier than any residual
-            for count, first in run_chunks(partial(_run_chunk, code, ctx, cfg, rate_idx), range(0, T, _CHUNK_TRIALS)):
-                events += count
-                if first is not None and first[0] < lightest[0]:  # a tie keeps the earlier trial
-                    lightest = first
-            if lightest[0] < best:
-                best, witness = lightest[0], pauli.SymplecticPauli.from_arrays(lightest[1], lightest[2])
-            per_rate.append(RateStats(p, T, logical_events=events, min_weight=lightest[0] if events else None))
+        for results in run_chunks(partial(_run_chunk, code, ctx, cfg), _chunks(cfg, threads)):
+            for rate_idx, count, first in results:
+                events[rate_idx] += count
+                if first is not None and first[0] < lightest[rate_idx][0]:  # a tie keeps the earlier trial
+                    lightest[rate_idx] = first
+    for p, count, (weight, *parts) in zip(cfg.rates, events, lightest):
+        if weight < best:
+            best, witness = weight, pauli.SymplecticPauli.from_arrays(*parts)
+        per_rate.append(RateStats(p, cfg.trials_per_rate, logical_events=count, min_weight=weight if count else None))
 
     return DistanceReport(
         code_name=code.name,

@@ -74,9 +74,20 @@ def _eliminate(data, cols):
     return pivots
 
 
-# _eliminate_batch takes as many trials as keep its packed matrices within
-# 4 MiB, so large codes do not hold a chunk's worth of copies at once.
-_BATCH_BYTES = 1 << 22
+# SelectedSolver.block_trials gives how many trials keep their working set
+# (SelectedSolver.trial_bytes each, plus what the caller adds) within 2 MiB;
+# a caller that solves in blocks of that many keeps memory from growing
+# with the batch.  That is below the 2.25 MiB of a full-width BP workspace
+# (decoder._WIDTH_BYTES): freeing that one large allocation raises glibc's
+# mmap and trim thresholds to its size, so a block's arrays come from the
+# heap and return to it instead of faulting in fresh pages on every call.
+_BATCH_BYTES = 1 << 21
+
+
+def _step_bytes(rows, cols):
+    """Bytes per trial of _eliminate_batch's step work: one XOR operand the
+    size of the trial's planes, and its pivot records."""
+    return 8 * (cols // 64 + 1) * rows + 16 * min(rows, cols)
 
 
 def _eliminate_batch(rows, cols, nz_rows, nz_cols, S, orders, pos):
@@ -107,16 +118,21 @@ def _eliminate_batch(rows, cols, nz_rows, nz_cols, S, orders, pos):
     """
     B = S.shape[0]
     w = cols // 64 + 1  # words per row of [M | s]
-    nz_pos = pos.take(nz_cols, axis=1)  # C order (pos[:, nz_cols] is F order), so ravel copies nothing
     planes = np.zeros((B, w, rows), dtype=np.uint64)
-    # Each nonzero sets a distinct bit of its word, so adding the bits ORs them.
-    words = nz_pos >> 6  # built in place, which keeps OSD's peak memory low
-    words += np.arange(B)[:, None] * w
-    words *= rows
-    words += nz_rows
-    bits = np.bitwise_and(nz_pos, 63, out=nz_pos).view(np.uint64)  # nz_pos >= 0
-    np.left_shift(_ONE, bits, out=bits)
-    np.add.at(planes.reshape(-1), words.ravel(), bits.ravel())
+    # The (trial, nonzero) word and bit indices are built for as many trials
+    # at a time as fit in the bytes that the steps' XOR operand and pivot
+    # records take later, so they do not raise the block's peak memory.
+    part = max(1, B * _step_bytes(rows, cols) // (16 * max(1, nz_cols.shape[0])))
+    for lo in range(0, B, part):
+        nz_pos = pos[lo : lo + part].take(nz_cols, axis=1)  # C order, so ravel copies nothing
+        # Each nonzero sets a distinct bit of its word, so adding the bits ORs them.
+        words = nz_pos >> 6  # built in place, which keeps OSD's peak memory low
+        words += np.arange(lo, lo + nz_pos.shape[0])[:, None] * w
+        words *= rows
+        words += nz_rows
+        bits = np.bitwise_and(nz_pos, 63, out=nz_pos).view(np.uint64)  # nz_pos >= 0
+        np.left_shift(_ONE, bits, out=bits)
+        np.add.at(planes.reshape(-1), words.ravel(), bits.ravel())
     s_word, s_bit = cols >> 6, _ONE << np.uint64(cols & 63)
     planes[:, s_word] |= (S & 1).astype(np.uint64) * s_bit
     slots = np.arange(B)
@@ -213,7 +229,7 @@ def solve_selected(M, s, col_order) -> np.ndarray:
     first maximal independent set wins and all other bits of x stay zero.
     s has one bit per row of M; returns x as a (cols,) uint8 array.
     Raises Infeasible when s is outside the column space.  This serial form
-    is the reference that solve_selected_batch is tested against.
+    is the reference that SelectedSolver.solve_batch is tested against.
     """
     a = _matrix(M)
     rows, cols = a.shape
@@ -233,43 +249,61 @@ def solve_selected(M, s, col_order) -> np.ndarray:
     return x
 
 
-def solve_selected_batch(M, S, col_orders) -> np.ndarray:
-    """solve_selected for a batch: row b of the result solves M·x = S[b]
-    with x supported on the greedy column set of col_orders[b].
+class SelectedSolver:
+    """M's nonzero layout, built once, for repeated batched greedy solves on M.
 
-    S is (B, rows) 0/1 and col_orders is (B, cols), each row a permutation
-    of the columns.  Returns (B, cols) uint8, equal row by row to
-    solve_selected.  Raises Infeasible when any syndrome is outside the
-    column space.  Blocks of trials are eliminated together, and each trial
-    leaves its block at the first pivot step that leaves its syndrome
-    solved, so a batch costs about what its slowest trials need.
+    solve_batch eliminates its whole batch together, and each trial leaves
+    at the first pivot step that leaves its syndrome solved, so a batch
+    costs about what its slowest trials need.  Its memory grows with the
+    batch: a caller bounds it by passing at most block_trials() trials.
     """
-    a = _matrix(M)
-    rows, cols = a.shape
-    S = np.asarray(S, dtype=np.uint8)
-    orders = np.asarray(col_orders, dtype=np.intp)
-    if S.ndim != 2 or S.shape[1] != rows:
-        raise ValueError("syndrome batch does not match the row count")
-    B = S.shape[0]
-    if orders.shape != (B, cols):
-        raise ValueError("need one column order per syndrome")
-    # pos[b, c]: where column c sits in order b.  It stays -1 for a column
-    # that an order leaves out, as a repeated entry does, and everywhere if
-    # an entry is out of range.
-    pos = np.full((B, cols), -1, dtype=np.intp)
-    if orders.size and orders.min() >= 0 and orders.max() < cols:
-        np.put_along_axis(pos, orders, np.arange(cols), axis=1)
-    if (pos < 0).any():
-        raise ValueError("each col_order must be a permutation of the columns")
-    # Row-major nonzeros, as np.nonzero gives them; it is several times
-    # slower on a 2-D array than flatnonzero on a flat bool view.
-    nz_rows, nz_cols = np.divmod(np.flatnonzero((a & 1).view(bool)), max(cols, 1))
-    block = max(1, _BATCH_BYTES // max(1, 8 * (cols // 64 + 1) * rows))
-    out = np.empty((B, cols), dtype=np.uint8)
-    for lo in range(0, B, block):
-        hi = min(lo + block, B)
-        out[lo:hi] = _eliminate_batch(rows, cols, nz_rows, nz_cols, S[lo:hi], orders[lo:hi], pos[lo:hi])
-    return out
+
+    def __init__(self, M):
+        a = _matrix(M)
+        self.rows, self.cols = a.shape
+        # Row-major nonzeros, as np.nonzero gives them; it is several times
+        # slower on a 2-D array than flatnonzero on a flat bool view.
+        self.nz_rows, self.nz_cols = np.divmod(np.flatnonzero((a & 1).view(bool)), max(self.cols, 1))
+        self.nz_rows.setflags(write=False)
+        self.nz_cols.setflags(write=False)
+        # Bytes per trial in a block at _eliminate_batch's peak: the planes,
+        # a step's XOR operand and the pivot records (or the indices that
+        # build the planes, in as many bytes), pos and the result row.
+        self.trial_bytes = 8 * (self.cols // 64 + 1) * self.rows + _step_bytes(self.rows, self.cols) + 9 * self.cols
+
+    def block_trials(self, extra_bytes: int = 0) -> int:
+        """Trials per solve_batch call that keep its working set, with
+        extra_bytes per trial of the caller's, within _BATCH_BYTES."""
+        return max(1, _BATCH_BYTES // (self.trial_bytes + extra_bytes))
+
+    def solve_batch(self, S, col_orders) -> np.ndarray:
+        """Row b of the result solves M·x = S[b] with x supported on the
+        greedy column set of col_orders[b].
+
+        S is (B, rows) 0/1 and col_orders is (B, cols), each row a
+        permutation of the columns.  Returns (B, cols) uint8, equal row by
+        row to solve_selected.  Raises Infeasible when any syndrome is
+        outside the column space.
+        """
+        rows, cols = self.rows, self.cols
+        S = np.asarray(S, dtype=np.uint8)
+        orders = np.asarray(col_orders, dtype=np.intp)
+        if S.ndim != 2 or S.shape[1] != rows:
+            raise ValueError("syndrome batch does not match the row count")
+        B = S.shape[0]
+        if orders.shape != (B, cols):
+            raise ValueError("need one column order per syndrome")
+        if not B:
+            return np.zeros((0, cols), dtype=np.uint8)
+        # pos[b, c]: where column c sits in order b.  It stays -1 for a
+        # column that an order leaves out, as a repeated entry does, and
+        # everywhere if an entry is out of range.
+        pos = np.full((B, cols), -1, dtype=np.intp)
+        if not orders.size or (orders.min() >= 0 and orders.max() < cols):
+            np.put_along_axis(pos, orders, np.arange(cols), axis=1)
+        if (pos < 0).any():
+            raise ValueError("each col_order must be a permutation of the columns")
+        return _eliminate_batch(rows, cols, self.nz_rows, self.nz_cols, S, orders, pos)
 
 
 def kernel_basis(M) -> np.ndarray:

@@ -163,7 +163,7 @@ def test_criterion_7_decoder_contract():
         ex = rng.integers(0, 2, (trials, code.n), dtype=np.uint8)
         ez = rng.integers(0, 2, (trials, code.n), dtype=np.uint8)
         S = code.syndromes(ex, ez)
-        est_x, est_z, _ = estimator._decode_chunk(ctx, S, ChannelPrior(0.1), cfg)
+        est_x, est_z, _ = estimator._decode_chunk(ctx, S, [ChannelPrior(0.1)], None, cfg)
         bad = int(np.count_nonzero(np.any(code.syndromes(est_x, est_z) != S, axis=1)))
         consistent[code.name] = (trials, bad)
 

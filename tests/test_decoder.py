@@ -156,7 +156,7 @@ def test_batch_matches_single():
         ex = rng.integers(0, 2, code.n, dtype=np.uint8)
         ez = rng.integers(0, 2, code.n, dtype=np.uint8)
         S[i] = code.syndrome(pauli.SymplecticPauli.from_arrays(ex, ez)).bits
-    bits, post, conv, iters = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    bits, post, conv, iters = decoder.bp_decode_batch(ctx, S, [prior], cfg)
     for i in range(30):
         b1, p1, c1, i1 = decoder.bp_decode(ctx, S[i], prior, cfg)
         assert np.array_equal(bits[i], b1)
@@ -182,22 +182,34 @@ def test_osd_output_always_satisfies_syndrome():
 
 
 @pytest.mark.parametrize("make", [lambda: codes.toric(3), lambda: codes.chamon(3, 3, 3), lambda: codes.ztgre(5)])
-def test_batched_osd_matches_single_on_failed_trials(make):
+def test_batched_osd_matches_single_on_failed_trials(make, monkeypatch):
     # Toric and Chamon have dependent generators (rank(Hd) < m); ztgre is
     # Z-only, so a third of Hd's columns are zero.  Posteriors are BP's own
     # from trials it failed to decode, the inputs OSD-0 sees in a sweep.
+    # OSD-0 solves the batch in blocks of 4 trials here.
     code = make()
     ctx = decoder.DecoderContext.for_code(code)
+    cols, solver = ctx.channel_columns(decoder.ChannelPrior(0.12))
+    monkeypatch.setattr(gf2, "_BATCH_BYTES", 4 * (solver.trial_bytes + 16 * cols.shape[0]))
+    blocks = []
+    solve_batch = gf2.SelectedSolver.solve_batch
+
+    def spy(self, S, orders):
+        blocks.append(S.shape[0])
+        return solve_batch(self, S, orders)
+
+    monkeypatch.setattr(gf2.SelectedSolver, "solve_batch", spy)
     kind = NoiseKind.PURE_X if code.name.startswith("ztgre") else NoiseKind.DEPOLARIZING
     ex, ez = estimator._sample_batch(code, 0.12, kind, 5, 0, 0, 120)
     errors = [pauli.SymplecticPauli.from_arrays(x, z) for x, z in zip(ex, ez)]
     S = np.array([code.syndrome(e).bits for e in errors], dtype=np.uint8)
     prior = decoder.ChannelPrior(0.12)
-    _, post, conv, _ = decoder.bp_decode_batch(ctx, S, prior, decoder.BPConfig(max_iterations=8))
+    _, post, conv, _ = decoder.bp_decode_batch(ctx, S, [prior], decoder.BPConfig(max_iterations=8))
     S, post = S[~conv], post[~conv]
     assert S.shape[0] >= 10
     batch = decoder.osd_post_process(ctx, S, post, prior)
     assert batch.shape == (S.shape[0], ctx.nbits)
+    assert blocks == [4] * (S.shape[0] // 4) + [S.shape[0] % 4] * (S.shape[0] % 4 > 0)
     for i in range(S.shape[0]):
         # Reference: the serial solve on columns by descending posterior, ties by index.
         order = np.lexsort((np.arange(ctx.nbits), -post[i]))
@@ -262,7 +274,7 @@ def test_batch_shape_validation():
     ctx = decoder.DecoderContext.for_code(code)
     with pytest.raises(ValueError):
         decoder.bp_decode_batch(ctx, np.zeros((2, ctx.m + 1), np.uint8),
-                                decoder.ChannelPrior(0.1), decoder.BPConfig())
+                                [decoder.ChannelPrior(0.1)], decoder.BPConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +402,22 @@ def _bp_reference(ctx, syndromes, prior_llr, prior_prob, cfg, stall=decoder._STA
     return out_bits, out_post, out_conv, out_iter
 
 
+def _assert_matches_reference(got, want):
+    """BP's outputs equal the reference's: decisions, convergence flags and
+    iteration counts of every trial, and the float32 posteriors of the
+    trials that did not converge, the rows OSD-0 reads (zeros elsewhere)."""
+    bits, post, conv, iters = got
+    w_bits, w_post, w_conv, w_iters = want
+    for g, w in ((bits, w_bits), (conv, w_conv), (iters, w_iters)):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert np.array_equal(g, w)
+    # The reference's float64 posteriors hold float32 values, so comparing
+    # after promotion is exact.
+    assert post.shape == w_post.shape and post.dtype == np.float32
+    assert np.array_equal(post[~conv], w_post[~conv])
+    assert not post[conv].any()
+
+
 def _random_hgp(seed):
     # Dense random classical checks: decoupled check and variable degrees
     # well above 8, so the per-degree tables and the pairwise sum both run.
@@ -425,11 +453,9 @@ def test_bp_matches_reference(make, kind, batch):
     S = code.syndromes(ex, ez)
     prior = decoder.ChannelPrior(0.09, kind)
     cfg = decoder.BPConfig(max_iterations=20)
-    got = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    got = decoder.bp_decode_batch(ctx, S, [prior], cfg)
     want = _bp_reference(ctx, S, *_reference_prior(prior, ctx), cfg)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.dtype == w.dtype
-        assert np.array_equal(g, w)
+    _assert_matches_reference(got, want)
     if batch == 300:
         # Both branches of the iteration loop ran: some trials converged early
         # and some did not converge at all.
@@ -460,11 +486,9 @@ def test_bp_matches_reference_on_edge_priors(make, p, batch):
     S = code.syndromes(ex, ez)
     prior = decoder.ChannelPrior(p, NoiseKind.PURE_X)
     cfg = decoder.BPConfig(max_iterations=12)
-    got = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    got = decoder.bp_decode_batch(ctx, S, [prior], cfg)
     want = _bp_reference(ctx, S, *_reference_prior(prior, ctx), cfg)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.dtype == w.dtype
-        assert np.array_equal(g, w)
+    _assert_matches_reference(got, want)
 
 
 CLIP_CASES = [
@@ -496,11 +520,9 @@ def test_bp_matches_reference_when_clip_binds(make, kind, p, clip, batch, monkey
     S = code.syndromes(ex, ez)
     prior = decoder.ChannelPrior(p, kind)
     cfg = decoder.BPConfig(max_iterations=12)
-    got = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    got = decoder.bp_decode_batch(ctx, S, [prior], cfg)
     want = _bp_reference(ctx, S, *_reference_prior(prior, ctx), cfg)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.dtype == w.dtype
-        assert np.array_equal(g, w)
+    _assert_matches_reference(got, want)
 
 
 def test_certain_llr_exceeds_every_message():
@@ -519,8 +541,8 @@ def test_matched_prior_converges_on_pure_x_errors():
     ex, ez = estimator._sample_batch(code, 0.08, NoiseKind.PURE_X, 1, 0, 0, 200)
     S = code.syndromes(ex, ez)
     cfg = decoder.BPConfig(max_iterations=30)
-    _, _, conv_d, it_d = decoder.bp_decode_batch(ctx, S, decoder.ChannelPrior(0.08), cfg)
-    _, _, conv_x, it_x = decoder.bp_decode_batch(ctx, S, decoder.ChannelPrior(0.08, NoiseKind.PURE_X), cfg)
+    _, _, conv_d, it_d = decoder.bp_decode_batch(ctx, S, [decoder.ChannelPrior(0.08)], cfg)
+    _, _, conv_x, it_x = decoder.bp_decode_batch(ctx, S, [decoder.ChannelPrior(0.08, NoiseKind.PURE_X)], cfg)
     assert conv_x.sum() > 3 * conv_d.sum()
     assert conv_x.mean() > 0.4
     assert it_x.mean() < it_d.mean() - 8
@@ -545,10 +567,9 @@ def test_bp_matches_reference_with_vacuous_check():
     S = np.hstack([S0[:, :4], (np.arange(200) % 3 == 0)[:, None].astype(np.uint8), S0[:, 4:]])
     prior = decoder.ChannelPrior(0.06)
     cfg = decoder.BPConfig(max_iterations=15)
-    got = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    got = decoder.bp_decode_batch(ctx, S, [prior], cfg)
     want = _bp_reference(ctx, S, *_reference_prior(prior, ctx), cfg)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    _assert_matches_reference(got, want)
     assert not got[2][S[:, 4] == 1].any() and got[2][S[:, 4] == 0].any()
 
 
@@ -564,10 +585,9 @@ def test_bp_matches_reference_on_odd_degree_checks():
     S = (errors @ hd.T % 2).astype(np.uint8)
     prior = decoder.ChannelPrior(0.15)
     cfg = decoder.BPConfig(max_iterations=15)
-    got = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    got = decoder.bp_decode_batch(ctx, S, [prior], cfg)
     want = _bp_reference(ctx, S, *_reference_prior(prior, ctx), cfg)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    _assert_matches_reference(got, want)
     assert got[2].any() and not got[2].all()
 
 
@@ -578,11 +598,9 @@ def test_bp_matches_reference_on_odd_degree_checks():
 
 def _assert_first_iteration_matches_reference(ctx, S, prior):
     cfg = decoder.BPConfig(max_iterations=1)
-    got = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    got = decoder.bp_decode_batch(ctx, S, [prior], cfg)
     want = _bp_reference(ctx, S, *_reference_prior(prior, ctx), cfg)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.dtype == w.dtype
-        assert np.array_equal(g, w)
+    _assert_matches_reference(got, want)
     return got
 
 
@@ -650,11 +668,15 @@ def test_osd_channel_columns_are_built_once_per_noise_kind():
     n = code.n
     dep = ctx.channel_columns(decoder.ChannelPrior(0.1))
     assert dep is ctx.channel_columns(decoder.ChannelPrior(0.05))
-    assert np.array_equal(dep[0], np.arange(3 * n)) and np.array_equal(dep[1], ctx.hd)
     px = ctx.channel_columns(decoder.ChannelPrior(0.1, NoiseKind.PURE_X))
     assert px is ctx.channel_columns(decoder.ChannelPrior(0.3, NoiseKind.PURE_X))
-    assert np.array_equal(px[0], np.arange(n)) and np.array_equal(px[1], ctx.hd[:, :n])
-    assert not px[1].flags.writeable
+    # Each solver holds its columns' nonzero index lists, read-only.
+    for (cols, solver), want in ((dep, np.arange(3 * n)), (px, np.arange(n))):
+        assert np.array_equal(cols, want) and not cols.flags.writeable
+        assert (solver.rows, solver.cols) == (ctx.m, want.shape[0])
+        rows, at = np.nonzero(ctx.hd[:, want])
+        assert np.array_equal(solver.nz_rows, rows) and np.array_equal(solver.nz_cols, at)
+        assert not solver.nz_rows.flags.writeable and not solver.nz_cols.flags.writeable
 
 
 def test_empty_batch_returns_at_once(monkeypatch):
@@ -666,7 +688,7 @@ def test_empty_batch_returns_at_once(monkeypatch):
 
     monkeypatch.setattr(decoder, "_decision_bits_from_llr", no_iterations)
     bits, post, conv, iters = decoder.bp_decode_batch(
-        ctx, np.zeros((0, ctx.m), np.uint8), decoder.ChannelPrior(0.1), decoder.BPConfig())
+        ctx, np.zeros((0, ctx.m), np.uint8), [decoder.ChannelPrior(0.1)], decoder.BPConfig())
     assert bits.shape == (0, ctx.nbits) and post.shape == (0, ctx.nbits)
     assert conv.shape == (0,) and iters.shape == (0,)
 
@@ -720,11 +742,122 @@ def test_bp_memory_per_trial_edge():
     S = code.syndromes(ex, ez)
     tracemalloc.start()
     try:
-        decoder.bp_decode_batch(ctx, S, decoder.ChannelPrior(0.08), decoder.BPConfig(max_iterations=30))
+        decoder.bp_decode_batch(ctx, S, [decoder.ChannelPrior(0.08)], decoder.BPConfig(max_iterations=30))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 32 * batch * ctx.num_edges
+
+
+def test_bp_memory_stops_growing_past_the_width():
+    # A batch wider than the workspace runs through the same columns, so
+    # beyond that only the per-trial inputs and outputs grow: the decisions
+    # and float32 posteriors (5 bytes per bit), the syndrome bits in check
+    # order (twice, while they are converted) and a few flags and counts.
+    import tracemalloc
+
+    code = codes.chamon(3, 3, 3)
+    ctx = decoder.DecoderContext.for_code(code)
+    width = decoder._WIDTH_BYTES // sum(decoder._column_bytes(ctx))
+    ex, ez = estimator._sample_batch(code, 0.08, NoiseKind.DEPOLARIZING, 9, 0, 0, 4 * width)
+    S = code.syndromes(ex, ez)
+    prior, cfg = decoder.ChannelPrior(0.08), decoder.BPConfig(max_iterations=30)
+    decoder.bp_decode_batch(ctx, S[:1], [prior], cfg)  # builds the first-message table
+
+    def peak(batch):
+        tracemalloc.start()
+        try:
+            decoder.bp_decode_batch(ctx, S[:batch], [prior], cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    per_trial = 5 * ctx.nbits + 2 * ctx.m + 64
+    assert peak(4 * width) - peak(width) <= 3 * width * per_trial
+    # The workspace alone is larger than that growth would be.
+    assert 3 * width * per_trial < decoder._WIDTH_BYTES
+
+
+# ---------------------------------------------------------------------------
+# Refill: a batch wider than the workspace hands each finished column the
+# next trial, from messages 0 and its own prior; each column counts its own
+# iterations.
+
+
+def _reference_per_prior(ctx, S, priors, which, cfg):
+    """_bp_reference on each prior's trials, merged in trial order."""
+    B, n = S.shape[0], ctx.nbits // 3
+    out = [np.zeros((B, ctx.nbits), np.uint8), np.zeros((B, ctx.nbits)), np.zeros(B, bool), np.zeros(B, np.int64)]
+    for k, prior in enumerate(priors):
+        rows = which == k
+        for o, part in zip(out, _bp_reference(ctx, S[rows], prior.llrs(n), prior.bit_probs(n), cfg)):
+            o[rows] = part
+    return out
+
+
+def _with_vacuous_check(code):
+    # toric_3's Hd with an all-zero row inserted as check 4.
+    return np.vstack([code.hd[:4], np.zeros((1, code.hd.shape[1]), np.uint8), code.hd[4:]])
+
+
+REFILL_CASES = [
+    pytest.param(lambda: codes.chamon(3, 3, 3), NoiseKind.DEPOLARIZING, (0.04, 0.09, 0.12), False, id="chamon_3_3_3"),
+    pytest.param(lambda: codes.toric(3), NoiseKind.DEPOLARIZING, (0.06, 0.1), False, id="toric_3"),
+    pytest.param(lambda: codes.ztgre(5), NoiseKind.PURE_X, (0.08, 0.5), False, id="ztgre_5-pureX"),
+    pytest.param(lambda: codes.toric(3), NoiseKind.PURE_X, (0.5, 0.1), False, id="toric_3-pureX"),
+    pytest.param(lambda: codes.ztgre(5), NoiseKind.PURE_X, (0.08,), False, id="ztgre_5-pureX-one-prior"),
+    pytest.param(lambda: codes.toric(3), NoiseKind.DEPOLARIZING, (0.06, 0.1), True, id="toric_3-vacuous"),
+]
+
+
+@pytest.mark.parametrize("width", [1, 3, 16])
+@pytest.mark.parametrize("make,kind,rates,vacuous", REFILL_CASES)
+def test_bp_refill_matches_reference(make, kind, rates, vacuous, width, monkeypatch):
+    calls = _spy_compactions(monkeypatch)
+    code = make()
+    ctx = decoder.DecoderContext(_with_vacuous_check(code)) if vacuous else decoder.DecoderContext.for_code(code)
+    monkeypatch.setattr(decoder, "_WIDTH_BYTES", width * sum(decoder._column_bytes(ctx)))
+    per_rate = 40
+    S = []
+    for rate_idx, p in enumerate(rates):
+        ex, ez = estimator._sample_batch(code, p, kind, 13, rate_idx, 0, per_rate)
+        S.append(code.syndromes(ex, ez))
+    S = np.vstack(S)
+    if vacuous:
+        S = np.hstack([S[:, :4], (np.arange(S.shape[0]) % 3 == 0)[:, None].astype(np.uint8), S[:, 4:]])
+    priors = [decoder.ChannelPrior(p, kind) for p in rates]
+    which = np.repeat(np.arange(len(rates)), per_rate)
+    cfg = decoder.BPConfig(max_iterations=12)
+    got = decoder.bp_decode_batch(ctx, S, priors, cfg, which)
+    _assert_matches_reference(got, _reference_per_prior(ctx, S, priors, which, cfg))
+    conv, iters = got[2], got[3]
+    assert conv.any() and not conv.all() and np.unique(iters).shape[0] >= 3
+    if vacuous:
+        assert not conv[S[:, 4] == 1].any()
+    # Columns are dropped only once every trial has had one (at width 1 the
+    # last trial's column is never dropped).
+    assert all(kept < w <= width for w, kept in calls) and (calls or width == 1)
+
+
+def test_bp_batch_priors_share_one_noise_kind():
+    code = codes.toric(2)
+    ctx = decoder.DecoderContext.for_code(code)
+    S = np.zeros((2, ctx.m), np.uint8)
+    cfg = decoder.BPConfig(max_iterations=5)
+    mixed = [decoder.ChannelPrior(0.1), decoder.ChannelPrior(0.1, NoiseKind.PURE_X)]
+    with pytest.raises(ValueError, match="noise kind"):
+        decoder.bp_decode_batch(ctx, S, mixed, cfg, [0, 1])
+    with pytest.raises(ValueError, match="noise kind"):
+        decoder.bp_decode_batch(ctx, S, [], cfg)
+    for which in ([0], [0, 0, 0], [0, 2], [-1, 0], [[0, 1]]):
+        with pytest.raises(ValueError, match="one prior index per syndrome"):
+            decoder.bp_decode_batch(ctx, S, [decoder.ChannelPrior(0.1)] * 2, cfg, which)
+    # Without indices every trial takes the first prior; a repeated prior
+    # is decoded as the prior it equals.
+    one = decoder.bp_decode_batch(ctx, S, [decoder.ChannelPrior(0.1)], cfg)
+    two = decoder.bp_decode_batch(ctx, S, [decoder.ChannelPrior(0.1), decoder.ChannelPrior(0.1)], cfg, [1, 0])
+    for a, b in zip(one, two):
+        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -764,11 +897,9 @@ def test_bp_deferred_compaction_matches_reference(make, kind, batch, monkeypatch
     S = code.syndromes(ex, ez)
     prior = decoder.ChannelPrior(0.08, kind)
     cfg = decoder.BPConfig(max_iterations=30)
-    got = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    got = decoder.bp_decode_batch(ctx, S, [prior], cfg)
     want = _bp_reference(ctx, S, *_reference_prior(prior, ctx), cfg)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.dtype == w.dtype
-        assert np.array_equal(g, w)
+    _assert_matches_reference(got, want)
     # Every compaction drops at least an eighth of the columns.
     assert all(decoder._COMPACT_DEAD_SHARE * width <= width - kept for width, kept in calls)
     if batch == 300:
@@ -789,14 +920,13 @@ def test_bp_trials_that_finish_before_any_compaction(monkeypatch):
     cfg = decoder.BPConfig(max_iterations=30)
     ex, ez = estimator._sample_batch(code, 0.08, NoiseKind.PURE_X, 29, 0, 0, 300)
     S = code.syndromes(ex, ez)
-    _, _, conv, iters = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    _, _, conv, iters = decoder.bp_decode_batch(ctx, S, [prior], cfg)
     late = np.flatnonzero(conv & (iters >= 4))[0]
     S9 = np.vstack([np.zeros((1, ctx.m), np.uint8), np.repeat(S[late : late + 1], 8, axis=0)])
     calls.clear()
-    got = decoder.bp_decode_batch(ctx, S9, prior, cfg)
+    got = decoder.bp_decode_batch(ctx, S9, [prior], cfg)
     want = _bp_reference(ctx, S9, *_reference_prior(prior, ctx), cfg)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    _assert_matches_reference(got, want)
     assert got[2].all() and list(got[3]) == [1] + [iters[late]] * 8
     assert calls == []
 
@@ -826,14 +956,12 @@ def test_bp_without_stall_rule_matches_rule_free_reference(make, kind, batch, mo
     # Toric and Chamon have dependent generators, ztgre is Z-only; at 300
     # the arrays are compacted while trials are still running.
     ctx, S, prior, cfg = _stall_inputs(make, kind, batch)
-    with_rule = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    with_rule = decoder.bp_decode_batch(ctx, S, [prior], cfg)
     calls = _spy_compactions(monkeypatch)
     monkeypatch.setattr(decoder, "_STALL_ITERATIONS", cfg.max_iterations + 1)
-    got = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    got = decoder.bp_decode_batch(ctx, S, [prior], cfg)
     want = _bp_reference(ctx, S, *_reference_prior(prior, ctx), cfg, stall=None)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.dtype == w.dtype
-        assert np.array_equal(g, w)
+    _assert_matches_reference(got, want)
     if batch == 300:
         assert calls and not got[2].all()
         assert not np.array_equal(got[3], with_rule[3])  # the rule was on before
@@ -844,11 +972,14 @@ def test_stall_rule_only_cuts_failing_trials_short(make, kind):
     # Each trial's BP runs on its own column, so until the rule finishes a
     # trial it follows the rule-free run exactly.
     ctx, S, prior, cfg = _stall_inputs(make, kind, 300)
-    bits, post, conv, iters = decoder.bp_decode_batch(ctx, S, prior, cfg)
+    bits, post, conv, iters = decoder.bp_decode_batch(ctx, S, [prior], cfg)
     f_bits, f_post, f_conv, f_iters = _bp_reference(ctx, S, *_reference_prior(prior, ctx), cfg, stall=None)
-    assert conv.any() and np.array_equal(bits[conv], f_bits[conv]) and np.array_equal(post[conv], f_post[conv])
+    assert conv.any() and np.array_equal(bits[conv], f_bits[conv])
     assert np.array_equal(iters[conv], f_iters[conv]) and f_conv[conv].all()
     assert (iters[~conv] <= f_iters[~conv]).all()
+    # A trial that neither converged nor stalled ran the rule-free run to the cap.
+    capped = ~conv & (iters == cfg.max_iterations)
+    assert capped.any() and np.array_equal(post[capped], f_post[capped])
     # Some trials stalled before the cap: at least three iterations, since
     # the first has nothing to compare with.
     stalled = ~conv & (iters < cfg.max_iterations)
@@ -903,7 +1034,7 @@ def test_reliability_order_matches_stable_argsort_on_ties():
     ex, ez = estimator._sample_batch(code, 0.12, NoiseKind.PURE_X, 31, 0, 0, 120)
     S = code.syndromes(ex, ez)
     prior = decoder.ChannelPrior(0.12, NoiseKind.PURE_X)
-    _, post, conv, _ = decoder.bp_decode_batch(ctx, S, prior, decoder.BPConfig(max_iterations=8))
+    _, post, conv, _ = decoder.bp_decode_batch(ctx, S, [prior], decoder.BPConfig(max_iterations=8))
     S, post = S[~conv], post[~conv]
     n = code.n
     assert S.shape[0] >= 10 and (post[:, n : 2 * n] == post[:, n : n + 1]).all()
@@ -965,7 +1096,7 @@ def test_pure_x_osd_solves_on_the_x_block(make):
     prior = decoder.ChannelPrior(0.12, NoiseKind.PURE_X)
     ex, ez = estimator._sample_batch(code, 0.12, NoiseKind.PURE_X, 5, 0, 0, 200)
     S = code.syndromes(ex, ez)
-    _, post, conv, _ = decoder.bp_decode_batch(ctx, S, prior, decoder.BPConfig(max_iterations=8))
+    _, post, conv, _ = decoder.bp_decode_batch(ctx, S, [prior], decoder.BPConfig(max_iterations=8))
     S, post = S[~conv], post[~conv]
     assert S.shape[0] >= 20
     batch = decoder.osd_post_process(ctx, S, post, prior)
@@ -1007,7 +1138,7 @@ def test_pure_x_osd_never_pivots_on_a_y_column():
     assert np.flatnonzero(err.ex).tolist() == [20, 25, 26, 27, 45, 114, 116]
     s = code.syndrome(err).bits[None, :]
     prior = decoder.ChannelPrior(0.08, NoiseKind.PURE_X)
-    _, post, conv, _ = decoder.bp_decode_batch(ctx, s, prior, decoder.BPConfig(max_iterations=30))
+    _, post, conv, _ = decoder.bp_decode_batch(ctx, s, [prior], decoder.BPConfig(max_iterations=30))
     assert not conv[0]
     full = gf2.solve_selected(ctx.hd, s[0], np.lexsort((np.arange(ctx.nbits), -post[0])))
     assert _pauli_parts(full[None, :], n)[1].any()

@@ -273,37 +273,39 @@ def test_estimate_reports_are_reproducible():
     assert r1.to_json() == r2.to_json()
 
 
-def _assert_independent_of_thread_count(monkeypatch, code, cfg, threads=3):
+def _assert_independent_of_thread_count(monkeypatch, code, cfg, threads, threaded_chunks):
     chunk_sizes = []
     real = estimator._decode_chunk
 
-    def counted(ctx, S, prior, bp_cfg):
+    def counted(ctx, S, priors, which, bp_cfg):
         chunk_sizes.append(S.shape[0])
-        return real(ctx, S, prior, bp_cfg)
+        return real(ctx, S, priors, which, bp_cfg)
 
     monkeypatch.setattr(estimator, "_decode_chunk", counted)
-    # Default chunks: 600 trials run as 256 + 256 + 88, so the pool has work
-    # to share.  Pool workers decode after sampling, in no fixed order.
+    # Default chunks: one thread takes the 600 trials as one chunk.
+    whole = estimator.estimate_upper_bound(code, cfg).to_json()
+    assert chunk_sizes == [600]
+    # 256-trial chunks run as 256 + 256 + 88 on one thread; on several, no
+    # chunk holds more than a thread's share of the sweep.  Pool workers
+    # decode after sampling, in no fixed order.
+    monkeypatch.setattr(estimator, "_CHUNK_TRIALS", 256)
     r1 = estimator.estimate_upper_bound(code, cfg, threads=1).to_json()
     rt = estimator.estimate_upper_bound(code, cfg, threads=threads).to_json()
-    assert chunk_sizes[:3] == [256, 256, 88]
-    assert sorted(chunk_sizes) == sorted([256, 256, 88] * 2)
-    monkeypatch.setattr(estimator, "_CHUNK_TRIALS", 600)
-    whole = estimator.estimate_upper_bound(code, cfg).to_json()
-    assert chunk_sizes[6:] == [600]
+    assert chunk_sizes[1:4] == [256, 256, 88]
+    assert sorted(chunk_sizes[4:]) == threaded_chunks
     assert r1 == rt == whole
 
 
 def test_estimate_independent_of_thread_count(monkeypatch):
     cfg = TrialConfig(rates=(0.1,), trials_per_rate=600, master_seed=5,
                       decoder=BPConfig(max_iterations=15))
-    _assert_independent_of_thread_count(monkeypatch, codes.planar_surface(2), cfg)
+    _assert_independent_of_thread_count(monkeypatch, codes.planar_surface(2), cfg, 3, [200, 200, 200])
 
 
 def test_estimate_pure_x_independent_of_thread_count(monkeypatch):
     cfg = TrialConfig(rates=(0.08,), trials_per_rate=600, master_seed=5, noise_kind=NoiseKind.PURE_X,
                       decoder=BPConfig(max_iterations=15))
-    _assert_independent_of_thread_count(monkeypatch, codes.ztgre(4), cfg)
+    _assert_independent_of_thread_count(monkeypatch, codes.ztgre(4), cfg, 3, [200, 200, 200])
 
 
 def test_sweep_builds_first_messages_once_per_rate(monkeypatch):
@@ -318,7 +320,7 @@ def test_sweep_builds_first_messages_once_per_rate(monkeypatch):
     assert set(memo) == {ChannelPrior(p) for p in rates}
     tables = dict(memo)
     assert cold == estimator.estimate_upper_bound(codes.planar_surface(3), cfg).to_json()
-    _assert_independent_of_thread_count(monkeypatch, code, dataclasses.replace(cfg, rates=(0.09,)), threads=2)
+    _assert_independent_of_thread_count(monkeypatch, code, dataclasses.replace(cfg, rates=(0.09,)), 2, [88, 256, 256])
     assert memo.keys() == tables.keys() and all(memo[key] is tables[key] for key in tables)
 
 
@@ -331,9 +333,11 @@ def test_sweep_matches_per_trial_loop(monkeypatch, code, kind):
     # The reference draws, decodes and classifies one trial at a time.  With
     # 128-trial chunks, trials at the final minimum weight fall in several
     # chunks and both rates, so the witness must come from the first of them.
+    # Chunk 2 holds trials 256-299 of the first rate and 0-83 of the second.
     monkeypatch.setattr(estimator, "_CHUNK_TRIALS", 128)
     cfg = TrialConfig(rates=(0.08, 0.12), trials_per_rate=300, master_seed=3, noise_kind=kind,
                       decoder=BPConfig(max_iterations=20))
+    assert list(estimator._chunks(cfg))[2] == [(0, 256, 300), (1, 0, 84)]
     rep = estimator.estimate_upper_bound(code, cfg)
     best, witness, at_weight = code.n, None, {}
     for rate_idx, (p, stats) in enumerate(zip(cfg.rates, rep.per_rate)):
@@ -344,7 +348,7 @@ def test_sweep_matches_per_trial_loop(monkeypatch, code, kind):
             r = pauli.mul(e, est)
             if pauli.weight(r) and estimator.logical_mask(code, r.ex[None, :], r.ez[None, :], kind)[0]:
                 weights.append(pauli.weight(r))
-                at_weight.setdefault(weights[-1], []).append((rate_idx, t // 128, r))
+                at_weight.setdefault(weights[-1], []).append((rate_idx, (rate_idx * cfg.trials_per_rate + t) // 128, r))
                 if weights[-1] < best:
                     best, witness = weights[-1], r
         assert (stats.logical_events, stats.min_weight) == (len(weights), min(weights, default=None))
@@ -361,6 +365,36 @@ def test_sweep_matches_per_trial_loop(monkeypatch, code, kind):
     assert list(firsts.values())[-1] != witness
 
 
+@pytest.mark.parametrize(
+    "code, kind",
+    [(codes.planar_surface(3), NoiseKind.DEPOLARIZING), (codes.ztgre(4), NoiseKind.PURE_X)],
+    ids=["surface_3", "ztgre_4_pureX"],
+)
+def test_sweep_bytes_do_not_depend_on_chunks_or_threads(monkeypatch, code, kind):
+    # 3 x 150 trials: chunks of 7 and 128 straddle both rate boundaries, the
+    # default chunk takes the whole sweep on one thread and a thread's share
+    # (225 or 150 trials) on two or three, and chunks of 1 decode one trial
+    # each.
+    cfg = TrialConfig(rates=(0.06, 0.1, 0.14), trials_per_rate=150, master_seed=8, noise_kind=kind,
+                      decoder=BPConfig(max_iterations=15))
+    want = estimator.estimate_upper_bound(code, cfg).to_json()
+    default = estimator._CHUNK_TRIALS
+    for chunk in (1, 7, 128, default):
+        monkeypatch.setattr(estimator, "_CHUNK_TRIALS", chunk)
+        for threads in (1, 2, 3):
+            chunks = list(estimator._chunks(cfg, threads))
+            covered = [(rate_idx, t) for segments in chunks
+                       for rate_idx, start, stop in segments for t in range(start, stop)]
+            assert covered == [(rate_idx, t) for rate_idx in range(3) for t in range(150)]
+            sizes = [sum(stop - start for _, start, stop in segments) for segments in chunks]
+            assert set(sizes[:-1]) <= {min(chunk, -(-450 // threads))} and 0 < sizes[-1] <= sizes[0]
+            if chunk == default:
+                assert len(chunks) == threads  # every thread gets a chunk
+            if chunk in (7, 128):
+                assert sum(len({rate_idx for rate_idx, _, _ in segments}) > 1 for segments in chunks) == 2
+            assert estimator.estimate_upper_bound(code, cfg, threads=threads).to_json() == want, (chunk, threads)
+
+
 def test_sweep_memory_does_not_grow_with_trials():
     code = codes.planar_surface(3)
 
@@ -375,7 +409,8 @@ def test_sweep_memory_does_not_grow_with_trials():
             tracemalloc.stop()
 
     peak(1)  # builds and caches the decoder context outside the measured runs
-    assert peak(8192) <= 1.5 * peak(512)
+    chunk = estimator._CHUNK_TRIALS
+    assert peak(8 * chunk) <= 1.5 * peak(chunk)
 
 
 def test_pure_x_osd_estimates_are_x_type():
@@ -386,7 +421,8 @@ def test_pure_x_osd_estimates_are_x_type():
     ctx = DecoderContext.for_code(code)
     ex, ez = estimator._sample_batch(code, 0.08, NoiseKind.PURE_X, 5, 2, 0, 400)
     prior = ChannelPrior(0.08, NoiseKind.PURE_X)
-    est_x, est_z, conv = estimator._decode_chunk(ctx, code.syndromes(ex, ez), prior, BPConfig(max_iterations=30))
+    S = code.syndromes(ex, ez)
+    est_x, est_z, conv = estimator._decode_chunk(ctx, S, [prior], None, BPConfig(max_iterations=30))
     assert (~conv).sum() >= 100
     assert not est_z[~conv].any()
 
@@ -440,8 +476,8 @@ def test_bad_estimates_never_lower_the_bound(monkeypatch, code, kind, distance):
     # nonzero syndrome, which is no logical operator and must not count.
     real = estimator._decode_chunk
 
-    def off_by_one_bit(ctx, S, prior, bp_cfg):
-        est_x, est_z, conv = real(ctx, S, prior, bp_cfg)
+    def off_by_one_bit(ctx, S, priors, which, bp_cfg):
+        est_x, est_z, conv = real(ctx, S, priors, which, bp_cfg)
         est_x[:, 0] ^= 1
         return est_x, est_z, conv
 

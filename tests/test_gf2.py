@@ -142,32 +142,29 @@ def _solve_each(a, S, orders):
                     dtype=np.uint8).reshape(len(S), a.shape[1])
 
 
-def test_solve_selected_batch_matches_serial_on_dependent_rows(monkeypatch):
+def test_solve_selected_batch_matches_serial_on_dependent_rows():
     # Products of random (rows x r) and (r x cols) matrices: rank <= r <
     # rows except in the square case, some wider than one 64-bit word.
     # Syndromes are images of random vectors, so every system is feasible,
-    # and each trial has its own column order.  A 4 KiB block limit splits
-    # the larger batches into several blocks.
-    monkeypatch.setattr(gf2, "_BATCH_BYTES", 1 << 12)
+    # and each trial has its own column order.
     rng = np.random.default_rng(37)
     for rows, cols, r, B in [(6, 9, 4, 300), (12, 20, 7, 40), (10, 70, 6, 40), (24, 130, 17, 40), (5, 5, 5, 40)]:
         a = (rng.integers(0, 2, (rows, r)) @ rng.integers(0, 2, (r, cols)) % 2).astype(np.uint8)
         assert gf2.rank(a) <= r
         S = (rng.integers(0, 2, (B, cols)) @ a.T % 2).astype(np.uint8)
         orders = np.argsort(rng.random((B, cols)), axis=1)
-        got = gf2.solve_selected_batch(a, S, orders)
+        got = gf2.SelectedSolver(a).solve_batch(S, orders)
         assert got.shape == (B, cols) and got.dtype == np.uint8
         assert np.array_equal(got, _solve_each(a, S, orders))
         assert np.array_equal(got @ a.T % 2, S)
 
 
-def test_solve_selected_batch_trials_stop_at_different_steps(monkeypatch):
+def test_solve_selected_batch_trials_stop_at_different_steps():
     # A trial stops once its syndrome bits below the pivots are zero.  Each
     # batch mixes zero syndromes (stop at step 0), images of one or two
     # columns (stop after a few pivots) and images of dense vectors (run to
     # about the rank), in shuffled order, over rank-deficient matrices
-    # wider than one 64-bit word; small blocks split every batch.
-    monkeypatch.setattr(gf2, "_BATCH_BYTES", 1 << 12)
+    # wider than one 64-bit word.
     rng = np.random.default_rng(47)
     for rows, cols, r, B in [(12, 70, 8, 60), (24, 130, 17, 60), (40, 200, 30, 45)]:
         a = (rng.integers(0, 2, (rows, r)) @ rng.integers(0, 2, (r, cols)) % 2).astype(np.uint8)
@@ -178,7 +175,7 @@ def test_solve_selected_batch_trials_stop_at_different_steps(monkeypatch):
         x = np.vstack([np.zeros((B // 3, cols), np.uint8), sparse, dense])
         S = (x[rng.permutation(B)] @ a.T % 2).astype(np.uint8)
         orders = np.argsort(rng.random((B, cols)), axis=1)
-        got = gf2.solve_selected_batch(a, S, orders)
+        got = gf2.SelectedSolver(a).solve_batch(S, orders)
         assert np.array_equal(got, _solve_each(a, S, orders))
         # A syndrome outside the column space, after trials that stop early:
         # a unit vector off the pivots of RREF(a.T) is no sum of a's columns.
@@ -187,7 +184,7 @@ def test_solve_selected_batch_trials_stop_at_different_steps(monkeypatch):
         bad[-1] = 0
         bad[-1, min(set(range(rows)) - set(pivots))] = 1
         with pytest.raises(gf2.Infeasible):
-            gf2.solve_selected_batch(a, bad, orders)
+            gf2.SelectedSolver(a).solve_batch(bad, orders)
         with pytest.raises(gf2.Infeasible):
             gf2.solve_selected(a, bad[-1], orders[-1])
 
@@ -197,21 +194,21 @@ def test_solve_selected_batch_edge_cases():
     a = rng.integers(0, 2, (8, 12), dtype=np.uint8)
     a[7] = a[0] ^ a[1]  # a dependent row
     # B = 0.
-    empty = gf2.solve_selected_batch(a, np.zeros((0, 8), np.uint8), np.zeros((0, 12), np.intp))
+    empty = gf2.SelectedSolver(a).solve_batch(np.zeros((0, 8), np.uint8), np.zeros((0, 12), np.intp))
     assert empty.shape == (0, 12)
     # B = 1.
     order = rng.permutation(12)
     s = a[:, 3] ^ a[:, 5]
-    one = gf2.solve_selected_batch(a, s[None, :], order[None, :])
+    one = gf2.SelectedSolver(a).solve_batch(s[None, :], order[None, :])
     assert np.array_equal(one, _solve_each(a, s[None, :], order[None, :]))
     # An all-zero syndrome solves to zero.
-    zero = gf2.solve_selected_batch(a, np.zeros((3, 8), np.uint8), np.tile(order, (3, 1)))
+    zero = gf2.SelectedSolver(a).solve_batch(np.zeros((3, 8), np.uint8), np.tile(order, (3, 1)))
     assert not zero.any()
     # An all-zero matrix has rank 0: zero syndromes only.
     z = np.zeros((3, 5), np.uint8)
-    assert not gf2.solve_selected_batch(z, np.zeros((2, 3), np.uint8), np.tile(np.arange(5), (2, 1))).any()
+    assert not gf2.SelectedSolver(z).solve_batch(np.zeros((2, 3), np.uint8), np.tile(np.arange(5), (2, 1))).any()
     with pytest.raises(gf2.Infeasible):
-        gf2.solve_selected_batch(z, np.array([[0, 1, 0]], np.uint8), np.arange(5)[None, :])
+        gf2.SelectedSolver(z).solve_batch(np.array([[0, 1, 0]], np.uint8), np.arange(5)[None, :])
 
 
 def test_solve_selected_batch_infeasible_and_bad_input():
@@ -221,13 +218,13 @@ def test_solve_selected_batch_infeasible_and_bad_input():
     # are too; the second syndrome breaks that.
     S = np.array([[1, 1, 1], [1, 0, 0]], dtype=np.uint8)
     with pytest.raises(gf2.Infeasible):
-        gf2.solve_selected_batch(m, S, orders)
+        gf2.SelectedSolver(m).solve_batch(S, orders)
     with pytest.raises(ValueError):
-        gf2.solve_selected_batch(m, S[:, :2], orders)
+        gf2.SelectedSolver(m).solve_batch(S[:, :2], orders)
     with pytest.raises(ValueError):
-        gf2.solve_selected_batch(m, S, orders[:1])
+        gf2.SelectedSolver(m).solve_batch(S, orders[:1])
     with pytest.raises(ValueError):
-        gf2.solve_selected_batch(m, S, np.array([[0, 0, 1], [0, 1, 2]]))
+        gf2.SelectedSolver(m).solve_batch(S, np.array([[0, 0, 1], [0, 1, 2]]))
 
 
 def test_solve_selected_batch_checks_every_order():
@@ -242,8 +239,8 @@ def test_solve_selected_batch_checks_every_order():
             orders = np.tile(good, (3, 1))
             orders[row] = bad
             with pytest.raises(ValueError, match="permutation"):
-                gf2.solve_selected_batch(m, S, orders)
-    assert not gf2.solve_selected_batch(m, S, np.tile(good, (3, 1))).any()
+                gf2.SelectedSolver(m).solve_batch(S, orders)
+    assert not gf2.SelectedSolver(m).solve_batch(S, np.tile(good, (3, 1))).any()
 
 
 def test_kernel_basis_trivial_cases():
@@ -294,7 +291,7 @@ def test_array_contract():
         lambda m: gf2.row_reduce(m),
         lambda m: gf2.kernel_basis(m),
         lambda m: gf2.solve_selected(m, S[0], orders[0]),
-        lambda m: gf2.solve_selected_batch(m, S, orders),
+        lambda m: gf2.SelectedSolver(m).solve_batch(S, orders),
         lambda m: gf2.RowSpanReducer(m).contains_batch(v),
     ]
     for call in calls:
