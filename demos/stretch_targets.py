@@ -3,17 +3,17 @@
 Published stretch values: Z-type expansion N = 256 -> 8 and N = 512 -> 10
 (pure-X minimum logical weight); Chamon (5,5,5) -> 10 and (4,5,6) -> 20.
 These need large trial counts (the published runs use T = 1e5) and hours of
-CPU; pass --trials to scale down for a smoke run.  A code's trials run in
-(rate, trial) order in chunks of at most 1,024 that may span rates (one
-chunk per thread when there are fewer trials), on one thread per CPU, each
-chunk sampled, decoded and classified end to end, so memory does not grow
-with --trials.
+CPU; pass --trials to scale down for a smoke run.  A code's sweep is split
+into one equal share of every rate per CPU, run here and on worker
+processes, and each share's trials run in (rate, trial) order in chunks of
+at most 1,024 that may span rates, each chunk sampled, decoded and
+classified end to end, so memory does not grow with --trials.
 """
 
 import argparse
 
 import qdist
-from qdist import codes, estimator
+from qdist import codes
 from qdist.decoder import BPConfig
 from qdist.estimator import NoiseKind, TrialConfig
 
@@ -41,7 +41,7 @@ for code, kind, published in JOBS:
         noise_kind=kind,
         decoder=BPConfig(max_iterations=30),
     )
-    report = qdist.estimate_upper_bound(code, cfg, threads=estimator.usable_cpus())
+    report = qdist.estimate_upper_bound(code, cfg)
     verified = qdist.verify_witness(code, report.witness, report.upper_bound, kind)
     status = "matches published" if report.upper_bound == published else (
         f"published value {published}")

@@ -60,9 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--trials", type=int, default=10_000)
     est.add_argument("--seed", type=int, default=0)
     _add_decoder_flags(est)
-    est.add_argument("--threads", type=int, default=estimator.usable_cpus(),
-                     help="decoding threads (default: the CPUs this process may use); "
-                          "the report does not depend on it")
+    est.add_argument("--workers", type=int, default=estimator.usable_cpus(), metavar="N",
+                     help="split the sweep into at most N equal shares, one run here and the "
+                          "others on worker processes, fewer when the sweep is too short to gain "
+                          "(default: the CPUs this process may use); the report does not depend on it")
     est.add_argument("--out", help="write the JSON report here")
     est.add_argument("--csv", help="also write a per-rate CSV here")
 
@@ -100,8 +101,8 @@ def parse_args(argv) -> argparse.Namespace:
     if args.subcommand == "estimate":
         if not 1 <= args.trials <= estimator.MAX_TRIALS_PER_RATE:
             parser.error("--trials must be between 1 and 2**32")
-        if args.threads < 1:
-            parser.error("--threads must be positive")
+        if args.workers < 1:
+            parser.error("--workers must be at least 1")
         if args.seed < 0:
             parser.error("--seed must be non-negative")
         # An unwritable output path would otherwise fail only after the whole sweep.
@@ -213,7 +214,7 @@ def run_spec(args: argparse.Namespace) -> int:
         noise_kind=args.noise,
         decoder=BPConfig(max_iterations=args.max_iterations),
     )
-    report = estimator.estimate_upper_bound(code, cfg, threads=args.threads)
+    report = estimator.estimate_upper_bound(code, cfg, workers=args.workers)
     body = report.to_json_dict()
     doc = {
         "report": body,

@@ -161,11 +161,8 @@ class DecoderContext:
     layout and the slot tables BP sums over, all fixed once built.  It also
     memoises what every decode with one prior shares: BP's first check
     messages per prior, and OSD-0's channel columns with their solver (the
-    columns' nonzero index lists) per noise kind.
-    The memos only ever gain read-only entries, each a pure function of its
-    key, so the context is safe to share between threads: two threads that
-    miss together build equal values, and dict.setdefault, atomic under the
-    GIL, hands both the one it keeps.
+    columns' nonzero index lists) per noise kind.  The memos only ever gain
+    read-only entries, each a pure function of its key.
     """
 
     def __init__(self, hd: np.ndarray):

@@ -17,12 +17,17 @@ counts.
 
 from __future__ import annotations
 
+import atexit
 import json
 import math
+import multiprocessing.connection
 import os
-from concurrent.futures import ThreadPoolExecutor
+import signal
+import subprocess
+import sys
+import threading
+import traceback
 from dataclasses import dataclass, field
-from functools import partial
 from math import comb
 
 import numpy as np
@@ -272,6 +277,13 @@ def _errors_from_raw(raw: np.ndarray, n: int, p: float, kind: NoiseKind):
     return hit & x, hit & z, ~u32.all(axis=1)
 
 
+# Most trials whose raw PCG64 words _sample_batch holds at once: it draws a
+# segment in pieces of this many trials into one reused block, which would
+# otherwise be its largest array (6.1 MB for 1,024 trials of chamon(5,5,5),
+# against 1.5 MB for 256).
+_SAMPLE_PIECE = 256
+
+
 def _sample_batch(code: StabilizerCode, p: float, kind: NoiseKind, seed: int, rate_idx: int, start: int, stop: int):
     """Trials start..stop-1 of one rate, row i equal to
     sample_error(code.n, p, kind, trial_rng(seed, rate_idx, start + i))."""
@@ -281,18 +293,24 @@ def _sample_batch(code: StabilizerCode, p: float, kind: NoiseKind, seed: int, ra
         raise ValueError("at most 2**32 trials per rate")
     n = code.n
     draws = n if kind == NoiseKind.PURE_X else n + (n + 1) // 2
-    raw = np.empty((stop - start, draws), dtype=np.uint64)
+    ex = np.empty((stop - start, n), dtype=np.uint8)
+    ez = np.empty_like(ex)
     # Each trial's seeded state goes onto one reused PCG64.
     bitgen = np.random.PCG64(0)
     pcg = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for row, (pcg["state"], pcg["inc"]) in zip(raw, _pcg64_seeds(seed, rate_idx, np.arange(start, stop))):
-        bitgen.state = state
-        row[:] = bitgen.random_raw(draws)
-    ex, ez, redraw = _errors_from_raw(raw, n, p, kind)
-    for i in np.flatnonzero(redraw).tolist():
-        e = sample_error(n, p, kind, trial_rng(seed, rate_idx, start + i))
-        ex[i], ez[i] = e.ex, e.ez
+    block = np.empty((min(stop - start, _SAMPLE_PIECE), draws), dtype=np.uint64)
+    for lo in range(start, stop, _SAMPLE_PIECE):
+        hi = min(lo + _SAMPLE_PIECE, stop)
+        raw = block[: hi - lo]
+        for row, (pcg["state"], pcg["inc"]) in zip(raw, _pcg64_seeds(seed, rate_idx, np.arange(lo, hi))):
+            bitgen.state = state
+            row[:] = bitgen.random_raw(draws)
+        rows = slice(lo - start, hi - start)
+        ex[rows], ez[rows], redraw = _errors_from_raw(raw, n, p, kind)
+        for i in np.flatnonzero(redraw).tolist():
+            e = sample_error(n, p, kind, trial_rng(seed, rate_idx, lo + i))
+            ex[lo - start + i], ez[lo - start + i] = e.ex, e.ez
     return ex, ez
 
 
@@ -312,34 +330,40 @@ def _decode_chunk(ctx: DecoderContext, S: np.ndarray, priors, which, cfg: BPConf
 
 
 # Most trials per chunk, the sweep's one unit of work.  A chunk takes the
-# next trials in (rate, trial) order, across rates, so its BP keeps its
-# columns busy until the chunk's last trials, and its OSD-0 and
+# next trials of its share in (rate, trial) order, across rates, so its BP
+# keeps its columns busy until the chunk's last trials, and its OSD-0 and
 # classification run once.  Trials are independent, so only speed and
 # memory depend on it; BP and OSD-0 bound their own working sets by bytes,
-# so a larger chunk costs only its per-trial arrays.  A sweep on several
-# threads cuts smaller chunks when it has fewer than this many trials per
-# thread, so every thread gets one.  Every benchmark sweep (400-1,000
-# trials, one thread) is one chunk.
+# so a larger chunk costs only its per-trial arrays.  Every benchmark sweep
+# (400-1,000 trials) is one chunk per share.
 _CHUNK_TRIALS = 1024
 
 
-def _chunks(cfg: TrialConfig, threads: int = 1):
-    """Each chunk's consecutive (rate_idx, start, stop) segments: trial t of
-    rate r is number r * trials_per_rate + t in a sweep's order.  Chunks
-    hold at most _CHUNK_TRIALS trials, and at most a threads-th of the
-    sweep."""
+def _chunks(segments):
+    """The (rate_idx, start, stop) segments, in order, cut into chunks of at
+    most _CHUNK_TRIALS trials, each a list of consecutive segments."""
+    chunk, room = [], _CHUNK_TRIALS
+    for rate_idx, start, stop in segments:
+        while start < stop:
+            take = min(room, stop - start)
+            chunk.append((rate_idx, start, start + take))
+            start, room = start + take, room - take
+            if not room:
+                yield chunk
+                chunk, room = [], _CHUNK_TRIALS
+    if chunk:
+        yield chunk
+
+
+def _shares(cfg: TrialConfig, count: int):
+    """The sweep cut into `count` shares, each a list of chunks (_chunks).
+    Share j holds trials j * T // count to (j + 1) * T // count - 1 of every
+    rate (T trials per rate), in (rate, trial) order: low rates decode
+    faster, so contiguous slices of the sweep would not take equal time."""
     T = cfg.trials_per_rate
-    total = T * len(cfg.rates)
-    size = min(_CHUNK_TRIALS, -(-total // threads))
-    for lo in range(0, total, size):
-        hi = min(lo + size, total)
-        segments = []
-        while lo < hi:
-            rate_idx, start = divmod(lo, T)
-            stop = min(T, start + hi - lo)
-            segments.append((rate_idx, start, stop))
-            lo += stop - start
-        yield segments
+    bounds = [j * T // count for j in range(count + 1)]
+    return [list(_chunks([(rate_idx, lo, hi) for rate_idx in range(len(cfg.rates))]))
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _run_chunk(code: StabilizerCode, ctx: DecoderContext, cfg: TrialConfig, segments):
@@ -382,17 +406,180 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def estimate_upper_bound(code: StabilizerCode, cfg: TrialConfig, threads: int = 1) -> DistanceReport:
+# Least work, in trials times Tanner-graph edges (DecoderContext.num_edges),
+# that a sweep must have per share before it hands shares to worker
+# processes.  A message round trip takes about 50 us, but on a short share
+# Linux often wakes the worker on the caller's own CPU and leaves both there:
+# on 2 vCPUs two shares ran x0.6-0.9 of one below about 50,000 per share on
+# planar_surface(7) and ztgre(7), and below 150,000 on planar_surface(3) at
+# 30 BP iterations, and x1.1-1.8 of one above (the table is in CHANGES.md).
+_SHARE_MIN_WORK = 150_000
+
+
+def _share_count(cfg: TrialConfig, ctx: DecoderContext, workers: int) -> int:
+    """How many shares to cut the sweep into: at most `workers`, at most one
+    per trial of a rate, and each above _SHARE_MIN_WORK."""
+    work = cfg.trials_per_rate * len(cfg.rates) * ctx.num_edges
+    return max(1, min(workers, cfg.trials_per_rate, work // _SHARE_MIN_WORK))
+
+
+def _code_key(code: StabilizerCode) -> tuple[str, tuple[int, int], int]:
+    """What a worker knows a code by: its name, its shape and a 64-bit
+    digest of its matrices (Python's SipHash of their bytes; hashlib would
+    load OpenSSL, 3.6 MB more resident in every process that imports qdist)."""
+    return code.name, code.hx.shape, hash(code.hx.tobytes() + code.hz.tobytes())
+
+
+def _serve(fd: int) -> None:
+    """A worker process's loop over its end `fd` of a Pipe.  Each message is
+    (code key, (hx, hz) or None, TrialConfig, share); the worker keeps the
+    last code it was sent, with its DecoderContext, and replies (True, each
+    chunk's _run_chunk results) or (False, the traceback of what failed).
+    It exits when the caller closes its end."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C reaches the caller, which stops its workers
+    conn = multiprocessing.connection.Connection(fd)
+    code = ctx = None
+    while True:
+        try:
+            key, matrices, cfg, share = conn.recv()
+        except EOFError:
+            return
+        try:
+            if matrices is not None:
+                code = StabilizerCode(key[0], *matrices)
+                ctx = DecoderContext.for_code(code)
+            reply = True, [_run_chunk(code, ctx, cfg, segments) for segments in share]
+        except Exception:
+            reply = False, traceback.format_exc()
+        try:
+            conn.send(reply)
+        except OSError:  # the caller is gone
+            return
+
+
+class _Worker:
+    """A persistent worker process fed over its own Pipe.
+
+    It is a fresh interpreter (fork then exec, as multiprocessing's spawn
+    starts one), launched directly rather than through multiprocessing so
+    that it never re-imports the caller's __main__: a script without a
+    __main__ guard would otherwise run its own sweeps again in every worker.
+    No thread is started in the caller.
+    """
+
+    def __init__(self):
+        self.conn, child = multiprocessing.connection.Pipe()
+        src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        boot = (f"import sys; sys.path.insert(0, {src!r}); "
+                f"from {_serve.__module__} import {_serve.__name__} as serve; serve({child.fileno()})")
+        self.process = subprocess.Popen(
+            [sys.executable, *(f"-W{opt}" for opt in sys.warnoptions), "-c", boot],
+            pass_fds=[child.fileno()], stdin=subprocess.DEVNULL,
+        )
+        child.close()
+        self.key = None  # the code the worker holds
+
+    def send(self, key, code: StabilizerCode, cfg: TrialConfig, share) -> None:
+        try:
+            self.conn.send((key, None if key == self.key else (code.hx, code.hz), cfg, share))
+        except OSError:
+            raise RuntimeError(f"sweep worker {self.process.pid} is gone ({self._status()})") from None
+        self.key = key
+
+    def receive(self) -> list:
+        try:
+            ok, out = self.conn.recv()
+        except (EOFError, OSError):
+            raise RuntimeError(f"sweep worker {self.process.pid} died mid-sweep ({self._status()})") from None
+        if not ok:
+            raise RuntimeError(f"sweep worker {self.process.pid} failed:\n{out}")
+        return out
+
+    def _status(self) -> str:
+        try:
+            return f"exit status {self.process.wait(timeout=5)}"
+        except subprocess.TimeoutExpired:
+            return "still running"
+
+    def stop(self) -> None:
+        self.conn.close()
+        self.process.terminate()
+        self.process.wait()
+
+
+# The worker processes, started on first need and kept for later sweeps.  A
+# sweep holds the lock while it uses them.
+_POOL: list[_Worker] = []
+_POOL_LOCK = threading.Lock()
+
+
+def _pool(count: int) -> list[_Worker]:
+    """`count` live workers: the pool's first ones, replacing any that have
+    exited since the last sweep, and new ones as needed."""
+    _stop([w for w in _POOL if w.process.poll() is not None])
+    while len(_POOL) < count:
+        _POOL.append(_Worker())
+    return _POOL[:count]
+
+
+def _stop(workers: list[_Worker]) -> None:
+    """Terminate and reap workers and drop them from the pool."""
+    for w in list(workers):
+        w.stop()
+        _POOL.remove(w)
+
+
+def _forget_pool() -> None:
+    """In a forked child: the pool's workers belong to the parent."""
+    global _POOL_LOCK
+    _POOL.clear()
+    _POOL_LOCK = threading.Lock()
+
+
+atexit.register(_stop, _POOL)
+if hasattr(os, "register_at_fork"):  # POSIX: the only platforms that fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_shares(code: StabilizerCode, ctx: DecoderContext, cfg: TrialConfig, shares) -> list:
+    """Each share's list of chunk results, in share order.  The first share
+    runs in this process while one worker process runs each of the others."""
+    def here(share):
+        return [_run_chunk(code, ctx, cfg, segments) for segments in share]
+
+    if len(shares) == 1:
+        return [here(shares[0])]
+    key = _code_key(code)
+    with _POOL_LOCK:
+        helpers = _pool(len(shares) - 1)
+        try:
+            for helper, share in zip(helpers, shares[1:]):
+                helper.send(key, code, cfg, share)
+            return [here(shares[0])] + [helper.receive() for helper in helpers]
+        except BaseException:
+            # A worker still holding this sweep's share would hand its result
+            # to the next sweep: stop every worker this sweep used.
+            _stop(helpers)
+            raise
+
+
+def estimate_upper_bound(code: StabilizerCode, cfg: TrialConfig, workers: int | None = None) -> DistanceReport:
     """Sweep rates, decode trials, and track the minimum logical weight.
 
     The running minimum starts at the code length; only residuals that
-    logical_mask accepts under cfg.noise_kind lower it.  `threads` workers
-    run the chunks (_run_chunk), so memory does not grow with the trial
-    count; results are reduced per rate in trial order, so the witness is
-    the first trial at the final minimum.
+    logical_mask accepts under cfg.noise_kind lower it.  The sweep is cut
+    into at most `workers` shares (default: usable_cpus()), each an equal
+    slice of every rate, and fewer when a share would hold too little work
+    to pay for a worker (_share_count).  This process runs one share and
+    persistent worker processes run the others, chunk by chunk
+    (_run_chunk), so memory does not grow with the trial count; results are
+    reduced per rate in trial order, so the witness is the first trial at
+    the final minimum and the report does not depend on `workers`.
     """
-    if threads < 1:
-        raise ValueError("need at least one thread")
+    if workers is None:
+        workers = usable_cpus()
+    if workers < 1:
+        raise ValueError("need at least one worker")
     ctx = DecoderContext.for_code(code)
     best = code.n
     witness: pauli.SymplecticPauli | None = None
@@ -400,11 +587,10 @@ def estimate_upper_bound(code: StabilizerCode, cfg: TrialConfig, threads: int = 
 
     events = [0] * len(cfg.rates)
     lightest = [(code.n + 1,)] * len(cfg.rates)  # heavier than any residual
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        # One worker runs in the calling thread: a pool thread would get a
-        # malloc arena of its own, which keeps about 5 MB more resident.
-        run_chunks = map if threads == 1 else pool.map
-        for results in run_chunks(partial(_run_chunk, code, ctx, cfg), _chunks(cfg, threads)):
+    # Share j's trials of a rate precede share j + 1's, so reading shares in
+    # order, and chunks in order within each, visits every rate in trial order.
+    for share in _run_shares(code, ctx, cfg, _shares(cfg, _share_count(cfg, ctx, workers))):
+        for results in share:
             for rate_idx, count, first in results:
                 events[rate_idx] += count
                 if first is not None and first[0] < lightest[rate_idx][0]:  # a tie keeps the earlier trial

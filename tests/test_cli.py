@@ -20,21 +20,28 @@ def test_parse_estimate_flags():
     spec = cli.parse_args([
         "estimate", "--code", "toric", "--params", "3",
         "--rates", "0.05,0.1", "--trials", "123", "--seed", "9",
-        "--noise", "pureX", "--max-iters", "17", "--threads", "2",
+        "--noise", "pureX", "--max-iters", "17", "--workers", "2",
     ])
     assert spec.code_family == "toric" and spec.code_params == (3,)
     assert spec.rates == (0.05, 0.1) and spec.trials == 123 and spec.seed == 9
-    assert spec.noise.value == "pureX" and spec.max_iterations == 17
+    assert spec.noise.value == "pureX" and spec.max_iterations == 17 and spec.workers == 2
 
 
-def test_threads_default_to_the_cpus_this_process_may_use(monkeypatch):
+def test_workers_default_to_the_cpus_this_process_may_use(monkeypatch):
     # A container's affinity mask can allow fewer CPUs than the host has.
     monkeypatch.setattr(estimator.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
     monkeypatch.setattr(estimator.os, "cpu_count", lambda: 64)
     spec = cli.parse_args(["estimate", "--code", "toric", "--params", "3"])
-    assert spec.threads == 3
+    assert spec.workers == 3
     monkeypatch.delattr(estimator.os, "sched_getaffinity")
-    assert cli.parse_args(["estimate", "--code", "toric", "--params", "3"]).threads == 64
+    assert cli.parse_args(["estimate", "--code", "toric", "--params", "3"]).workers == 64
+
+
+def test_workers_help_says_what_the_flag_does(capsys):
+    with pytest.raises(SystemExit):
+        cli.parse_args(["estimate", "--help"])
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps the help lines
+    assert "--workers N" in text and "on worker processes" in text and "the report does not depend on it" in text
 
 
 def test_parse_rejects_bad_inputs():
@@ -52,7 +59,7 @@ def test_parse_rejects_bad_inputs():
                             "--trials", trials])
     assert cli.parse_args(["estimate", "--code", "toric", "--params", "2",
                            "--trials", str(2**32)]).trials == 2**32
-    for flags in (["--threads", "0"], ["--threads", "-2"], ["--max-iters", "0"]):
+    for flags in (["--workers", "0"], ["--workers", "-2"], ["--max-iters", "0"]):
         with pytest.raises(SystemExit):
             cli.parse_args(["estimate", "--code", "toric", "--params", "2", *flags])
     one = ["decode-one", "--code", "toric", "--params", "2", "--error", "XIIIIIII"]
@@ -222,7 +229,7 @@ def test_estimate_end_to_end(tmp_path, capsys):
     code, out, _ = run(
         ["estimate", "--code", "surface", "--params", "2",
          "--rates", "0.08,0.12", "--trials", "400", "--seed", "4",
-         "--max-iters", "15", "--threads", "1",
+         "--max-iters", "15", "--workers", "1",
          "--out", str(out_path), "--csv", str(csv_path)], capsys
     )
     assert code == 0
@@ -240,7 +247,7 @@ def test_estimate_report_body_is_seed_deterministic(tmp_path, capsys):
         code, _, _ = run(
             ["estimate", "--code", "toric", "--params", "2",
              "--rates", "0.1", "--trials", "300", "--seed", "21",
-             "--max-iters", "15", "--threads", "1", "--out", str(path)], capsys
+             "--max-iters", "15", "--workers", "1", "--out", str(path)], capsys
         )
         assert code == 0
         bodies.append(json.dumps(json.loads(path.read_text())["report"], sort_keys=True))
@@ -252,7 +259,7 @@ def test_estimate_no_witness_exits_nonzero(capsys):
     code, _, err = run(
         ["estimate", "--code", "surface", "--params", "2",
          "--rates", "0.0001", "--trials", "1", "--seed", "0",
-         "--max-iters", "5", "--threads", "1"], capsys
+         "--max-iters", "5", "--workers", "1"], capsys
     )
     assert code == 1
     assert "no logical operator observed" in err
@@ -270,8 +277,8 @@ def test_estimate_pure_x_rejects_y_witness(monkeypatch, capsys):
             "--trials", "50", "--max-iters", "5", "--noise", "pureX"]
     real = cli.estimator.estimate_upper_bound
 
-    def with_y_witness(code_, cfg, threads=1):
-        report = real(code_, cfg, threads=threads)
+    def with_y_witness(code_, cfg, workers=1):
+        report = real(code_, cfg, workers=workers)
         report.witness, report.upper_bound = witness, pauli.weight(witness)
         return report
 

@@ -3,6 +3,10 @@ witness verification, reproducibility and the brute-force oracle."""
 
 import dataclasses
 import itertools
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from functools import lru_cache
@@ -14,6 +18,10 @@ import pytest
 from qdist import codes, decoder, estimator, pauli
 from qdist.decoder import BPConfig, ChannelPrior, DecoderContext
 from qdist.estimator import NoiseKind, TrialConfig
+
+# Worker counts the sweep tests run at: never more than this machine's CPUs.
+WORKER_COUNTS = [w for w in (1, 2, 3) if w <= (os.cpu_count() or 1)]
+needs_two_cpus = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a worker process needs a second CPU")
 
 
 def test_trial_config_validation():
@@ -235,6 +243,28 @@ def test_sample_batch_redraws_rejected_trials_exactly(monkeypatch):
     assert np.array_equal(ex, want_x[256:]) and np.array_equal(ez, want_z[256:])
 
 
+@pytest.mark.parametrize("kind", list(NoiseKind))
+def test_sample_batch_draws_in_pieces(monkeypatch, kind):
+    # A 1,024-trial chamon(5,5,5)-sized segment (n = 500): the rows equal one
+    # block's, and the peak holds the rows, one 256-trial piece of raw words
+    # and that piece's temporaries (under another piece's words), where one
+    # block of raw words alone would be 4 pieces'.
+    code = SimpleNamespace(n=500)
+    draws = 500 if kind == NoiseKind.PURE_X else 750
+    with monkeypatch.context() as m:
+        m.setattr(estimator, "_SAMPLE_PIECE", 1024)
+        want_x, want_z = estimator._sample_batch(code, 0.08, kind, 11, 1, 512, 1536)
+    tracemalloc.start()
+    try:
+        ex, ez = estimator._sample_batch(code, 0.08, kind, 11, 1, 512, 1536)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(ex, want_x) and np.array_equal(ez, want_z)
+    piece = estimator._SAMPLE_PIECE * draws * 8
+    assert estimator._SAMPLE_PIECE == 256 and peak < ex.nbytes + ez.nbytes + 2 * piece
+
+
 def test_sample_batch_emits_no_warning():
     # CI turns RuntimeWarning into an error: the uint32 hash must wrap in
     # arrays or masked Python ints, never in numpy scalars.
@@ -273,7 +303,7 @@ def test_estimate_reports_are_reproducible():
     assert r1.to_json() == r2.to_json()
 
 
-def _assert_independent_of_thread_count(monkeypatch, code, cfg, threads, threaded_chunks):
+def _assert_independent_of_worker_count(monkeypatch, code, cfg):
     chunk_sizes = []
     real = estimator._decode_chunk
 
@@ -281,46 +311,54 @@ def _assert_independent_of_thread_count(monkeypatch, code, cfg, threads, threade
         chunk_sizes.append(S.shape[0])
         return real(ctx, S, priors, which, bp_cfg)
 
+    # A patch does not reach a worker process, so the counted sweeps run on
+    # one worker: default chunks take the 600 trials as one chunk, and
+    # 256-trial chunks run as 256 + 256 + 88.
     monkeypatch.setattr(estimator, "_decode_chunk", counted)
-    # Default chunks: one thread takes the 600 trials as one chunk.
-    whole = estimator.estimate_upper_bound(code, cfg).to_json()
-    assert chunk_sizes == [600]
-    # 256-trial chunks run as 256 + 256 + 88 on one thread; on several, no
-    # chunk holds more than a thread's share of the sweep.  Pool workers
-    # decode after sampling, in no fixed order.
+    whole = estimator.estimate_upper_bound(code, cfg, workers=1).to_json()
     monkeypatch.setattr(estimator, "_CHUNK_TRIALS", 256)
-    r1 = estimator.estimate_upper_bound(code, cfg, threads=1).to_json()
-    rt = estimator.estimate_upper_bound(code, cfg, threads=threads).to_json()
-    assert chunk_sizes[1:4] == [256, 256, 88]
-    assert sorted(chunk_sizes[4:]) == threaded_chunks
-    assert r1 == rt == whole
+    r1 = estimator.estimate_upper_bound(code, cfg, workers=1).to_json()
+    assert chunk_sizes == [600, 256, 256, 88]
+    # On several workers, with shares of any size, each worker process takes
+    # a share (this process the first), cut by the caller into 256-trial
+    # chunks.
+    monkeypatch.setattr(estimator, "_decode_chunk", real)
+    monkeypatch.setattr(estimator, "_SHARE_MIN_WORK", 1)
+    for workers in WORKER_COUNTS:
+        assert estimator.estimate_upper_bound(code, cfg, workers=workers).to_json() == r1 == whole, workers
+        assert len(estimator._POOL) >= workers - 1
 
 
-def test_estimate_independent_of_thread_count(monkeypatch):
+def test_estimate_independent_of_worker_count(monkeypatch):
     cfg = TrialConfig(rates=(0.1,), trials_per_rate=600, master_seed=5,
                       decoder=BPConfig(max_iterations=15))
-    _assert_independent_of_thread_count(monkeypatch, codes.planar_surface(2), cfg, 3, [200, 200, 200])
+    _assert_independent_of_worker_count(monkeypatch, codes.planar_surface(2), cfg)
 
 
-def test_estimate_pure_x_independent_of_thread_count(monkeypatch):
+def test_estimate_pure_x_independent_of_worker_count(monkeypatch):
     cfg = TrialConfig(rates=(0.08,), trials_per_rate=600, master_seed=5, noise_kind=NoiseKind.PURE_X,
                       decoder=BPConfig(max_iterations=15))
-    _assert_independent_of_thread_count(monkeypatch, codes.ztgre(4), cfg, 3, [200, 200, 200])
+    _assert_independent_of_worker_count(monkeypatch, codes.ztgre(4), cfg)
 
 
 def test_sweep_builds_first_messages_once_per_rate(monkeypatch):
     # BP's first-iteration table is memoised on the code's decoder context
     # per prior: a 3-rate sweep leaves 3 tables, and report bytes do not
-    # depend on whether two threads start on an empty memo or a full one.
+    # depend on whether a sweep starts on an empty memo or a full one, in
+    # this process or in a worker process that has not seen the code yet.
     rates = (0.06, 0.09, 0.12)
     cfg = TrialConfig(rates=rates, trials_per_rate=600, master_seed=5, decoder=BPConfig(max_iterations=15))
     code = codes.planar_surface(3)
-    cold = estimator.estimate_upper_bound(code, cfg, threads=2).to_json()
+    cold = estimator.estimate_upper_bound(code, cfg, workers=1).to_json()
     memo = DecoderContext.for_code(code)._first_messages
     assert set(memo) == {ChannelPrior(p) for p in rates}
     tables = dict(memo)
-    assert cold == estimator.estimate_upper_bound(codes.planar_surface(3), cfg).to_json()
-    _assert_independent_of_thread_count(monkeypatch, code, dataclasses.replace(cfg, rates=(0.09,)), 2, [88, 256, 256])
+    with monkeypatch.context() as m:
+        m.setattr(estimator, "_SHARE_MIN_WORK", 1)
+        for workers in WORKER_COUNTS:
+            assert cold == estimator.estimate_upper_bound(code, cfg, workers=workers).to_json()
+            assert cold == estimator.estimate_upper_bound(codes.planar_surface(3), cfg, workers=workers).to_json()
+    _assert_independent_of_worker_count(monkeypatch, code, dataclasses.replace(cfg, rates=(0.09,)))
     assert memo.keys() == tables.keys() and all(memo[key] is tables[key] for key in tables)
 
 
@@ -337,8 +375,8 @@ def test_sweep_matches_per_trial_loop(monkeypatch, code, kind):
     monkeypatch.setattr(estimator, "_CHUNK_TRIALS", 128)
     cfg = TrialConfig(rates=(0.08, 0.12), trials_per_rate=300, master_seed=3, noise_kind=kind,
                       decoder=BPConfig(max_iterations=20))
-    assert list(estimator._chunks(cfg))[2] == [(0, 256, 300), (1, 0, 84)]
-    rep = estimator.estimate_upper_bound(code, cfg)
+    assert estimator._shares(cfg, 1)[0][2] == [(0, 256, 300), (1, 0, 84)]
+    rep = estimator.estimate_upper_bound(code, cfg, workers=1)
     best, witness, at_weight = code.n, None, {}
     for rate_idx, (p, stats) in enumerate(zip(cfg.rates, rep.per_rate)):
         weights = []
@@ -372,27 +410,151 @@ def test_sweep_matches_per_trial_loop(monkeypatch, code, kind):
 )
 def test_sweep_bytes_do_not_depend_on_chunks_or_threads(monkeypatch, code, kind):
     # 3 x 150 trials: chunks of 7 and 128 straddle both rate boundaries, the
-    # default chunk takes the whole sweep on one thread and a thread's share
+    # default chunk takes the whole sweep on one worker and a worker's share
     # (225 or 150 trials) on two or three, and chunks of 1 decode one trial
-    # each.
+    # each.  The caller cuts the chunks, so the patched size holds in every
+    # worker process.
     cfg = TrialConfig(rates=(0.06, 0.1, 0.14), trials_per_rate=150, master_seed=8, noise_kind=kind,
                       decoder=BPConfig(max_iterations=15))
-    want = estimator.estimate_upper_bound(code, cfg).to_json()
+    want = estimator.estimate_upper_bound(code, cfg, workers=1).to_json()
     default = estimator._CHUNK_TRIALS
+    monkeypatch.setattr(estimator, "_SHARE_MIN_WORK", 1)
     for chunk in (1, 7, 128, default):
         monkeypatch.setattr(estimator, "_CHUNK_TRIALS", chunk)
-        for threads in (1, 2, 3):
-            chunks = list(estimator._chunks(cfg, threads))
-            covered = [(rate_idx, t) for segments in chunks
-                       for rate_idx, start, stop in segments for t in range(start, stop)]
-            assert covered == [(rate_idx, t) for rate_idx in range(3) for t in range(150)]
-            sizes = [sum(stop - start for _, start, stop in segments) for segments in chunks]
-            assert set(sizes[:-1]) <= {min(chunk, -(-450 // threads))} and 0 < sizes[-1] <= sizes[0]
-            if chunk == default:
-                assert len(chunks) == threads  # every thread gets a chunk
-            if chunk in (7, 128):
-                assert sum(len({rate_idx for rate_idx, _, _ in segments}) > 1 for segments in chunks) == 2
-            assert estimator.estimate_upper_bound(code, cfg, threads=threads).to_json() == want, (chunk, threads)
+        for workers in WORKER_COUNTS:
+            shares = estimator._shares(cfg, workers)
+            assert len(shares) == workers
+            per_rate = [[t for share in shares for segments in share for rate_idx, start, stop in segments
+                         if rate_idx == r for t in range(start, stop)] for r in range(3)]
+            assert per_rate == [list(range(150))] * 3  # each rate in trial order across the shares
+            for share in shares:
+                sizes = [sum(stop - start for _, start, stop in segments) for segments in share]
+                assert set(sizes[:-1]) <= {chunk} and 0 < sizes[-1] <= chunk
+                if chunk == default:
+                    assert len(share) == 1  # a share of at most 450 trials is one chunk
+            if chunk in (7, 128) and workers == 1:
+                assert sum(len({rate_idx for rate_idx, _, _ in segments}) > 1 for segments in shares[0]) == 2
+            assert estimator.estimate_upper_bound(code, cfg, workers=workers).to_json() == want, (chunk, workers)
+
+
+def test_shares_hold_an_equal_slice_of_every_rate():
+    # Low rates decode faster than high ones, so a share is a slice of every
+    # rate, not a contiguous run of the sweep; no chunk exceeds 1,024 trials.
+    for trials, count in itertools.product((1, 2, 7, 150, 3001), (1, 2, 3, 5)):
+        if count > trials:
+            continue  # _share_count never cuts more shares than a rate has trials
+        cfg = TrialConfig(rates=(0.02, 0.06, 0.1, 0.14), trials_per_rate=trials)
+        shares = estimator._shares(cfg, count)
+        assert len(shares) == count
+        for share in shares:
+            held = [0] * 4
+            for segments in share:
+                assert sum(stop - start for _, start, stop in segments) <= estimator._CHUNK_TRIALS == 1024
+                for rate_idx, start, stop in segments:
+                    held[rate_idx] += stop - start
+            assert set(held) <= {trials // count, -(-trials // count)}, (trials, count)
+        segments = [seg for share in shares for chunk in share for seg in chunk]
+        assert len(segments) == len(set(segments))
+        assert sum(stop - start for _, start, stop in segments) == 4 * trials
+
+
+def test_share_count_follows_the_work():
+    ctx = SimpleNamespace(num_edges=100)
+    minimum = estimator._SHARE_MIN_WORK
+    cfg = TrialConfig(rates=(0.1, 0.2), trials_per_rate=minimum // 100)  # two shares' work
+    assert estimator._share_count(cfg, ctx, 1) == 1
+    assert estimator._share_count(cfg, ctx, 8) == 2
+    assert estimator._share_count(dataclasses.replace(cfg, trials_per_rate=minimum // 200 - 1), ctx, 8) == 1
+    # Never more shares than a rate has trials.
+    assert estimator._share_count(TrialConfig(rates=(0.1,), trials_per_rate=3), SimpleNamespace(num_edges=10**9), 8) == 3
+
+
+def test_short_sweeps_start_no_process(monkeypatch):
+    def no_worker():
+        raise AssertionError("a short sweep started a worker process")
+
+    estimator._stop(estimator._POOL)
+    monkeypatch.setattr(estimator, "_Worker", no_worker)
+    code = codes.planar_surface(3)
+    cfg = TrialConfig(rates=(0.1, 0.12), trials_per_rate=300, master_seed=2, decoder=BPConfig(max_iterations=15))
+    assert estimator._share_count(cfg, DecoderContext.for_code(code), 64) == 1
+    estimator.estimate_upper_bound(code, cfg, workers=64)
+    assert estimator._POOL == []
+
+
+def _guard_sweeps():
+    """A sweep that shares its trials with one worker process, a second
+    sweep with other seeds, and the second's one-worker bytes."""
+    code = codes.planar_surface(3)
+    first = TrialConfig(rates=(0.06, 0.1), trials_per_rate=500, master_seed=4, decoder=BPConfig(max_iterations=15))
+    second = dataclasses.replace(first, master_seed=5)
+    return code, first, second, estimator.estimate_upper_bound(code, second, workers=1).to_json()
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("error", [ZeroDivisionError, KeyboardInterrupt])
+def test_a_failed_sweep_stops_its_workers(monkeypatch, error):
+    # Without the guard, the worker would finish the failed sweep's share and
+    # the next sweep would read that result as its own: other bytes, no error.
+    code, first, second, want = _guard_sweeps()
+    monkeypatch.setattr(estimator, "_SHARE_MIN_WORK", 1)
+    estimator.estimate_upper_bound(code, first, workers=2)
+    held = estimator._POOL[0].process
+    real = estimator._run_chunk
+
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(estimator, "_run_chunk", fail)  # this process's share fails, the worker's runs on
+    with pytest.raises(error):
+        estimator.estimate_upper_bound(code, first, workers=2)
+    assert held.returncode is not None  # terminated and reaped
+    monkeypatch.setattr(estimator, "_run_chunk", real)
+    assert estimator.estimate_upper_bound(code, second, workers=2).to_json() == want
+    assert held not in [w.process for w in estimator._POOL]
+
+
+@needs_two_cpus
+def test_a_worker_killed_mid_sweep_fails_the_sweep(monkeypatch):
+    code, first, second, want = _guard_sweeps()
+    monkeypatch.setattr(estimator, "_SHARE_MIN_WORK", 1)
+    estimator.estimate_upper_bound(code, first, workers=2)
+    victim = estimator._POOL[0].process
+    real = estimator._run_chunk
+
+    def kill_then_run(*args):
+        if victim.poll() is None:
+            os.kill(victim.pid, signal.SIGKILL)  # the worker holds its share of this sweep
+            victim.wait(timeout=10)
+        return real(*args)
+
+    monkeypatch.setattr(estimator, "_run_chunk", kill_then_run)
+    with pytest.raises(RuntimeError, match=f"sweep worker {victim.pid} died mid-sweep"):
+        estimator.estimate_upper_bound(code, first, workers=2)
+    monkeypatch.setattr(estimator, "_run_chunk", real)
+    assert estimator.estimate_upper_bound(code, second, workers=2).to_json() == want
+    assert victim not in [w.process for w in estimator._POOL]
+
+
+@needs_two_cpus
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="looks processes up under /proc")
+def test_workers_exit_with_their_caller():
+    # The caller makes no shutdown call: its exit stops the worker.
+    script = (
+        "from qdist import codes, estimator\n"
+        "from qdist.decoder import BPConfig\n"
+        "estimator._SHARE_MIN_WORK = 1\n"
+        "cfg = estimator.TrialConfig(rates=(0.1,), trials_per_rate=50, decoder=BPConfig(max_iterations=5))\n"
+        "estimator.estimate_upper_bound(codes.planar_surface(3), cfg, workers=2)\n"
+        "print(*[w.process.pid for w in estimator._POOL])\n"
+    )
+    src = os.path.dirname(os.path.dirname(estimator.__file__))
+    run = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    pids = [int(pid) for pid in run.stdout.split()]
+    assert len(pids) == 1
+    assert not [pid for pid in pids if os.path.exists(f"/proc/{pid}")]
 
 
 def test_sweep_memory_does_not_grow_with_trials():
@@ -427,11 +589,11 @@ def test_pure_x_osd_estimates_are_x_type():
     assert not est_z[~conv].any()
 
 
-def test_estimate_rejects_bad_thread_count():
+def test_estimate_rejects_bad_worker_count():
     cfg = TrialConfig(rates=(0.1,), trials_per_rate=10)
-    for threads in (0, -1):
+    for workers in (0, -1):
         with pytest.raises(ValueError):
-            estimator.estimate_upper_bound(codes.planar_surface(2), cfg, threads=threads)
+            estimator.estimate_upper_bound(codes.planar_surface(2), cfg, workers=workers)
 
 
 def _random_small_hgp(seed):
@@ -483,7 +645,7 @@ def test_bad_estimates_never_lower_the_bound(monkeypatch, code, kind, distance):
 
     monkeypatch.setattr(estimator, "_decode_chunk", off_by_one_bit)
     cfg = TrialConfig(rates=(0.15,), trials_per_rate=200, master_seed=3, noise_kind=kind)
-    rep = estimator.estimate_upper_bound(code, cfg)
+    rep = estimator.estimate_upper_bound(code, cfg, workers=1)
     assert rep.witness is None or estimator.verify_witness(code, rep.witness, rep.upper_bound, kind)
     assert rep.upper_bound >= distance
 
