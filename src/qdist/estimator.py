@@ -27,6 +27,7 @@ import subprocess
 import sys
 import threading
 import traceback
+import warnings
 from dataclasses import dataclass, field
 from math import comb
 
@@ -423,36 +424,48 @@ def _share_count(cfg: TrialConfig, ctx: DecoderContext, workers: int) -> int:
     return max(1, min(workers, cfg.trials_per_rate, work // _SHARE_MIN_WORK))
 
 
-def _code_key(code: StabilizerCode) -> tuple[str, tuple[int, int], int]:
-    """What a worker knows a code by: its name, its shape and a 64-bit
-    digest of its matrices (Python's SipHash of their bytes; hashlib would
-    load OpenSSL, 3.6 MB more resident in every process that imports qdist)."""
-    return code.name, code.hx.shape, hash(code.hx.tobytes() + code.hz.tobytes())
+def _caught(log) -> list[tuple]:
+    """The distinct warnings in a catch_warnings log, in order, each as the
+    (message, category, filename, lineno, module) that warn_explicit takes.
+    module is the name of the loaded module at filename, as warn would give,
+    else warn_explicit's own default (module=None would drop the warning)."""
+    if not log:
+        return []
+    modules = {getattr(m, "__file__", None): name for name, m in list(sys.modules.items())}
+    seen = {}
+    for w in log:
+        key = str(w.message), w.category, w.filename, w.lineno
+        default = w.filename[:-3] if w.filename.lower().endswith(".py") else w.filename
+        seen.setdefault(key, key + (modules.get(w.filename, default),))
+    return list(seen.values())
 
 
 def _serve(fd: int) -> None:
     """A worker process's loop over its end `fd` of a Pipe.  Each message is
-    (code key, (hx, hz) or None, TrialConfig, share); the worker keeps the
-    last code it was sent, with its DecoderContext, and replies (True, each
-    chunk's _run_chunk results) or (False, the traceback of what failed).
-    It exits when the caller closes its end."""
+    ((name, hx, hz) or None, TrialConfig, share); the worker keeps the last
+    code it was sent, with its DecoderContext.  It replies ((True, each
+    chunk's _run_chunk results) or (False, the traceback of what failed),
+    the warnings raised on the way (_caught)), so that the caller's warning
+    filters judge them.  It exits when the caller closes its end."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C reaches the caller, which stops its workers
     conn = multiprocessing.connection.Connection(fd)
     code = ctx = None
     while True:
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            try:
+                matrices, cfg, share = conn.recv()
+            except EOFError:
+                return
+            try:
+                if matrices is not None:
+                    code = StabilizerCode(*matrices)
+                    ctx = DecoderContext.for_code(code)
+                reply = True, [_run_chunk(code, ctx, cfg, segments) for segments in share]
+            except Exception:
+                reply = False, traceback.format_exc()
         try:
-            key, matrices, cfg, share = conn.recv()
-        except EOFError:
-            return
-        try:
-            if matrices is not None:
-                code = StabilizerCode(key[0], *matrices)
-                ctx = DecoderContext.for_code(code)
-            reply = True, [_run_chunk(code, ctx, cfg, segments) for segments in share]
-        except Exception:
-            reply = False, traceback.format_exc()
-        try:
-            conn.send(reply)
+            conn.send((reply, _caught(log)))
         except OSError:  # the caller is gone
             return
 
@@ -461,39 +474,39 @@ class _Worker:
     """A persistent worker process fed over its own Pipe.
 
     It is a fresh interpreter (fork then exec, as multiprocessing's spawn
-    starts one), launched directly rather than through multiprocessing so
-    that it never re-imports the caller's __main__: a script without a
-    __main__ guard would otherwise run its own sweeps again in every worker.
-    No thread is started in the caller.
+    starts one) on the caller's sys.path, launched directly rather than
+    through multiprocessing so that it never re-imports the caller's
+    __main__: a script without a __main__ guard would otherwise run its own
+    sweeps again in every worker.  No thread is started in the caller.
     """
 
     def __init__(self):
         self.conn, child = multiprocessing.connection.Pipe()
-        src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        boot = (f"import sys; sys.path.insert(0, {src!r}); "
+        boot = (f"import sys; sys.path[:] = {sys.path!r}; "
                 f"from {_serve.__module__} import {_serve.__name__} as serve; serve({child.fileno()})")
-        self.process = subprocess.Popen(
-            [sys.executable, *(f"-W{opt}" for opt in sys.warnoptions), "-c", boot],
-            pass_fds=[child.fileno()], stdin=subprocess.DEVNULL,
-        )
+        self.process = subprocess.Popen([sys.executable, "-c", boot], pass_fds=[child.fileno()],
+                                        stdin=subprocess.DEVNULL)
         child.close()
-        self.key = None  # the code the worker holds
+        # The code the worker holds.  A held reference is never reused by
+        # another object, and a code's matrices are read-only.
+        self.code = None
 
-    def send(self, key, code: StabilizerCode, cfg: TrialConfig, share) -> None:
+    def send(self, code: StabilizerCode, cfg: TrialConfig, share) -> None:
         try:
-            self.conn.send((key, None if key == self.key else (code.hx, code.hz), cfg, share))
+            self.conn.send((None if code is self.code else (code.name, code.hx, code.hz), cfg, share))
         except OSError:
             raise RuntimeError(f"sweep worker {self.process.pid} is gone ({self._status()})") from None
-        self.key = key
+        self.code = code
 
-    def receive(self) -> list:
+    def receive(self) -> tuple[list, list[tuple]]:
+        """The share's chunk results and the warnings its worker caught."""
         try:
-            ok, out = self.conn.recv()
+            (ok, out), caught = self.conn.recv()
         except (EOFError, OSError):
             raise RuntimeError(f"sweep worker {self.process.pid} died mid-sweep ({self._status()})") from None
         if not ok:
             raise RuntimeError(f"sweep worker {self.process.pid} failed:\n{out}")
-        return out
+        return out, caught
 
     def _status(self) -> str:
         try:
@@ -511,6 +524,9 @@ class _Worker:
 # sweep holds the lock while it uses them.
 _POOL: list[_Worker] = []
 _POOL_LOCK = threading.Lock()
+# Which of the workers' warnings the "default" filter action has shown
+# already, as a module's __warningregistry__ records its own.
+_WORKER_WARNINGS: dict = {}
 
 
 def _pool(count: int) -> list[_Worker]:
@@ -549,18 +565,25 @@ def _run_shares(code: StabilizerCode, ctx: DecoderContext, cfg: TrialConfig, sha
 
     if len(shares) == 1:
         return [here(shares[0])]
-    key = _code_key(code)
     with _POOL_LOCK:
         helpers = _pool(len(shares) - 1)
         try:
             for helper, share in zip(helpers, shares[1:]):
-                helper.send(key, code, cfg, share)
-            return [here(shares[0])] + [helper.receive() for helper in helpers]
+                helper.send(code, cfg, share)
+            results = [here(shares[0])]
+            replies = [helper.receive() for helper in helpers]
         except BaseException:
             # A worker still holding this sweep's share would hand its result
             # to the next sweep: stop every worker this sweep used.
             _stop(helpers)
             raise
+    # Every worker is idle now, so a warning that the caller's filters turn
+    # into an error leaves no share behind.
+    for out, caught in replies:
+        for warning in caught:
+            warnings.warn_explicit(*warning, registry=_WORKER_WARNINGS)
+        results.append(out)
+    return results
 
 
 def estimate_upper_bound(code: StabilizerCode, cfg: TrialConfig, workers: int | None = None) -> DistanceReport:

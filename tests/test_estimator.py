@@ -536,6 +536,40 @@ def test_a_worker_killed_mid_sweep_fails_the_sweep(monkeypatch):
     assert victim not in [w.process for w in estimator._POOL]
 
 
+class _WarnsWhenUnpickled(int):
+    """An int that raises a RuntimeWarning in the process that unpickles it."""
+
+    def __reduce__(self):
+        return eval, (f"__import__('warnings').warn('raised in a worker', RuntimeWarning) or {int(self)}",)
+
+
+@needs_two_cpus
+def test_a_warning_in_a_worker_meets_the_callers_filters(monkeypatch):
+    # A worker's own filters would only print it; the caller re-issues it,
+    # so an error filter (pytest -W error::RuntimeWarning) fails the sweep.
+    code, first, _, _ = _guard_sweeps()
+    monkeypatch.setattr(estimator, "_SHARE_MIN_WORK", 1)
+    want = estimator.estimate_upper_bound(code, first, workers=1).to_json()
+    plan = estimator._shares
+
+    def warning_shares(cfg, count):
+        shares = plan(cfg, count)
+        (rate_idx, start, stop), *rest = shares[1][0]
+        shares[1][0] = [(rate_idx, _WarnsWhenUnpickled(start), stop), *rest]
+        return shares
+
+    monkeypatch.setattr(estimator, "_shares", warning_shares)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="raised in a worker"):
+            estimator.estimate_upper_bound(code, first, workers=2)
+    with warnings.catch_warnings(record=True) as log:
+        warnings.simplefilter("default")
+        for _ in range(2):
+            assert estimator.estimate_upper_bound(code, first, workers=2).to_json() == want
+    assert [str(w.message) for w in log] == ["raised in a worker"]  # "default": once per location
+
+
 @needs_two_cpus
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="looks processes up under /proc")
 def test_workers_exit_with_their_caller():
@@ -565,7 +599,7 @@ def test_sweep_memory_does_not_grow_with_trials():
                           decoder=BPConfig(max_iterations=5))
         tracemalloc.start()
         try:
-            estimator.estimate_upper_bound(code, cfg)
+            estimator.estimate_upper_bound(code, cfg, workers=1)  # every chunk in the measured process
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
