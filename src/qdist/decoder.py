@@ -68,8 +68,10 @@ them bit for bit; the variable half of the iteration runs as in every other.
 OSD-0 ranks each trial's columns with one sort of integer keys built from
 the float32 posteriors and solves them with a gf2.SelectedSolver on the
 channel's columns of Hd, which the context memoises per noise kind with
-their nonzero index lists.  It takes the failed trials in blocks whose
-working set, keys included, stays within gf2._BATCH_BYTES.
+those columns as Python ints.  The solver inserts one trial's columns at a
+time into an XOR basis, so its memory does not grow with the batch; the
+keys do, so OSD-0 ranks the failed trials in blocks whose keys stay within
+_KEY_BYTES.
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ class DecoderContext:
     layout and the slot tables BP sums over, all fixed once built.  It also
     memoises what every decode with one prior shares: BP's first check
     messages per prior, and OSD-0's channel columns with their solver (the
-    columns' nonzero index lists) per noise kind.  The memos only ever gain
+    columns as Python ints) per noise kind.  The memos only ever gain
     read-only entries, each a pure function of its key.
     """
 
@@ -386,11 +388,19 @@ _COMPACT_DEAD_SHARE = 1 / 8
 _STALL_ITERATIONS = 2
 
 # bp_decode_batch's workspace holds as many columns as fit in this many
-# bytes (at least one), like gf2._BATCH_BYTES: 173 on planar_surface(7),
-# 108 on chamon(3,3,3), 105 on ztgre(7) and 23-24 on the stretch codes.  A
-# wider batch runs through those columns, each taking the batch's next
-# trial when its own finishes, so BP's memory does not grow with the batch.
+# bytes (at least one): 173 on planar_surface(7), 108 on chamon(3,3,3), 105
+# on ztgre(7) and 23-24 on the stretch codes.  A wider batch runs through
+# those columns, each taking the batch's next trial when its own finishes,
+# so BP's memory does not grow with the batch.
 _WIDTH_BYTES = 9 << 18
+
+# osd_post_process ranks the failed trials in blocks whose reliability keys
+# (16 bytes per channel column of a trial) fit in this many bytes.  That is
+# below the 2.25 MiB of a full-width BP workspace (_WIDTH_BYTES): freeing
+# that one large allocation raises glibc's mmap and trim thresholds to its
+# size, so a block's keys come from the heap and return to it instead of
+# faulting in fresh pages on every call.
+_KEY_BYTES = 1 << 21
 
 # float32 clip bounds: the floor under |tanh| before its log, and the bound
 # on |tanh| and on the check product before arctanh.  The loop clips with
@@ -806,11 +816,12 @@ def osd_post_process(
     pure-X noise, whose estimates therefore have no Z or Y bit.  Those
     columns are ranked by descending float32 posterior P(bit=1) (ties:
     ascending index) in one sort of integer keys; BP's posteriors are
-    float32 values, so the float32 ranking loses nothing.  Blocks of trials,
-    each within gf2._BATCH_BYTES with its keys, are then solved in one
-    batched elimination each; every row equals gf2.solve_selected's on the
-    same columns.  A trial's elimination ends as soon as its syndrome is
-    solved, usually long before rank(Hd) pivots.  The syndrome of an error the channel can make always
+    float32 values, so the float32 ranking loses nothing.  The trials are
+    ranked in blocks whose keys fit in _KEY_BYTES, and each block goes to
+    one SelectedSolver.solve_batch call, which inserts a trial's columns
+    into an XOR basis in its order until its syndrome is solved, usually
+    long before rank(Hd) pivots; every row equals gf2.solve_selected's on
+    the same columns.  The syndrome of an error the channel can make always
     lies in that column space; a syndrome outside it (a broken check
     matrix, or under pure-X an error with a Z part) raises
     InfeasibleSyndrome.
@@ -824,7 +835,7 @@ def osd_post_process(
     bits = np.zeros((B, ctx.nbits), dtype=np.uint8)
     # A block's reliability order is built with it: the posteriors' float32
     # copy, their inverted bits and the uint64 keys, 16 bytes per column.
-    block = solver.block_trials(16 * cols.shape[0])
+    block = max(1, _KEY_BYTES // (16 * max(1, cols.shape[0])))
     try:
         for lo in range(0, B, block):
             order = _reliability_order(post[lo : lo + block, cols])

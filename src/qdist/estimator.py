@@ -20,10 +20,8 @@ from __future__ import annotations
 import atexit
 import json
 import math
-import multiprocessing.connection
 import os
 import signal
-import subprocess
 import sys
 import threading
 import traceback
@@ -447,6 +445,8 @@ def _serve(fd: int) -> None:
     chunk's _run_chunk results) or (False, the traceback of what failed),
     the warnings raised on the way (_caught)), so that the caller's warning
     filters judge them.  It exits when the caller closes its end."""
+    import multiprocessing.connection
+
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C reaches the caller, which stops its workers
     conn = multiprocessing.connection.Connection(fd)
     code = ctx = None
@@ -477,10 +477,15 @@ class _Worker:
     starts one) on the caller's sys.path, launched directly rather than
     through multiprocessing so that it never re-imports the caller's
     __main__: a script without a __main__ guard would otherwise run its own
-    sweeps again in every worker.  No thread is started in the caller.
+    sweeps again in every worker.  No thread is started in the caller.  Its
+    modules are imported when the first worker starts, so a process that
+    never starts one loads neither.
     """
 
     def __init__(self):
+        import multiprocessing.connection
+        import subprocess
+
         self.conn, child = multiprocessing.connection.Pipe()
         boot = (f"import sys; sys.path[:] = {sys.path!r}; "
                 f"from {_serve.__module__} import {_serve.__name__} as serve; serve({child.fileno()})")
@@ -509,6 +514,8 @@ class _Worker:
         return out, caught
 
     def _status(self) -> str:
+        import subprocess
+
         try:
             return f"exit status {self.process.wait(timeout=5)}"
         except subprocess.TimeoutExpired:

@@ -3,11 +3,15 @@
 Every public function takes matrices as 2-D and vectors as 1-D uint8 0/1
 arrays (anything np.asarray turns into one) and returns plain uint8 arrays;
 it raises ValueError on a matrix that is not 2-D and leaves its arguments
-untouched.  Internally rows are packed into runs of 64-bit words
-(little-endian bit order within a row), so row elimination is a
-word-parallel XOR.  This is the substrate for OSD solves, code dimension
-and residual classification, where matrices with a few thousand columns
-get reduced over and over.
+untouched.  Internally, row elimination (rank, row_reduce, kernel_basis,
+RowSpanReducer) packs rows into runs of 64-bit words (little-endian bit
+order within a row), so it is a word-parallel XOR.  OSD-0's greedy solve
+(SelectedSolver) instead holds each column as one Python int and inserts
+a trial's columns into an XOR basis one at a time, so it costs a few
+integer operations per column and its trials stop as soon as they are
+solved.  This is the substrate for OSD solves, code dimension and residual
+classification, where matrices with a few thousand columns get reduced
+over and over.
 """
 
 from __future__ import annotations
@@ -74,123 +78,6 @@ def _eliminate(data, cols):
     return pivots
 
 
-# SelectedSolver.block_trials gives how many trials keep their working set
-# (SelectedSolver.trial_bytes each, plus what the caller adds) within 2 MiB;
-# a caller that solves in blocks of that many keeps memory from growing
-# with the batch.  That is below the 2.25 MiB of a full-width BP workspace
-# (decoder._WIDTH_BYTES): freeing that one large allocation raises glibc's
-# mmap and trim thresholds to its size, so a block's arrays come from the
-# heap and return to it instead of faulting in fresh pages on every call.
-_BATCH_BYTES = 1 << 21
-
-
-def _step_bytes(rows, cols):
-    """Bytes per trial of _eliminate_batch's step work: one XOR operand the
-    size of the trial's planes, and its pivot records."""
-    return 8 * (cols // 64 + 1) * rows + 16 * min(rows, cols)
-
-
-def _eliminate_batch(rows, cols, nz_rows, nz_cols, S, orders, pos):
-    """Greedy-column solve of one block of trials, vectorized over the block.
-
-    Each trial gets its own copy of [M | s] (M built from its nonzeros)
-    with M's columns permuted into its order (pos[b, c] is where column c
-    sits in trial b's order) and s as column `cols`, last in every order.
-    Rows are packed word-major: planes[j, k, i] is word k of row i in slot
-    j, so one XOR updates matrix and syndrome together.  Step r pivots every
-    running trial at once.  A column that was passed over is zero in rows
-    r.. (it depends on the pivots above), so a trial's next pivot column is
-    the lowest set bit in the OR of rows r.. .  That column is a pivot
-    exactly when it is independent of the columns before it in the order,
-    and x is unique on that basis, so the result equals solve_selected
-    whatever row pivots.  Each step stores only the pivot's word index and
-    bit; the positions in the order are computed once, after the loop.
-
-    A trial stops at the first step whose syndrome bits in rows r.. are all
-    zero.  Every later pivot row would carry syndrome bit 0, so its XORs
-    could not change the coefficients already on the pivots.  Its slot is
-    swapped past the running ones, which later steps alone touch, and all
-    coefficients are read off at the end.  Every trial permutes the columns
-    of the same M, so the running ones run out of pivots in M at the same
-    step, rank(M), and slot 0 alone tells when: if its next pivot would be
-    s itself, every running syndrome is outside M's column space, and the
-    solve raises Infeasible.  Returns (B, cols) uint8.
-    """
-    B = S.shape[0]
-    w = cols // 64 + 1  # words per row of [M | s]
-    planes = np.zeros((B, w, rows), dtype=np.uint64)
-    # The (trial, nonzero) word and bit indices are built for as many trials
-    # at a time as fit in the bytes that the steps' XOR operand and pivot
-    # records take later, so they do not raise the block's peak memory.
-    part = max(1, B * _step_bytes(rows, cols) // (16 * max(1, nz_cols.shape[0])))
-    for lo in range(0, B, part):
-        nz_pos = pos[lo : lo + part].take(nz_cols, axis=1)  # C order, so ravel copies nothing
-        # Each nonzero sets a distinct bit of its word, so adding the bits ORs them.
-        words = nz_pos >> 6  # built in place, which keeps OSD's peak memory low
-        words += np.arange(lo, lo + nz_pos.shape[0])[:, None] * w
-        words *= rows
-        words += nz_rows
-        bits = np.bitwise_and(nz_pos, 63, out=nz_pos).view(np.uint64)  # nz_pos >= 0
-        np.left_shift(_ONE, bits, out=bits)
-        np.add.at(planes.reshape(-1), words.ravel(), bits.ravel())
-    s_word, s_bit = cols >> 6, _ONE << np.uint64(cols & 63)
-    planes[:, s_word] |= (S & 1).astype(np.uint64) * s_bit
-    slots = np.arange(B)
-    slot_words = slots * w  # flat index of each slot's first word in a (B, w) array
-    trial = slots.copy()  # slot j holds trial[j]; slots :running are still running
-    # Step r's pivot in slot j is bit pivot_bit[j, r] of word pivot_k[j, r].
-    pivot_k = np.empty((B, min(rows, cols)), dtype=np.intp)
-    pivot_bit = np.empty((B, min(rows, cols)), dtype=np.uint64)
-    running = B
-    r = 0
-    while True:
-        rest = np.bitwise_or.reduce(planes[:running, :, r:], axis=2)
-        unsolved = rest[:, s_word] & s_bit
-        if np.count_nonzero(unsolved) < running:
-            go = np.flatnonzero(unsolved)
-            running = go.size
-            if not running:
-                break
-            # Swap the stopped slots below the new end with running ones past it.
-            holes, movers = np.flatnonzero(unsolved[:running] == 0), go[go >= running]
-            dst, src = np.concatenate([holes, movers]), np.concatenate([movers, holes])
-            planes[dst] = planes[src]
-            pivot_k[dst, :r] = pivot_k[src, :r]
-            pivot_bit[dst, :r] = pivot_bit[src, :r]
-            trial[dst] = trial[src]
-            rest[holes] = rest[movers]
-            rest = rest[:running]
-        block = planes[:running]
-        k = (rest != 0).argmax(axis=1)
-        at = k + slot_words[:running]
-        bit = rest.take(at)
-        bit &= 0 - bit
-        if k[0] == s_word and bit[0] == s_bit:
-            raise Infeasible("syndrome outside the column space")
-        col = block.reshape(-1, rows).take(at, axis=0)
-        col &= bit[:, None]
-        has = col.astype(bool)
-        p = has[:, r:].argmax(axis=1)
-        p += r
-        # Clear the column from every row (the pivot row too), then swap
-        # the saved pivot row into row r.
-        run = slots[:running]
-        pivot_row = block[run, :, p]
-        block ^= pivot_row[:, :, None] * has[:, None, :]
-        block[run, :, p] = block[:, :, r]
-        block[:, :, r] = pivot_row
-        pivot_k[:running, r] = k
-        pivot_bit[:running, r] = bit
-        r += 1
-    # A trial that stopped at step r' has syndrome bits 0 in rows r'.., so
-    # each set bit in rows :r is the coefficient of a pivot it found.
-    j, i = np.nonzero(planes[:, s_word, :r] & s_bit)
-    at = 64 * pivot_k[j, i] + np.bitwise_count(pivot_bit[j, i] - _ONE)
-    x = np.zeros((B, cols), dtype=np.uint8)
-    x[trial[j], orders[trial[j], at]] = 1
-    return x
-
-
 def _matrix(M) -> np.ndarray:
     """M as a 2-D uint8 array; raises ValueError for any other shape."""
     a = np.asarray(M, dtype=np.uint8)
@@ -250,31 +137,30 @@ def solve_selected(M, s, col_order) -> np.ndarray:
 
 
 class SelectedSolver:
-    """M's nonzero layout, built once, for repeated batched greedy solves on M.
+    """M's columns as Python ints, built once, for repeated greedy solves on M.
 
-    solve_batch eliminates its whole batch together, and each trial leaves
-    at the first pivot step that leaves its syndrome solved, so a batch
-    costs about what its slowest trials need.  Its memory grows with the
-    batch: a caller bounds it by passing at most block_trials() trials.
+    solve_batch solves one trial at a time by column insertion into an XOR
+    basis.  Bit i of a column's int is its row i, and bit rows + c tags
+    column c, so every basis vector carries the columns it is a sum of.
+    Basis vectors are keyed by their lowest set bit, which is always a row
+    bit and differs between any two of them, so a vector reduces to zero
+    rows exactly when it lies in their span.  In a trial's order, a column
+    whose rows reduce to zero depends on the pivots before it and is
+    skipped; any other becomes a pivot.  The syndrome's residual is kept
+    reduced the same way, again whenever a new pivot's key is its lowest
+    bit, and the trial stops once its rows are zero: its tags are then x,
+    the unique solution on the pivots so far, and every later pivot's
+    coefficient is zero.  Its memory does not grow with the batch.
     """
 
     def __init__(self, M):
-        a = _matrix(M)
+        a = _matrix(M) & 1
         self.rows, self.cols = a.shape
-        # Row-major nonzeros, as np.nonzero gives them; it is several times
-        # slower on a 2-D array than flatnonzero on a flat bool view.
-        self.nz_rows, self.nz_cols = np.divmod(np.flatnonzero((a & 1).view(bool)), max(self.cols, 1))
-        self.nz_rows.setflags(write=False)
-        self.nz_cols.setflags(write=False)
-        # Bytes per trial in a block at _eliminate_batch's peak: the planes,
-        # a step's XOR operand and the pivot records (or the indices that
-        # build the planes, in as many bytes), pos and the result row.
-        self.trial_bytes = 8 * (self.cols // 64 + 1) * self.rows + _step_bytes(self.rows, self.cols) + 9 * self.cols
-
-    def block_trials(self, extra_bytes: int = 0) -> int:
-        """Trials per solve_batch call that keep its working set, with
-        extra_bytes per trial of the caller's, within _BATCH_BYTES."""
-        return max(1, _BATCH_BYTES // (self.trial_bytes + extra_bytes))
+        width = (self.rows + 7) // 8
+        packed = np.packbits(a.T, axis=1, bitorder="little").tobytes()
+        # Column c's rows, with its tag bit rows + c.
+        self.columns = tuple(int.from_bytes(packed[c * width : (c + 1) * width], "little") | 1 << (self.rows + c)
+                             for c in range(self.cols))
 
     def solve_batch(self, S, col_orders) -> np.ndarray:
         """Row b of the result solves M·x = S[b] with x supported on the
@@ -293,17 +179,49 @@ class SelectedSolver:
         B = S.shape[0]
         if orders.shape != (B, cols):
             raise ValueError("need one column order per syndrome")
-        if not B:
-            return np.zeros((0, cols), dtype=np.uint8)
-        # pos[b, c]: where column c sits in order b.  It stays -1 for a
-        # column that an order leaves out, as a repeated entry does, and
-        # everywhere if an entry is out of range.
-        pos = np.full((B, cols), -1, dtype=np.intp)
-        if not orders.size or (orders.min() >= 0 and orders.max() < cols):
-            np.put_along_axis(pos, orders, np.arange(cols), axis=1)
-        if (pos < 0).any():
+        # Every column must appear in every order, and no entry may fall
+        # outside the columns (a negative one would index from the end).
+        seen = np.zeros((B, cols), dtype=bool)
+        if orders.size and 0 <= orders.min() and orders.max() < cols:
+            np.put_along_axis(seen, orders, True, axis=1)
+        if not seen.all():
             raise ValueError("each col_order must be a permutation of the columns")
-        return _eliminate_batch(rows, cols, self.nz_rows, self.nz_cols, S, orders, pos)
+        width = (rows + 7) // 8
+        packed = np.packbits(S & 1, axis=1, bitorder="little").tobytes()
+        columns = self.columns
+        row_bits = (1 << rows) - 1
+        out = bytearray()
+        for b in range(B):
+            r = int.from_bytes(packed[b * width : (b + 1) * width], "little")
+            low = r & -r
+            basis = {}
+            for c in memoryview(orders[b]) if r else ():  # a zero syndrome scans no column
+                v = columns[c]
+                lb = v & -v
+                p = basis.get(lb)
+                while p is not None:
+                    v ^= p
+                    lb = v & -v
+                    p = basis.get(lb)
+                if lb > row_bits:
+                    continue  # its rows reduced to zero: it depends on the pivots
+                basis[lb] = v
+                if lb == low:
+                    r ^= v
+                    low = r & -r
+                    p = basis.get(low)
+                    while p is not None:
+                        r ^= p
+                        low = r & -r
+                        p = basis.get(low)
+                    if low > row_bits:
+                        break
+            else:
+                if r:  # the order ran out with rows left in the residual
+                    raise Infeasible("syndrome outside the column space")
+            out += (r >> rows).to_bytes((cols + 7) // 8, "little")
+        x = np.frombuffer(bytes(out), dtype=np.uint8).reshape(B, (cols + 7) // 8)
+        return np.unpackbits(x, axis=1, count=cols, bitorder="little")
 
 
 def kernel_basis(M) -> np.ndarray:

@@ -186,11 +186,12 @@ def test_batched_osd_matches_single_on_failed_trials(make, monkeypatch):
     # Toric and Chamon have dependent generators (rank(Hd) < m); ztgre is
     # Z-only, so a third of Hd's columns are zero.  Posteriors are BP's own
     # from trials it failed to decode, the inputs OSD-0 sees in a sweep.
-    # OSD-0 solves the batch in blocks of 4 trials here.
+    # OSD-0 ranks and solves the batch in blocks of 4 trials here: the
+    # reliability keys of 4 trials fill its key budget.
     code = make()
     ctx = decoder.DecoderContext.for_code(code)
-    cols, solver = ctx.channel_columns(decoder.ChannelPrior(0.12))
-    monkeypatch.setattr(gf2, "_BATCH_BYTES", 4 * (solver.trial_bytes + 16 * cols.shape[0]))
+    cols, _ = ctx.channel_columns(decoder.ChannelPrior(0.12))
+    monkeypatch.setattr(decoder, "_KEY_BYTES", 4 * 16 * cols.shape[0])
     blocks = []
     solve_batch = gf2.SelectedSolver.solve_batch
 
@@ -670,13 +671,15 @@ def test_osd_channel_columns_are_built_once_per_noise_kind():
     assert dep is ctx.channel_columns(decoder.ChannelPrior(0.05))
     px = ctx.channel_columns(decoder.ChannelPrior(0.1, NoiseKind.PURE_X))
     assert px is ctx.channel_columns(decoder.ChannelPrior(0.3, NoiseKind.PURE_X))
-    # Each solver holds its columns' nonzero index lists, read-only.
+    # Each solver holds its columns as ints: bit i is row i, and bit m + c
+    # tags column c.
     for (cols, solver), want in ((dep, np.arange(3 * n)), (px, np.arange(n))):
         assert np.array_equal(cols, want) and not cols.flags.writeable
         assert (solver.rows, solver.cols) == (ctx.m, want.shape[0])
-        rows, at = np.nonzero(ctx.hd[:, want])
-        assert np.array_equal(solver.nz_rows, rows) and np.array_equal(solver.nz_cols, at)
-        assert not solver.nz_rows.flags.writeable and not solver.nz_cols.flags.writeable
+        assert isinstance(solver.columns, tuple) and len(solver.columns) == want.shape[0]
+        for c, v in enumerate(solver.columns):
+            assert v >> ctx.m == 1 << c
+            assert [v >> i & 1 for i in range(ctx.m)] == ctx.hd[:, want[c]].tolist()
 
 
 def test_empty_batch_returns_at_once(monkeypatch):

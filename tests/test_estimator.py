@@ -591,6 +591,35 @@ def test_workers_exit_with_their_caller():
     assert not [pid for pid in pids if os.path.exists(f"/proc/{pid}")]
 
 
+def test_worker_modules_load_only_with_a_worker():
+    # A process that decodes but never starts a sweep worker imports neither
+    # subprocess nor multiprocessing.connection; a pooled sweep then loads
+    # both and gives the one-process report.
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from qdist import codes, decode, estimator, pauli\n"
+        "from qdist.decoder import BPConfig, ChannelPrior\n"
+        "names = ('subprocess', 'multiprocessing.connection')\n"
+        "code = codes.planar_surface(3)\n"
+        "ex = np.zeros(code.n, np.uint8)\n"
+        "ex[4] = 1\n"
+        "decode(code, code.syndrome(pauli.SymplecticPauli.from_arrays(ex, 0 * ex)), ChannelPrior(0.1))\n"
+        "print(*[name in sys.modules for name in names])\n"
+        "estimator._SHARE_MIN_WORK = 1\n"
+        "cfg = estimator.TrialConfig(rates=(0.1,), trials_per_rate=50, decoder=BPConfig(max_iterations=5))\n"
+        "one = estimator.estimate_upper_bound(code, cfg, workers=1).to_json()\n"
+        "print(*[name in sys.modules for name in names])\n"
+        "two = estimator.estimate_upper_bound(code, cfg, workers=2).to_json()\n"
+        "print(len(estimator._POOL), one == two, *[name in sys.modules for name in names])\n"
+    )
+    src = os.path.dirname(os.path.dirname(estimator.__file__))
+    run = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n")[:3] == ["False False", "False False", "1 True True True"]
+
+
 def test_sweep_memory_does_not_grow_with_trials():
     code = codes.planar_surface(3)
 

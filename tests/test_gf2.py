@@ -144,11 +144,13 @@ def _solve_each(a, S, orders):
 
 def test_solve_selected_batch_matches_serial_on_dependent_rows():
     # Products of random (rows x r) and (r x cols) matrices: rank <= r <
-    # rows except in the square case, some wider than one 64-bit word.
+    # rows except in the square case, some wider than one 64-bit word; at
+    # 96 x 300 a syndrome and the column tags above it span several.
     # Syndromes are images of random vectors, so every system is feasible,
     # and each trial has its own column order.
     rng = np.random.default_rng(37)
-    for rows, cols, r, B in [(6, 9, 4, 300), (12, 20, 7, 40), (10, 70, 6, 40), (24, 130, 17, 40), (5, 5, 5, 40)]:
+    for rows, cols, r, B in [(6, 9, 4, 300), (12, 20, 7, 40), (10, 70, 6, 40), (24, 130, 17, 40), (5, 5, 5, 40),
+                             (96, 300, 70, 20)]:
         a = (rng.integers(0, 2, (rows, r)) @ rng.integers(0, 2, (r, cols)) % 2).astype(np.uint8)
         assert gf2.rank(a) <= r
         S = (rng.integers(0, 2, (B, cols)) @ a.T % 2).astype(np.uint8)
@@ -160,11 +162,11 @@ def test_solve_selected_batch_matches_serial_on_dependent_rows():
 
 
 def test_solve_selected_batch_trials_stop_at_different_steps():
-    # A trial stops once its syndrome bits below the pivots are zero.  Each
-    # batch mixes zero syndromes (stop at step 0), images of one or two
-    # columns (stop after a few pivots) and images of dense vectors (run to
-    # about the rank), in shuffled order, over rank-deficient matrices
-    # wider than one 64-bit word.
+    # A trial stops once its syndrome's residual is zero.  Each batch mixes
+    # zero syndromes (no column scanned), images of one or two columns
+    # (stop after a few pivots) and images of dense vectors (run to about
+    # the rank), in shuffled order, over rank-deficient matrices wider
+    # than one 64-bit word.
     rng = np.random.default_rng(47)
     for rows, cols, r, B in [(12, 70, 8, 60), (24, 130, 17, 60), (40, 200, 30, 45)]:
         a = (rng.integers(0, 2, (rows, r)) @ rng.integers(0, 2, (r, cols)) % 2).astype(np.uint8)
