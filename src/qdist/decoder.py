@@ -289,57 +289,6 @@ def _in_order(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pairwise(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """numpy's pairwise float sum over axis 0 of a (n, ...) stack, n >= 1.
-
-    Below 8 terms numpy adds sequentially (from -0.0); up to 128 it keeps 8
-    strided accumulators, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-    and adds the tail in order; above that it splits at a multiple of 8 and
-    recurses.  The accumulators are a's own first rows, so a is overwritten.
-    out may be a[0] when n >= 8 and must not overlap a otherwise.
-    """
-    n = a.shape[0]
-    if n < 8:
-        return _in_order(a, out)
-    if n <= 128:
-        r = a[:8]
-        body = n - n % 8
-        for i in range(8, body, 8):
-            r += a[i : i + 8]
-        # One call per level of the combining tree: the four pair sums land
-        # in r0, r2, r4, r6, then the two sums of pairs in r0 and r4.
-        np.add(r[0::2], r[1::2], out=r[0::2])
-        np.add(r[0::4], r[2::4], out=r[0::4])
-        if body == n:
-            return np.add(r[0], r[4], out=out)
-        # The tail is added in order after the block sum, which goes into
-        # the row just before it (spent by now).
-        np.add(r[0], r[4], out=a[body - 1])
-        return _in_order(a[body - 1 :], out)
-    half = n // 2
-    half -= half % 8
-    _pairwise(a[:half], out)
-    out += _pairwise(a[half:], a[half])
-    return out
-
-
-def _ordered_sum(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Sum a (D, ...) stack over axis 0 exactly as np.add.reduceat sums one
-    segment: the first term plus the pairwise sum of the rest.
-
-    g is used as scratch, and out (allocated when not given) must not
-    overlap it.
-    """
-    if out is None:
-        out = np.empty(g.shape[1:], g.dtype)
-    if g.shape[0] == 1:
-        np.copyto(out, g[0])
-        return out
-    _pairwise(g[1:], out)
-    out += g[0]
-    return out
-
-
 def _decision_bits_from_llr(llr: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Constrained per-qubit decision from posterior LLRs; (3n, B) -> (3n, B) bits.
 
@@ -532,7 +481,7 @@ def _check_update(ctx: DecoderContext, ws: _Workspace, s_rows: list[np.ndarray])
     np.log(t, out=ws.lg_e)
     for (_, slots), g, gb, ls, f, s in zip(ctx.check_slots, ws.check_g, ws.check_gb, ws.lsum_rows, ws.flip_rows, s_rows):
         lg.take(slots, axis=0, out=g, mode="clip")
-        _ordered_sum(g, out=ls)
+        _in_order(g, ls)
         neg.take(slots, axis=0, out=gb, mode="clip")
         np.logical_xor.reduce(gb, axis=0, out=f)
         f ^= s
@@ -684,7 +633,7 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, priors, cfg: BPC
         M = ws.msg
         for (_, slots), g, post, pr, rows in zip(ctx.var_slots, ws.var_g, ws.var_sums, ws.var_prior, scatter_rows):
             M.take(slots, axis=0, out=g, mode="clip")
-            _ordered_sum(g, out=post)
+            _in_order(g, post)
             post += pr
             if rows is not None:
                 T[rows] = post

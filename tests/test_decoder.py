@@ -298,7 +298,14 @@ def _reference_layout(ctx):
 
 
 def _segment_sum(values, ptr):
-    return np.add.reduceat(values, ptr, axis=-1)
+    """Sum each segment values[..., ptr[i]:ptr[i + 1]] strictly left to
+    right, starting from -0.0 (0 for integers)."""
+    deg = np.diff(np.append(ptr, values.shape[-1]))
+    out = np.full(values.shape[:-1] + deg.shape, -0.0, values.dtype)
+    for j in range(deg.max()):
+        has = deg > j
+        out[..., has] += values[..., ptr[has] + j]
+    return out
 
 
 def _decision_reference(llr, n):
@@ -706,31 +713,33 @@ def test_decision_bits_match_argmax_rule_with_ties():
 
 
 @pytest.mark.parametrize("degree", list(range(1, 41)) + [129, 130, 137, 200, 300])
-def test_ordered_sum_matches_reduceat(degree):
-    # The BP sums rely on adding in np.add.reduceat's order; a numpy that
-    # changes that order must fail here rather than change reports.
+def test_in_order_sum_adds_left_to_right(degree):
+    # BP's check and variable sums add each stack strictly left to right
+    # from -0.0, bit for bit as this loop over its rows does, whatever the
+    # shape of the other axes: so a batch of one decodes as a wide batch
+    # does, and a numpy whose reduce over an outer axis stops adding in
+    # order fails here rather than changing reports.  At (1, 1) one
+    # np.add.reduce would sum 8 or more terms pairwise.
     rng = np.random.default_rng(degree)
-    k, b = 5, 33
-    g = rng.standard_normal((degree, k, b)).astype(np.float32)
-    g *= rng.choice(np.array([1e-6, 1.0, 1e6], np.float32), size=g.shape)
-    g[rng.random(g.shape) < 0.1] = 0.0
-    g[rng.random(g.shape) < 0.05] = -0.0
-    got = decoder._ordered_sum(g.copy())  # the sum uses its input as scratch
-    rows = np.ascontiguousarray(g.reshape(degree, -1).T)
-    want = np.add.reduceat(rows, [0], axis=1)[:, 0].reshape(k, b)
-    assert got.dtype == np.float32
-    assert np.array_equal(got, want)
-    if degree <= decoder._SHARED_DEGREE:
-        # Shared tables pad short sums with zero rows at the end.
-        pad = np.zeros((decoder._SHARED_DEGREE - degree, k, b), np.float32)
-        assert np.array_equal(decoder._ordered_sum(np.concatenate([g, pad])), want)
-    else:
-        # From 9 terms on, a sequential float32 sum differs on these inputs,
+    for k, b in [(1, 1), (1, 6), (4, 1), (5, 33)]:
+        g = rng.standard_normal((degree, k, b)).astype(np.float32)
+        g *= rng.choice(np.array([1e-6, 1.0, 1e6], np.float32), size=g.shape)
+        g[rng.random(g.shape) < 0.1] = 0.0
+        g[rng.random(g.shape) < 0.1] = -0.0
+        for stack in (g, np.full_like(g, -0.0)):
+            if b > 1:
+                stack = stack.copy()
+                stack[:, :, 0] = -0.0  # an all-(-0.0) column next to mixed ones
+            want = np.full((k, b), -0.0, np.float32)
+            for row in stack:
+                want += row
+            got = decoder._in_order(stack, np.empty((k, b), np.float32))
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    if degree > 8:
+        # numpy's pairwise sum of a contiguous axis differs on these inputs,
         # so the comparison can tell the orders apart.
-        naive = g[0].copy()
-        for i in range(1, degree):
-            naive += g[i]
-        assert not np.array_equal(naive, want)
+        pairwise = np.add.reduce(np.ascontiguousarray(g.reshape(degree, -1).T), axis=1)
+        assert not np.array_equal(pairwise, want.reshape(-1))
 
 
 def test_bp_memory_per_trial_edge():
@@ -1002,30 +1011,6 @@ def test_decode_hands_a_stalled_trial_to_osd():
     else:
         pytest.fail("no trial stalled")
     assert code.syndrome(out.estimate) == s
-
-
-@pytest.mark.parametrize("degree", range(1, 18))
-def test_ordered_sum_keeps_negative_zero(degree):
-    # The base case of the pairwise sum is one np.add.reduce from -0.0; it
-    # must add in np.add.reduceat's order, keep -0.0 terms and all-(-0.0)
-    # columns exactly, and do so where the summed stack has one column (numpy
-    # then sums the reduced axis pairwise).
-    rng = np.random.default_rng(100 + degree)
-    for k, b in [(1, 1), (1, 6), (4, 1), (5, 33)]:
-        g = rng.standard_normal((degree, k, b)).astype(np.float32)
-        g *= rng.choice(np.array([1e-6, 1.0, 1e6], np.float32), size=g.shape)
-        g[rng.random(g.shape) < 0.2] = -0.0
-        for stack in (g, np.full_like(g, -0.0)):
-            if b > 1:
-                stack = stack.copy()
-                stack[:, :, 0] = -0.0  # an all-(-0.0) column next to mixed ones
-            rows = np.ascontiguousarray(stack.reshape(degree, -1).T)
-            want = np.add.reduceat(rows, [0], axis=1)[:, 0].reshape(k, b)
-            got = decoder._ordered_sum(stack.copy())
-            out = np.empty((k, b), np.float32)
-            decoder._ordered_sum(stack.copy(), out=out)
-            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
-            assert np.array_equal(out.view(np.uint32), want.view(np.uint32))
 
 
 def test_reliability_order_matches_stable_argsort_on_ties():
