@@ -180,37 +180,20 @@ class DecoderContext:
         self.edge_check, self.edge_var = np.divmod(np.flatnonzero(hd[self.active_checks]), self.nbits)
         self.num_edges = self.edge_check.shape[0]
         # Edge ids ascend along each check's and each variable's edge list,
-        # the order the sums must follow.
-        self.check_slots = _slot_tables(self.edge_check, self.num_edges)
-        self.var_slots = _slot_tables(self.edge_var, self.num_edges)
-        # BP keeps its per-check rows in table order, so every check table
-        # fills one contiguous row range: check row r is syndrome bit
-        # check_syndrome_rows[r], and edge e belongs to check row edge_row[e].
-        order = np.concatenate([np.zeros(0, np.intp)] + [ids for ids, _ in self.check_slots])
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.shape[0])
-        self.check_syndrome_rows = self.active_checks[order]
-        self.edge_row = rank[self.edge_check]
-        ends = np.cumsum([ids.shape[0] for ids, _ in self.check_slots], dtype=np.intp)
-        self.check_bounds = [slice(hi - ids.shape[0], hi) for (ids, _), hi in zip(self.check_slots, ends)]
-        # The convergence test's slot tables: each check's variables, with the
+        # the order the sums follow.  BP's check rows are the active checks
+        # in order, so edge e belongs to check row edge_check[e].
+        _, self.check_slots = _slot_table(self.edge_check, self.num_edges)
+        self.var_ids, self.var_slots = _slot_table(self.edge_var, self.num_edges)
+        # The convergence test's slot table: each check's variables, with the
         # padding edge sent to variable row nbits, which BP keeps at zero.
-        var_of_edge = np.append(self.edge_var, self.nbits)
-        self.check_var_slots = [var_of_edge[slots] for _, slots in self.check_slots]
-        # A variable table writes its sums straight into the totals when its
-        # ids are one contiguous range, and scatters them otherwise.
-        self.var_rows = [
-            slice(ids[0], ids[-1] + 1) if ids[-1] - ids[0] + 1 == ids.shape[0] else ids
-            for ids, _ in self.var_slots
-        ]
-        # BP keeps each column's prior in variable table order: table k adds
-        # rows var_bounds[k] of it.
-        self.var_ids = np.concatenate([np.zeros(0, np.intp)] + [ids for ids, _ in self.var_slots])
-        ends = np.cumsum([ids.shape[0] for ids, _ in self.var_slots], dtype=np.intp)
-        self.var_bounds = [slice(hi - ids.shape[0], hi) for (ids, _), hi in zip(self.var_slots, ends)]
-        # Bytes per trial of the gather buffer that every slot table and the
+        self.check_var_slots = np.append(self.edge_var, self.nbits)[self.check_slots]
+        # The variable sums go straight into the totals when the variables
+        # with edges are one contiguous range, and are scattered otherwise.
+        ids = self.var_ids
+        self.var_rows = slice(ids[0], ids[-1] + 1) if ids.size and ids[-1] - ids[0] + 1 == ids.size else ids
+        # Bytes per trial of the gather buffer that both slot tables and the
         # per-edge gathers share.
-        self.gather_bytes = max([4 * self.num_edges] + [4 * slots.size for _, slots in self.check_slots + self.var_slots])
+        self.gather_bytes = 4 * max(self.num_edges, self.check_slots.size, self.var_slots.size)
         self._first_messages: dict = {}
         self._channel_columns: dict = {}
 
@@ -241,36 +224,18 @@ class DecoderContext:
         return ctx
 
 
-# Owners of degree <= _SHARED_DEGREE share one slot table: their sums have at
-# most 7 terms after the first, which numpy adds sequentially, so trailing
-# zero padding leaves them unchanged.
-_SHARED_DEGREE = 8
-
-
-def _slot_tables(owner: np.ndarray, pad: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Group edges by owner (check or variable) into (ids, slots) pairs.
-
-    slots is a (D, K) array whose column k lists the edges of owner ids[k] in
-    ascending edge order, padded with the edge id `pad` (an all-neutral row).
-    Owners of degree <= _SHARED_DEGREE share one table; each larger degree
-    gets a table of its own, so its pairwise sum is never padded.
+def _slot_table(owner: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, slots): the owners (checks or variables) that have edges, in
+    ascending order, and a (D, K) array whose column k lists the edges of
+    owner ids[k] in ascending edge order, padded to the largest degree D
+    with the edge id `pad` (an all-neutral row).
     """
     order = np.argsort(owner, kind="stable")
-    deg = np.bincount(owner)
-    ids = np.flatnonzero(deg)
-    deg = deg[ids]
-    group = np.repeat(np.arange(ids.shape[0]), deg)  # owner rank of edge order[i]
-    pos = np.arange(order.shape[0]) - (np.cumsum(deg) - deg)[group]
-    key = np.where(deg <= _SHARED_DEGREE, 0, deg)
-    tables = []
-    for k in np.unique(key):
-        sel = key == k
-        col = np.cumsum(sel) - 1
-        on = sel[group]
-        slots = np.full((deg[sel].max(), col[-1] + 1), pad, dtype=np.intp)
-        slots[pos[on], col[group[on]]] = order[on]
-        tables.append((ids[sel], slots))
-    return tables
+    ids, deg = np.unique(owner, return_counts=True)
+    pos = np.arange(order.shape[0]) - np.repeat(np.cumsum(deg) - deg, deg)
+    slots = np.full((deg.max(initial=0), ids.shape[0]), pad, dtype=np.intp)
+    slots[pos, np.repeat(np.arange(ids.shape[0]), deg)] = order
+    return ids, slots
 
 
 def _in_order(a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -360,11 +325,11 @@ _PROD_HI = _MSG_DTYPE(1.0 - _TANH_EPS)
 
 def _column_bytes(ctx: DecoderContext) -> list[int]:
     """Bytes per column of each _Workspace buffer."""
-    E, N, C = ctx.num_edges, ctx.nbits, ctx.check_syndrome_rows.shape[0]
-    # Variable tables whose ids are not one range sum in _scatter, then scatter.
-    scattered = [rows.shape[0] for rows in ctx.var_rows if type(rows) is not slice]
+    E, N, C, V = ctx.num_edges, ctx.nbits, ctx.active_checks.shape[0], ctx.var_ids.shape[0]
+    # Variable sums that cannot go straight into the totals sum in _scatter.
+    scattered = 0 if type(ctx.var_rows) is slice else V
     sizes = [4 * (E + 1)] * 2 + [4 * N] * 2 + [C] * 2 + [E + 1, ctx.gather_bytes]
-    return sizes + [4 * C, C + 1, 1, 1, N + 1, 1, 4 * max(scattered, default=0), 4 * ctx.var_ids.shape[0]]
+    return sizes + [4 * C, C + 1, 1, 1, N + 1, 1, 4 * scattered, 4 * V]
 
 
 class _Workspace:
@@ -389,8 +354,8 @@ class _Workspace:
     has already finished; a trial has converged when no row of flip is set.
     prev holds the check rows of flip from the previous iteration, which
     the stall test compares them against; compact() keeps it too.
-    pri holds each column's half-scale prior in variable table order, and
-    var_prior views its rows for each variable table.
+    pri holds each column's half-scale prior for the variables with edges,
+    in the variable table's order.
     """
 
     def __init__(self, ctx: DecoderContext, width: int):
@@ -406,7 +371,7 @@ class _Workspace:
     def compact(self, keep: np.ndarray) -> None:
         """Keep only the message, total, previous-check and prior columns
         listed in keep."""
-        E, N, C, b = self.ctx.num_edges, self.ctx.nbits, self.ctx.check_syndrome_rows.shape[0], keep.shape[0]
+        E, N, C, b = self.ctx.num_edges, self.ctx.nbits, self.ctx.active_checks.shape[0], keep.shape[0]
         self.msg.take(keep, axis=1, out=_prefix(self.edge_bufs[1], _MSG_DTYPE, E + 1, b), mode="clip")
         self.tot.take(keep, axis=1, out=_prefix(self.tot_bufs[1], _MSG_DTYPE, N, b), mode="clip")
         self.prev.take(keep, axis=1, out=_prefix(self.prev_bufs[1], bool, C, b), mode="clip")
@@ -419,7 +384,7 @@ class _Workspace:
 
     def resize(self, b: int) -> None:
         ctx = self.ctx
-        E, N, C = ctx.num_edges, ctx.nbits, ctx.check_syndrome_rows.shape[0]
+        E, N, C = ctx.num_edges, ctx.nbits, ctx.active_checks.shape[0]
         self.msg, self.lg = [_prefix(buf, _MSG_DTYPE, E + 1, b) for buf in self.edge_bufs]
         self.msg[E] = 0.0
         self.lg[E] = 0.0
@@ -432,9 +397,7 @@ class _Workspace:
         self.neg[E] = False
         self.neg_e = self.neg[:E]
         self.lsum = _prefix(self._lsum, _MSG_DTYPE, C, b)
-        self.lsum_rows = [self.lsum[rows] for rows in ctx.check_bounds]
         self.flip = _prefix(self._flip, bool, C + 1, b)
-        self.flip_rows = [self.flip[rows] for rows in ctx.check_bounds]
         self.stuck = self.flip[C]
         self.unsat = self.flip[:C]
         self.prev = _prefix(self.prev_bufs[0], bool, C, b)
@@ -448,15 +411,12 @@ class _Workspace:
         g = self._gather
         self.edge_g = _prefix(g, _MSG_DTYPE, E, b)
         self.edge_flags = _prefix(g, bool, E, b)
-        self.check_g = [_prefix(g, _MSG_DTYPE, *slots.shape, b) for _, slots in ctx.check_slots]
-        self.check_gb = [_prefix(g, bool, *slots.shape, b) for _, slots in ctx.check_slots]
-        self.var_g = [_prefix(g, _MSG_DTYPE, *slots.shape, b) for _, slots in ctx.var_slots]
-        self.var_sums = [
-            self.tot[rows] if type(rows) is slice else _prefix(self._scatter, _MSG_DTYPE, rows.shape[0], b)
-            for rows in ctx.var_rows
-        ]
-        self.pri = _prefix(self._pri, _MSG_DTYPE, ctx.var_ids.shape[0], b)
-        self.var_prior = [self.pri[rows] for rows in ctx.var_bounds]
+        self.check_g = _prefix(g, _MSG_DTYPE, *ctx.check_slots.shape, b)
+        self.check_gb = _prefix(g, bool, *ctx.check_slots.shape, b)
+        self.var_g = _prefix(g, _MSG_DTYPE, *ctx.var_slots.shape, b)
+        V = ctx.var_ids.shape[0]
+        self.var_sum = self.tot[ctx.var_rows] if type(ctx.var_rows) is slice else _prefix(self._scatter, _MSG_DTYPE, V, b)
+        self.pri = _prefix(self._pri, _MSG_DTYPE, V, b)
 
 
 def _half_prior(prior: ChannelPrior, n: int) -> np.ndarray:
@@ -464,33 +424,32 @@ def _half_prior(prior: ChannelPrior, n: int) -> np.ndarray:
     return prior.llrs(n) * _MSG_DTYPE(0.5)
 
 
-def _check_update(ctx: DecoderContext, ws: _Workspace, s_rows: list[np.ndarray]) -> None:
+def _check_update(ctx: DecoderContext, ws: _Workspace, s_act: np.ndarray) -> None:
     """Replace the variable-to-check messages in ws.t by check-to-variable
-    messages in place, for the syndrome rows s_rows of each check table.
+    messages in place, for the (checks, b) syndrome bits s_act.
 
     Runs through the log-magnitude / sign split: a check's sign flips with
     its syndrome bit and with each negative tanh; padding is neutral (lg = 0,
     not negative).
     """
-    t, neg, lg = ws.t, ws.neg, ws.lg
-    edge_row = ctx.edge_row
+    t = ws.t
+    edge_check = ctx.edge_check
     np.tanh(t, out=t)
     np.less(t, 0, out=ws.neg_e)
     np.abs(t, out=t)
     t.clip(_LG_LO, _PROD_HI, out=t)
     np.log(t, out=ws.lg_e)
-    for (_, slots), g, gb, ls, f, s in zip(ctx.check_slots, ws.check_g, ws.check_gb, ws.lsum_rows, ws.flip_rows, s_rows):
-        lg.take(slots, axis=0, out=g, mode="clip")
-        _in_order(g, ls)
-        neg.take(slots, axis=0, out=gb, mode="clip")
-        np.logical_xor.reduce(gb, axis=0, out=f)
-        f ^= s
-    prod = ws.lsum.take(edge_row, axis=0, out=t, mode="clip")
+    ws.lg.take(ctx.check_slots, axis=0, out=ws.check_g, mode="clip")
+    _in_order(ws.check_g, ws.lsum)
+    ws.neg.take(ctx.check_slots, axis=0, out=ws.check_gb, mode="clip")
+    np.logical_xor.reduce(ws.check_gb, axis=0, out=ws.unsat)
+    ws.unsat ^= s_act
+    prod = ws.lsum.take(edge_check, axis=0, out=t, mode="clip")
     prod -= ws.lg_e
     np.exp(prod, out=prod)
     # Negate by flipping the sign bit: exact, and cheaper than a masked
     # ufunc.  lg is spent, so its rows hold the sign words.
-    sign = ws.flip.take(edge_row, axis=0, out=ws.edge_flags, mode="clip")
+    sign = ws.unsat.take(edge_check, axis=0, out=ws.edge_flags, mode="clip")
     sign ^= ws.neg_e
     np.copyto(ws.sign_words, sign)
     ws.sign_words <<= 31
@@ -511,9 +470,9 @@ def _first_check_messages(ctx: DecoderContext, prior: ChannelPrior):
     ws = _Workspace(ctx, 2)
     ws.resize(2)
     np.copyto(ws.t, _half_prior(prior, ctx.nbits // 3)[ctx.edge_var, None])
-    s = np.zeros((ctx.check_syndrome_rows.shape[0], 2), dtype=bool)
+    s = np.zeros((ctx.active_checks.shape[0], 2), dtype=bool)
     s[:, 1] = True
-    _check_update(ctx, ws, [s[rows] for rows in ctx.check_bounds])
+    _check_update(ctx, ws, s)
     words = np.ascontiguousarray(ws.t_words[:, :1])
     flips = words ^ ws.t_words[:, 1:]
     words.setflags(write=False)
@@ -575,13 +534,12 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, priors, cfg: BPC
         return out_bits, out_post, out_conv, out_iter
 
     edge_var = ctx.edge_var
-    edge_row = ctx.edge_row
     # Messages and posterior totals are stored at half scale.  Doubling is
     # exact in float32, so T - M is the full-scale (tot - mcv) / 2 bit for
     # bit, and arctanh gives the new half-scale message directly.
     half = np.stack([_half_prior(q, n) for q in priors], axis=1)  # (3n, priors)
     var_half = half[ctx.var_ids]
-    scatter_rows = [None if type(rows) is slice else rows for rows in ctx.var_rows]
+    scatter = None if type(ctx.var_rows) is slice else ctx.var_rows
 
     b = min(B, max(1, _WIDTH_BYTES // sum(_column_bytes(ctx))))
     ws = _Workspace(ctx, b)
@@ -598,9 +556,8 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, priors, cfg: BPC
     active = np.arange(b)  # the trial of each kept column
     live = np.ones(b, dtype=bool)  # kept columns whose trial has not finished
     n_live = b
-    s_trials = S[:, ctx.check_syndrome_rows].astype(bool)
+    s_trials = S[:, ctx.active_checks].astype(bool)
     s_act = np.ascontiguousarray(s_trials[:b].T)  # (C, b)
-    s_rows = [s_act[rows] for rows in ctx.check_bounds]
     vac_bad = S[:, ctx.vacuous_checks].any(axis=1)
     ws.stuck[:] = vac_bad[:b]
     ws.prev[:] = False
@@ -620,30 +577,27 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, priors, cfg: BPC
             # Every variable sends its prior, so each message is the table's
             # syndrome-0 value, with the flips to its syndrome-1 value where
             # its check's syndrome bit is set: exact, whatever the two are.
-            s_act.astype(np.uint32).take(edge_row, axis=0, out=ws.sign_words, mode="clip")
+            s_act.astype(np.uint32).take(ctx.edge_check, axis=0, out=ws.sign_words, mode="clip")
             ws.sign_words *= first_flips
             np.bitwise_xor(first_words, ws.sign_words, out=ws.t_words)
         else:
             # Variable-to-check messages from the previous totals; the new
             # check-to-variable messages then replace them in place.
             np.subtract(T.take(edge_var, axis=0, out=ws.edge_g, mode="clip"), t, out=t)
-            _check_update(ctx, ws, s_rows)
+            _check_update(ctx, ws, s_act)
 
         # Posterior totals, constrained decision, convergence test.
-        M = ws.msg
-        for (_, slots), g, post, pr, rows in zip(ctx.var_slots, ws.var_g, ws.var_sums, ws.var_prior, scatter_rows):
-            M.take(slots, axis=0, out=g, mode="clip")
-            _in_order(g, post)
-            post += pr
-            if rows is not None:
-                T[rows] = post
+        ws.msg.take(ctx.var_slots, axis=0, out=ws.var_g, mode="clip")
+        post = _in_order(ws.var_g, ws.var_sum)
+        post += ws.pri
+        if scatter is not None:
+            T[scatter] = post
         bits = _decision_bits_from_llr(T, n, out=ws.decision)
         # A trial has converged when each check's decision bits XOR to its
         # syndrome bit and its stuck flag is clear.
-        for slots, gb, f, s in zip(ctx.check_var_slots, ws.check_gb, ws.flip_rows, s_rows):
-            ws.bit_flags.take(slots, axis=0, out=gb, mode="clip")
-            np.logical_xor.reduce(gb, axis=0, out=f)
-            f ^= s
+        ws.bit_flags.take(ctx.check_var_slots, axis=0, out=ws.check_gb, mode="clip")
+        np.logical_xor.reduce(ws.check_gb, axis=0, out=ws.unsat)
+        ws.unsat ^= s_act
         ok = np.logical_or.reduce(ws.flip, axis=0, out=ws.ok)
         np.logical_not(ok, out=ok)
         # Stall test: has the set of unsatisfied checks (flip without the
@@ -708,7 +662,6 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, priors, cfg: BPC
             keep = np.flatnonzero(live)
             active = active[keep]
             s_act = s_act[:, keep]
-            s_rows = [s_act[rows] for rows in ctx.check_bounds]
             last = last[keep]
             start = start[keep]
             b = n_live

@@ -557,10 +557,16 @@ def test_matched_prior_converges_on_pure_x_errors():
 
 
 def test_random_hgp_has_large_degrees():
+    # Each side has one slot table, padded to its largest degree.  On these
+    # codes both tables are deeper than one 7-row reduce, the check table
+    # more than twice as deep, and both hold owners of at most 8 edges,
+    # whose sums run through the padding.
     for seed in (1, 2):
         ctx = decoder.DecoderContext.for_code(_random_hgp(seed))
-        degrees = {slots.shape[0] for _, slots in ctx.check_slots + ctx.var_slots}
-        assert max(degrees) > 16 and any(8 < d <= 16 for d in degrees)
+        for owner, slots, deepest in ((ctx.edge_check, ctx.check_slots, 16), (ctx.edge_var, ctx.var_slots, 8)):
+            degrees = np.bincount(owner)
+            assert slots.shape == (degrees.max(), np.count_nonzero(degrees))
+            assert slots.shape[0] > deepest and 0 < degrees[degrees > 0].min() <= 8
 
 
 def test_bp_matches_reference_with_vacuous_check():
@@ -582,13 +588,15 @@ def test_bp_matches_reference_with_vacuous_check():
 
 
 def test_bp_matches_reference_on_odd_degree_checks():
-    # Decoupled stabilizer rows have even degree, so a shared check table pads
-    # them with an even number of slots; a bare Hd with odd-degree rows makes
-    # the convergence test read its padding row an odd number of times.
+    # Decoupled stabilizer rows have even degree, so the check table pads
+    # them with an even number of slots when its largest degree is even; a
+    # bare Hd with odd-degree rows makes the convergence test read its
+    # padding row an odd number of times.
     rng = np.random.default_rng(4)
     hd = (rng.random((14, 3 * 10)) < 0.15).astype(np.uint8)
     ctx = decoder.DecoderContext(hd)
-    assert any(np.any(np.sum(hd[ids], axis=1) % 2) for ids, _ in ctx.check_slots)
+    pads = (ctx.check_slots == ctx.num_edges).sum(axis=0)
+    assert np.any(pads % 2)
     errors = (rng.random((200, hd.shape[1])) < 0.05).astype(np.uint8)
     S = (errors @ hd.T % 2).astype(np.uint8)
     prior = decoder.ChannelPrior(0.15)
