@@ -33,17 +33,16 @@ syndrome through them as a batch of one.
 BP works batch-minor: messages are (edges + 1, trials) arrays, so every
 per-edge operation runs over contiguous rows of trials, and the last row is
 neutral padding.  A check's (or variable's) sum over its edges is one gather
-through a (degree, owners) slot table followed by a reduction over axis 0.
-That reduction adds in exactly np.add.reduceat's order -- the first term
-plus numpy's pairwise sum of the rest -- which the trial-major kernel this
-one replaced used, so posteriors, decisions and reports are bit-identical to
-it; tests/test_decoder.py keeps that kernel as the reference and pins the
-order against np.add.reduceat.  Runs of up to 7 terms are one np.add.reduce
-from -0.0, which adds them in sequence.  Messages and totals are kept at
-half scale (exact in float32), every buffer is allocated once per call, and
-a trial has converged when each check's decision bits, gathered through a
-per-check slot table, XOR to its syndrome bit.  The arrays hold at most
-as many columns as fit in _WIDTH_BYTES, whatever the batch size.  A
+through its side's (largest degree, owners) slot table, padded with that
+row, followed by a sum over axis 0 that adds strictly left to right from
+-0.0 (_in_order).  That order gives each trial's column the same bits
+whatever the batch width, and trailing padding leaves it unchanged;
+tests/test_decoder.py keeps a trial-major segment-sum kernel that adds in
+the same order as the reference.  Messages and totals are kept at half
+scale (exact in float32), every buffer is allocated once per call, and a
+trial has converged when each check's decision bits, gathered through the
+check slot table, XOR to its syndrome bit.  The arrays hold at most as
+many columns as fit in _WIDTH_BYTES, whatever the batch size.  A
 trial's results are recorded in the iteration it finishes, but its column
 is reused only once at least an eighth of them are finished
 (_COMPACT_DEAD_SHARE): until then it keeps iterating and nothing reads it.
@@ -54,16 +53,19 @@ trials of one group share their iterations with the next group's, instead
 of running a tail alone.  Once no trial is left, finished columns are
 dropped instead.  The stall test costs one compare of the check rows
 against the previous iteration's, one any-reduce and a per-column counter.
-Apart from one call of the check update, every iteration calls methods and
-ufuncs directly, with no Python wrapper in between, so a batch of one pays
-little beyond its arithmetic.  BP hands back float32 posteriors only for
-the trials it did not converge on, the rows OSD-0 reads.
+Apart from the check update and the in-order sums, every iteration calls
+methods and ufuncs directly, with no Python wrapper in between, so a batch
+of one pays little beyond its arithmetic.  BP hands back float32
+posteriors only for the trials it did not converge on, the rows OSD-0
+reads.
 
 In the first iteration every variable sends its prior, so each check
 message is one of two values per edge, picked by its check's syndrome bit.
 The context memoises those values per prior, computed once by the
 same check update on a two-trial batch, and iteration 1 selects between
 them bit for bit; the variable half of the iteration runs as in every other.
+Computing iteration 1 in full instead, as a refilled column does, made
+single-syndrome decodes about 3% slower.
 
 OSD-0 ranks each trial's columns with one sort of integer keys built from
 the float32 posteriors and solves them with a gf2.SelectedSolver on the
@@ -140,11 +142,20 @@ class ChannelPrior:
         return np.repeat(np.array(blocks, dtype=_MSG_DTYPE), n)
 
 
+def _whole_number(value, name: str) -> int:
+    """value as a Python int, or ValueError unless it is an integer: a bool
+    or a float fails here rather than mid-sweep or in a report."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class BPConfig:
     max_iterations: int = 100
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iterations", _whole_number(self.max_iterations, "max_iterations"))
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
 
@@ -303,7 +314,7 @@ _STALL_ITERATIONS = 2
 
 # bp_decode_batch's workspace holds as many columns as fit in this many
 # bytes (at least one): 173 on planar_surface(7), 108 on chamon(3,3,3), 105
-# on ztgre(7) and 23-24 on the stretch codes.  A wider batch runs through
+# on ztgre(7) and 22-24 on the stretch codes.  A wider batch runs through
 # those columns, each taking the batch's next trial when its own finishes,
 # so BP's memory does not grow with the batch.
 _WIDTH_BYTES = 9 << 18
@@ -346,12 +357,14 @@ class _Workspace:
     them with compact(): that copies the kept message columns into the
     log-magnitude buffer, which is spent by then, and the kept totals into a
     spare; the pairs then trade roles.  The kept priors go through the
-    gather buffer, also spent, and back.  One gather buffer serves every
-    slot table and the per-edge gathers in turn.
+    gather buffer, also spent, and back.  One gather buffer serves both
+    slot tables and the per-edge gathers in turn.
 
-    flip has one row per check and a last row, stuck, which is set for a
-    trial that can never converge (a syndrome bit on a vacuous check) or
-    has already finished; a trial has converged when no row of flip is set.
+    flip has one row per active check, in order, and a last row, stuck,
+    which is set for a trial that can never converge (a syndrome bit on a
+    vacuous check) or has already finished; a trial has converged when no
+    row of flip is set.  The check update uses the check rows (unsat) for
+    each check's sign before the convergence test refills them.
     prev holds the check rows of flip from the previous iteration, which
     the stall test compares them against; compact() keeps it too.
     pri holds each column's half-scale prior for the variables with edges,
@@ -502,6 +515,8 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, priors, cfg: BPC
     the context's table for each column's prior
     (DecoderContext.first_messages), selected by each check's syndrome bit;
     a refilled column computes the same messages with the full check update.
+    Every sum adds in order (_in_order), so a trial's results do not depend
+    on the batch around it.
     """
     S = np.asarray(syndromes, dtype=np.uint8)
     if S.ndim != 2 or S.shape[1] != ctx.m:

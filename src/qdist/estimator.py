@@ -33,7 +33,7 @@ import numpy as np
 
 from . import pauli
 from .codes import StabilizerCode
-from .decoder import CERTAIN_LLR, BPConfig, ChannelPrior, DecoderContext, NoiseKind, bp_decode_batch, osd_post_process
+from .decoder import CERTAIN_LLR, BPConfig, ChannelPrior, DecoderContext, NoiseKind, bp_decode_batch, osd_post_process, _whole_number
 
 SCHEMA_VERSION = 1
 DEFAULT_RATES = (0.01, 0.02, 0.05, 0.08, 0.10, 0.12, 0.15)
@@ -54,6 +54,8 @@ class TrialConfig:
             raise ValueError("need at least one error rate")
         if any(not 0.0 < p < 1.0 for p in self.rates):
             raise ValueError("error rates must be in (0, 1)")
+        for name in ("trials_per_rate", "master_seed"):
+            object.__setattr__(self, name, _whole_number(getattr(self, name), name))
         if not 1 <= self.trials_per_rate <= MAX_TRIALS_PER_RATE:
             raise ValueError("trials per rate must be between 1 and 2**32")
         if self.master_seed < 0:

@@ -53,6 +53,9 @@ def test_noise_kind_is_reexported_by_estimator():
 def test_bp_config_validation():
     with pytest.raises(ValueError):
         decoder.BPConfig(max_iterations=0)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="integer"):
+            decoder.BPConfig(max_iterations=bad)
     # The iteration budget is the decoder's only setting.
     assert [f.name for f in dataclasses.fields(decoder.BPConfig)] == ["max_iterations"]
 
@@ -146,22 +149,26 @@ def test_random_errors_syndrome_consistent(make):
 
 
 def test_batch_matches_single():
-    code = codes.planar_surface(3)
-    ctx = decoder.DecoderContext.for_code(code)
+    # BP's sums add in order whatever the batch width, so a batch of one
+    # gives the 30-trial batch's posteriors bit for bit, also where a
+    # check's degree (12 on chamon_2_2_2) is above 8.
     rng = np.random.default_rng(3)
     prior = decoder.ChannelPrior(0.08)
     cfg = decoder.BPConfig(max_iterations=20)
-    S = np.zeros((30, ctx.m), dtype=np.uint8)
-    for i in range(30):
-        ex = rng.integers(0, 2, code.n, dtype=np.uint8)
-        ez = rng.integers(0, 2, code.n, dtype=np.uint8)
-        S[i] = code.syndrome(pauli.SymplecticPauli.from_arrays(ex, ez)).bits
-    bits, post, conv, iters = decoder.bp_decode_batch(ctx, S, [prior], cfg)
-    for i in range(30):
-        b1, p1, c1, i1 = decoder.bp_decode(ctx, S[i], prior, cfg)
-        assert np.array_equal(bits[i], b1)
-        assert conv[i] == c1 and iters[i] == i1
-        assert np.allclose(post[i], p1)
+    for code in (codes.planar_surface(3), codes.chamon(2, 2, 2)):
+        ctx = decoder.DecoderContext.for_code(code)
+        S = np.zeros((30, ctx.m), dtype=np.uint8)
+        for i in range(30):
+            ex = rng.integers(0, 2, code.n, dtype=np.uint8)
+            ez = rng.integers(0, 2, code.n, dtype=np.uint8)
+            S[i] = code.syndrome(pauli.SymplecticPauli.from_arrays(ex, ez)).bits
+        bits, post, conv, iters = decoder.bp_decode_batch(ctx, S, [prior], cfg)
+        assert not conv.all()
+        for i in range(30):
+            b1, p1, c1, i1 = decoder.bp_decode(ctx, S[i], prior, cfg)
+            assert np.array_equal(bits[i], b1)
+            assert conv[i] == c1 and iters[i] == i1
+            assert np.array_equal(post[i], p1)
 
 
 def test_osd_output_always_satisfies_syndrome():
@@ -282,8 +289,9 @@ def test_batch_shape_validation():
 # Reference BP kernel: the trial-major segment-sum kernel that
 # bp_decode_batch replaced, kept unchanged apart from building its edge
 # layout from the context's edge lists, taking the prior as per-bit (3n,)
-# LLRs and probabilities in place of one scalar of each, and the stall rule.
-# bp_decode_batch must reproduce it bit for bit.
+# LLRs and probabilities in place of one scalar of each, the stall rule,
+# and summing each segment strictly left to right (np.add.reduceat sums
+# pairwise).  bp_decode_batch must reproduce it bit for bit.
 
 
 def _reference_layout(ctx):
@@ -428,7 +436,8 @@ def _assert_matches_reference(got, want):
 
 def _random_hgp(seed):
     # Dense random classical checks: decoupled check and variable degrees
-    # well above 8, so the per-degree tables and the pairwise sum both run.
+    # well above 8, so the in-order sums run past one 7-row reduce and
+    # pad low-degree owners with many neutral rows.
     rng = np.random.default_rng(seed)
     h1 = (rng.random((5, 8)) < 0.5).astype(np.uint8)
     h2 = (rng.random((4, 7)) < 0.5).astype(np.uint8)
@@ -605,6 +614,25 @@ def test_bp_matches_reference_on_odd_degree_checks():
     want = _bp_reference(ctx, S, *_reference_prior(prior, ctx), cfg)
     _assert_matches_reference(got, want)
     assert got[2].any() and not got[2].all()
+
+
+def test_bp_matches_reference_on_one_deep_check():
+    # One check of degree above 8, decoded one trial at a time: its sum is
+    # then a (degree, 1, 1) stack, the shape where a single np.add.reduce
+    # would add pairwise instead of in order.  The identity never meets a
+    # syndrome bit of 1, so BP runs on and its posteriors are compared bit
+    # for bit, under both noise kinds and many rates.
+    rng = np.random.default_rng(6)
+    hd = (rng.random((1, 3 * 12)) < 0.6).astype(np.uint8)
+    ctx = decoder.DecoderContext(hd)
+    assert ctx.check_slots.shape[1] == 1 and ctx.check_slots.shape[0] > 8
+    S = np.ones((1, 1), np.uint8)
+    cfg = decoder.BPConfig(max_iterations=6)
+    for kind in NoiseKind:
+        for p in (0.02, 0.05, 0.07, 0.1, 0.13, 0.2, 0.3, 0.45):
+            prior = decoder.ChannelPrior(p, kind)
+            got = decoder.bp_decode_batch(ctx, S, [prior], cfg)
+            _assert_matches_reference(got, _bp_reference(ctx, S, *_reference_prior(prior, ctx), cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,12 @@ def test_trial_config_validation():
         TrialConfig(rates=(1.2,))
     with pytest.raises(ValueError):
         TrialConfig(trials_per_rate=0)
+    # Counts and seeds are integers: a bool would be reported as one, and a
+    # float would fail mid-sweep.
+    for bad in ({"trials_per_rate": True}, {"trials_per_rate": 10.5}, {"master_seed": 1.5}):
+        with pytest.raises(ValueError, match="integer"):
+            TrialConfig(**bad)
+    assert type(TrialConfig(trials_per_rate=np.int64(7)).trials_per_rate) is int
     # The sampler cannot tell trials apart past 2**32; fail before any work.
     with pytest.raises(ValueError, match="2\\*\\*32"):
         TrialConfig(trials_per_rate=2**32 + 1)
