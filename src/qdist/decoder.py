@@ -65,7 +65,7 @@ The context memoises those values per prior, computed once by the
 same check update on a two-trial batch, and iteration 1 selects between
 them bit for bit; the variable half of the iteration runs as in every other.
 Computing iteration 1 in full instead, as a refilled column does, made
-single-syndrome decodes about 3% slower.
+single-syndrome decodes about 4% slower.
 
 OSD-0 ranks each trial's columns with one sort of integer keys built from
 the float32 posteriors and solves them with a gf2.SelectedSolver on the

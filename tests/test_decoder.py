@@ -756,6 +756,12 @@ def test_in_order_sum_adds_left_to_right(degree):
     # does, and a numpy whose reduce over an outer axis stops adding in
     # order fails here rather than changing reports.  At (1, 1) one
     # np.add.reduce would sum 8 or more terms pairwise.
+    def left_to_right(stack):
+        total = np.full(stack.shape[1:], -0.0, np.float32)
+        for row in stack:
+            total += row
+        return total
+
     rng = np.random.default_rng(degree)
     for k, b in [(1, 1), (1, 6), (4, 1), (5, 33)]:
         g = rng.standard_normal((degree, k, b)).astype(np.float32)
@@ -766,16 +772,13 @@ def test_in_order_sum_adds_left_to_right(degree):
             if b > 1:
                 stack = stack.copy()
                 stack[:, :, 0] = -0.0  # an all-(-0.0) column next to mixed ones
-            want = np.full((k, b), -0.0, np.float32)
-            for row in stack:
-                want += row
             got = decoder._in_order(stack, np.empty((k, b), np.float32))
-            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+            assert np.array_equal(got.view(np.uint32), left_to_right(stack).view(np.uint32))
     if degree > 8:
-        # numpy's pairwise sum of a contiguous axis differs on these inputs,
-        # so the comparison can tell the orders apart.
+        # numpy's pairwise sum of a contiguous axis differs from the loop on
+        # these inputs, so the comparison can tell the orders apart.
         pairwise = np.add.reduce(np.ascontiguousarray(g.reshape(degree, -1).T), axis=1)
-        assert not np.array_equal(pairwise, want.reshape(-1))
+        assert not np.array_equal(pairwise, left_to_right(g).reshape(-1))
 
 
 def test_bp_memory_per_trial_edge():
