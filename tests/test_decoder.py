@@ -748,20 +748,22 @@ def test_decision_bits_match_argmax_rule_with_ties():
     assert np.array_equal(got, _decision_reference(llr, n).T)
 
 
+def _left_to_right(stack):
+    total = np.full(stack.shape[1:], -0.0, np.float32)
+    for row in stack:
+        total += row
+    return total
+
+
 @pytest.mark.parametrize("degree", list(range(1, 41)) + [129, 130, 137, 200, 300])
 def test_in_order_sum_adds_left_to_right(degree):
     # BP's check and variable sums add each stack strictly left to right
-    # from -0.0, bit for bit as this loop over its rows does, whatever the
-    # shape of the other axes: so a batch of one decodes as a wide batch
-    # does, and a numpy whose reduce over an outer axis stops adding in
-    # order fails here rather than changing reports.  At (1, 1) one
-    # np.add.reduce would sum 8 or more terms pairwise.
-    def left_to_right(stack):
-        total = np.full(stack.shape[1:], -0.0, np.float32)
-        for row in stack:
-            total += row
-        return total
-
+    # from -0.0, bit for bit as _left_to_right's loop over its rows does,
+    # whatever the shape of the other axes: so a batch of one decodes as a
+    # wide batch does, and a numpy whose reduce over an outer axis stops
+    # adding in order fails here rather than changing reports.  At (1, 1)
+    # one np.add.reduce would sum 8 or more terms pairwise.
+    left_to_right = _left_to_right
     rng = np.random.default_rng(degree)
     for k, b in [(1, 1), (1, 6), (4, 1), (5, 33)]:
         g = rng.standard_normal((degree, k, b)).astype(np.float32)
@@ -1050,6 +1052,30 @@ def test_decode_hands_a_stalled_trial_to_osd():
     else:
         pytest.fail("no trial stalled")
     assert code.syndrome(out.estimate) == s
+
+
+@pytest.mark.parametrize("degree", range(1, 18))
+def test_ordered_sum_keeps_negative_zero(degree):
+    # The in-order sum starts from -0.0 with one np.add.reduce; it must keep
+    # -0.0 terms and all-(-0.0) columns exactly, also where the summed stack
+    # has one column (numpy then sums the reduced axis pairwise), overwrite
+    # whatever out held, and leave its input alone.
+    rng = np.random.default_rng(100 + degree)
+    for k, b in [(1, 1), (1, 6), (4, 1), (5, 33)]:
+        g = rng.standard_normal((degree, k, b)).astype(np.float32)
+        g *= rng.choice(np.array([1e-6, 1.0, 1e6], np.float32), size=g.shape)
+        g[rng.random(g.shape) < 0.2] = -0.0
+        for stack in (g, np.full_like(g, -0.0)):
+            if b > 1:
+                stack = stack.copy()
+                stack[:, :, 0] = -0.0  # an all-(-0.0) column next to mixed ones
+            want = _left_to_right(stack)
+            before = stack.copy()
+            out = np.full((k, b), np.nan, np.float32)
+            got = decoder._in_order(stack, out)
+            assert got is out
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+            assert np.array_equal(stack.view(np.uint32), before.view(np.uint32))
 
 
 def test_reliability_order_matches_stable_argsort_on_ties():
