@@ -329,7 +329,8 @@ _KEY_BYTES = 1 << 21
 
 # float32 clip bounds: the floor under |tanh| before its log, and the bound
 # on |tanh| and on the check product before arctanh.  The loop clips with
-# the ndarray method, which is np.clip without its Python wrapper.
+# the ndarray method, which skips np.clip's dispatch but on numpy 2.x still
+# runs one Python function (numpy/_core/_methods.py's _clip) per call.
 _LG_LO = _MSG_DTYPE(_LOG_FLOOR)
 _PROD_HI = _MSG_DTYPE(1.0 - _TANH_EPS)
 
@@ -538,14 +539,6 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, priors, cfg: BPC
     out_conv = np.zeros(B, dtype=bool)
     out_iter = np.full(B, cfg.max_iterations, dtype=np.int64)
     if B == 0:
-        return out_bits, out_post, out_conv, out_iter
-
-    if ctx.num_edges == 0:
-        # No constraints at all: the identity decision and the prior stand.
-        out_conv[:] = ~S.any(axis=1)
-        out_iter[:] = 1
-        probs = np.array([q.bit_probs(n) for q in priors], dtype=_MSG_DTYPE)
-        out_post[~out_conv] = probs[which[~out_conv]]
         return out_bits, out_post, out_conv, out_iter
 
     edge_var = ctx.edge_var

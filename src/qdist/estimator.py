@@ -20,6 +20,7 @@ from __future__ import annotations
 import atexit
 import json
 import math
+import numbers
 import os
 import signal
 import sys
@@ -50,6 +51,11 @@ class TrialConfig:
     decoder: BPConfig = field(default_factory=BPConfig)
 
     def __post_init__(self):
+        rates = tuple(self.rates)
+        # Stored as a tuple of Python floats, so that a report of them is JSON.
+        if any(isinstance(p, bool) or not isinstance(p, numbers.Real) for p in rates):
+            raise ValueError(f"error rates must be real numbers, not {self.rates!r}")
+        object.__setattr__(self, "rates", tuple(float(p) for p in rates))
         if not self.rates:
             raise ValueError("need at least one error rate")
         if any(not 0.0 < p < 1.0 for p in self.rates):
@@ -180,13 +186,15 @@ def verify_witness(
 
 # The block sampler below reproduces, trial for trial, what
 # sample_error(n, p, kind, trial_rng(seed, rate_idx, t)) draws, without
-# building a Generator per trial.  It follows the algorithms behind those
-# streams: numpy's SeedSequence pool hash (numpy/random/bit_generator.pyx),
-# PCG64 seeding (O'Neill, "PCG", HMC-CS-2014-0905), Generator.random's
-# 53-bit doubles and Generator.integers' bounded draws by Lemire's method
-# (Lemire, ACM TOMS 2019).  SeedSequence words are uint32; the hash below
-# runs on Python ints masked to 32 bits or on uint32 arrays, which wrap
-# without a warning (numpy scalars would warn on overflow).
+# building a Generator per trial.  It takes each rate's SeedSequence pool
+# from numpy, hashes only the trial word into it, and follows the rest of
+# the algorithms behind those streams: SeedSequence's generate_state
+# (numpy/random/bit_generator.pyx), PCG64 seeding (O'Neill, "PCG",
+# HMC-CS-2014-0905), Generator.random's 53-bit doubles and
+# Generator.integers' bounded draws by Lemire's method (Lemire, ACM TOMS
+# 2019).  SeedSequence words are uint32; the hash below runs on Python ints
+# masked to 32 bits or on uint32 arrays, which wrap without a warning
+# (numpy scalars would warn on overflow).
 _M32 = 0xFFFFFFFF
 _M128 = (1 << 128) - 1
 _SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875  # pool mixing
@@ -196,15 +204,6 @@ _SS_POOL = 4
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _LEMIRE_3_ONE = -(-(1 << 32) // 3)
 _LEMIRE_3_TWO = -(-(2 << 32) // 3)
-
-
-def _uint32_words(x: int) -> list[int]:
-    """SeedSequence's split of a non-negative int into uint32 words, low first."""
-    words = [x & _M32]
-    while x > _M32:
-        x >>= 32
-        words.append(x & _M32)
-    return words
 
 
 def _hashmix(value, const: int, mult: int):
@@ -224,26 +223,18 @@ def _mix(x, y):
 def _pcg64_seeds(master_seed: int, rate_idx: int, trials: np.ndarray) -> list[tuple[int, int]]:
     """PCG64 (state, inc) of default_rng(SeedSequence(master_seed,
     spawn_key=(rate_idx, t))) for each trial index t < 2**32."""
-    # The spawn key makes SeedSequence pad the seed to a whole pool.
-    seed_words = _uint32_words(master_seed)
-    entropy = seed_words + [0] * (_SS_POOL - len(seed_words)) + _uint32_words(rate_idx)
-    # Everything before the trial word is the same for the whole rate, and the
-    # hash constants never depend on the data, so only the last entropy word
-    # is hashed per trial, as a uint32 array.
-    const = _SS_INIT_A
-    pool = []
-    for word in entropy[:_SS_POOL]:
-        h, const = _hashmix(word, const, _SS_MULT_A)
-        pool.append(h)
-    for src in range(_SS_POOL):
-        for dst in range(_SS_POOL):
-            if src != dst:
-                h, const = _hashmix(pool[src], const, _SS_MULT_A)
-                pool[dst] = _mix(pool[dst], h)
-    for word in entropy[_SS_POOL:] + [trials.astype(np.uint32)]:
-        for dst in range(_SS_POOL):
-            h, const = _hashmix(word, const, _SS_MULT_A)
-            pool[dst] = _mix(pool[dst], h)
+    # SeedSequence(master_seed, spawn_key=(rate_idx, t)) mixes the entropy
+    # words of SeedSequence(master_seed, spawn_key=(rate_idx,)), then t.  Each
+    # word mixed (the seed's padded to a whole pool, then the rate index's)
+    # advanced the hash constant once per pool word, whatever the data.
+    pool = np.random.SeedSequence(master_seed, spawn_key=(rate_idx,)).pool.tolist()
+    seed_words = max(_SS_POOL, -(-int(master_seed).bit_length() // 32))
+    mixed = seed_words + max(1, -(-int(rate_idx).bit_length() // 32))
+    const = (_SS_INIT_A * pow(_SS_MULT_A, _SS_POOL * mixed, 1 << 32)) & _M32
+    trial_word = trials.astype(np.uint32)
+    for dst in range(_SS_POOL):
+        h, const = _hashmix(trial_word, const, _SS_MULT_A)
+        pool[dst] = _mix(pool[dst], h)
     # generate_state(4, uint64): eight uint32 words cycling over the pool,
     # paired low word first.
     const = _SS_INIT_B
@@ -608,8 +599,7 @@ def estimate_upper_bound(code: StabilizerCode, cfg: TrialConfig, workers: int | 
     reduced per rate in trial order, so the witness is the first trial at
     the final minimum and the report does not depend on `workers`.
     """
-    if workers is None:
-        workers = usable_cpus()
+    workers = usable_cpus() if workers is None else _whole_number(workers, "workers")
     if workers < 1:
         raise ValueError("need at least one worker")
     ctx = DecoderContext.for_code(code)

@@ -310,7 +310,7 @@ def _segment_sum(values, ptr):
     right, starting from -0.0 (0 for integers)."""
     deg = np.diff(np.append(ptr, values.shape[-1]))
     out = np.full(values.shape[:-1] + deg.shape, -0.0, values.dtype)
-    for j in range(deg.max()):
+    for j in range(deg.max(initial=0)):
         has = deg > j
         out[..., has] += values[..., ptr[has] + j]
     return out
@@ -351,11 +351,6 @@ def _bp_reference(ctx, syndromes, prior_llr, prior_prob, cfg, stall=decoder._STA
     out_post = np.tile(np.asarray(prior_prob, dtype=np.float64), (B, 1))
     out_conv = np.zeros(B, dtype=bool)
     out_iter = np.full(B, cfg.max_iterations, dtype=np.int64)
-
-    if ctx.num_edges == 0:
-        out_conv[:] = ~S.any(axis=1)
-        out_iter[:] = 1
-        return out_bits, out_post, out_conv, out_iter
 
     edge_var = ctx.edge_var
     edge_check = ctx.edge_check
@@ -594,6 +589,37 @@ def test_bp_matches_reference_with_vacuous_check():
     want = _bp_reference(ctx, S, *_reference_prior(prior, ctx), cfg)
     _assert_matches_reference(got, want)
     assert not got[2][S[:, 4] == 1].any() and got[2][S[:, 4] == 0].any()
+
+
+@pytest.mark.parametrize("kind", list(NoiseKind))
+def test_bp_decodes_an_edgeless_graph_in_its_loop(kind):
+    # Every generator is the identity, so the Tanner graph has no edges and
+    # every check is vacuous: BP runs its one loop over no messages.
+    code = codes.StabilizerCode("edgeless", np.zeros((2, 3), np.uint8), np.zeros((2, 3), np.uint8))
+    ctx = decoder.DecoderContext.for_code(code)
+    assert ctx.num_edges == 0 and ctx.vacuous_checks.shape[0] == ctx.m
+    S = np.array([[0, 0], [1, 0], [0, 1], [1, 1], [0, 0]], np.uint8)
+    zero = ~S.any(axis=1)
+    prior = decoder.ChannelPrior(0.1, kind)
+    cfg = decoder.BPConfig(max_iterations=30)
+    got = decoder.bp_decode_batch(ctx, S, [prior], cfg)
+    _assert_matches_reference(got, _bp_reference(ctx, S, *_reference_prior(prior, ctx), cfg))
+    bits, post, conv, iters = got
+    # Zero syndromes converge at iteration 1 on the identity.  A syndrome
+    # bit on a vacuous check can never be met, so its trial stalls, as on
+    # any graph, with the prior as its posterior; a bit the channel cannot
+    # flip reads 1 / (1 + exp(CERTAIN_LLR)) there, not 0.
+    assert not bits.any() and np.array_equal(conv, zero)
+    assert np.array_equal(iters, np.where(zero, 1, decoder._STALL_ITERATIONS + 1))
+    np.testing.assert_allclose(post[~zero], np.broadcast_to(prior.bit_probs(code.n), (3, ctx.nbits)), rtol=1e-6, atol=1e-12)
+    assert decoder.bp_decode_batch(ctx, S, [prior], decoder.BPConfig(max_iterations=2))[3].max() == 2
+    # No error makes a nonzero syndrome, so OSD-0 cannot solve one.
+    with pytest.raises(decoder.InfeasibleSyndrome):
+        decoder.decode(code, pauli.Syndrome(S[1]), prior, cfg)
+    # Every error is a logical operator: a sweep finds one of weight 1.
+    rep = estimator.estimate_upper_bound(
+        code, estimator.TrialConfig(rates=(0.1,), trials_per_rate=50, master_seed=1, noise_kind=kind), workers=1)
+    assert rep.upper_bound == 1 and estimator.verify_witness(code, rep.witness, 1, kind)
 
 
 def test_bp_matches_reference_on_odd_degree_checks():

@@ -50,6 +50,15 @@ def test_trial_config_validation():
     with pytest.raises(ValueError):
         TrialConfig(noise_kind="bogus")
     assert TrialConfig(noise_kind="pureX").noise_kind is NoiseKind.PURE_X
+    # Rates are stored as a tuple of Python floats, so a report of them is
+    # JSON; a bool or a non-number is not a rate.
+    cfg = TrialConfig(rates=[np.float32(0.1), 0.2])
+    assert cfg.rates == (float(np.float32(0.1)), 0.2) and all(type(p) is float for p in cfg.rates)
+    assert '"p": 0.10000000149011612' in estimator.estimate_upper_bound(
+        codes.planar_surface(2), TrialConfig(rates=(np.float32(0.1),), trials_per_rate=5), workers=1).to_json()
+    for bad in ((True,), ("0.1",), (0.1, None)):
+        with pytest.raises(ValueError, match="real"):
+            TrialConfig(rates=bad)
 
 
 def test_sample_error_depolarizing_statistics():
@@ -166,9 +175,10 @@ def test_trial_rng_streams_are_independent_and_stable():
     assert not np.array_equal(a, d)
 
 
-# Master seeds of one, two, three and five uint32 words; five is more than
-# SeedSequence's pool of four, which changes how the entropy is mixed.
-_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 1)
+# Master seeds of one, two, three, four and five uint32 words.  SeedSequence
+# pads a seed of fewer than four words (its pool) with zeros, four fill the
+# pool exactly, and each word past four is mixed into the whole pool.
+_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 7, 2**128 - 1, 2**130 + 1)
 
 
 @lru_cache(maxsize=None)
@@ -663,6 +673,12 @@ def test_estimate_rejects_bad_worker_count():
     for workers in (0, -1):
         with pytest.raises(ValueError):
             estimator.estimate_upper_bound(codes.planar_surface(2), cfg, workers=workers)
+    # A worker count is an integer: a float or a string fails before any
+    # work, and True is not taken as 1.
+    for workers in (2.5, "2", True):
+        with pytest.raises(ValueError, match="integer"):
+            estimator.estimate_upper_bound(codes.planar_surface(2), cfg, workers=workers)
+    assert estimator.estimate_upper_bound(codes.planar_surface(2), cfg, workers=np.int64(1)).upper_bound >= 1
 
 
 def _random_small_hgp(seed):
