@@ -84,8 +84,10 @@ class StabilizerCode:
         ex, ez = np.asarray(ex), np.asarray(ez)
         if ex.ndim != 2 or ex.shape != ez.shape or ex.shape[1] != self.n:
             raise ValueError(f"expected two (B, {self.n}) arrays ex and ez")
-        bits = np.vstack([ex.T, ez.T, np.zeros((1, ex.shape[0]), np.uint8)]).astype(np.uint8, copy=False)
-        return (np.bitwise_xor.reduce(bits[self._syndrome_table], axis=1) & 1).T.copy()
+        bits = np.concatenate([ex.T, ez.T, np.zeros((1, ex.shape[0]), np.uint8)], dtype=np.uint8, casting="unsafe")
+        s = np.bitwise_xor.reduce(bits[self._syndrome_table], axis=1)
+        s &= 1
+        return s.T.copy()
 
     def syndrome(self, e: pauli.SymplecticPauli) -> pauli.Syndrome:
         return pauli.Syndrome(self.syndromes(e.ex[None, :], e.ez[None, :])[0])

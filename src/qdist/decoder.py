@@ -39,12 +39,14 @@ row, followed by a sum over axis 0 that adds strictly left to right from
 whatever the batch width, and trailing padding leaves it unchanged;
 tests/test_decoder.py keeps a trial-major segment-sum kernel that adds in
 the same order as the reference.  Messages and totals are kept at half
-scale (exact in float32), every buffer is allocated once per call, and a
-trial has converged when each check's decision bits, gathered through the
-check slot table, XOR to its syndrome bit.  The arrays hold at most as
-many columns as fit in _WIDTH_BYTES, whatever the batch size.  A
-trial's results are recorded in the iteration it finishes, but its column
-is reused only once at least an eighth of them are finished
+scale (exact in float32), every buffer is laid out once per call in one
+block (a call under _KEEP_SHARE of the full width, such as decode()'s
+batch of one, takes the block the last such call left on the context and
+puts it back), and a trial has converged when each check's decision bits,
+gathered through the check slot table, XOR to its syndrome bit.  The
+arrays hold at most as many columns as fit in _WIDTH_BYTES, whatever the
+batch size.  A trial's results are recorded in the iteration it finishes,
+but its column is reused only once at least an eighth of them are finished
 (_COMPACT_DEAD_SHARE): until then it keeps iterating and nothing reads it.
 Then the finished columns take the batch's next trials, each from messages
 0 and totals at its own prior, which makes its next iteration exactly its
@@ -53,13 +55,16 @@ trials of one group share their iterations with the next group's, instead
 of running a tail alone.  Once no trial is left, finished columns are
 dropped instead.  The stall test costs one compare of the check rows
 against the previous iteration's, one any-reduce and a per-column counter.
-Apart from the check update and the in-order sums, every iteration calls
-methods and ufuncs directly, with no Python wrapper in between, so a batch
-of one pays little beyond its arithmetic.  BP hands back float32
+Apart from the check update, the in-order sums and the hard decision
+(_decide, on block views resize builds once per width), every iteration
+calls methods and ufuncs directly, with no Python wrapper in between, so a
+batch of one pays little beyond its arithmetic.  BP hands back float32
 posteriors only for the trials it did not converge on, the rows OSD-0
 reads.
 
-In the first iteration every variable sends its prior, so each check
+BP's totals start from each trial's half-scale prior column, which the
+context memoises per prior with its rows of the variables with edges.  In
+the first iteration every variable sends its prior, so each check
 message is one of two values per edge, picked by its check's syndrome bit.
 The context memoises those values per prior, computed once by the
 same check update on a two-trial batch, and iteration 1 selects between
@@ -80,6 +85,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -111,12 +117,15 @@ class ChannelPrior:
 
     Depolarizing: the X, Z and Y bits of a qubit each hit with probability
     p/3.  Pure-X: the X bit hits with probability p; the Z and Y bits never do.
+    p is stored as a Python float, so priors that compare equal hash equal,
+    as the context's per-prior memos need.
     """
 
     p: float
     noise: NoiseKind = NoiseKind.DEPOLARIZING
 
     def __post_init__(self):
+        object.__setattr__(self, "p", _real_number(self.p, "error rate"))
         if not 0.0 < self.p < 1.0:
             raise ValueError("error rate must be in (0, 1)")
         object.__setattr__(self, "noise", NoiseKind(self.noise))  # ValueError if unknown
@@ -140,6 +149,14 @@ class ChannelPrior:
         # move by a last bit, or depolarizing reports would change.
         blocks = [math.log((1.0 - q) / q) if q > 0.0 else CERTAIN_LLR for q in self.block_probs]
         return np.repeat(np.array(blocks, dtype=_MSG_DTYPE), n)
+
+
+def _real_number(value, name: str) -> float:
+    """value as a Python float, or ValueError unless it is a real number, bools
+    excluded."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, not {value!r}")
+    return float(value)
 
 
 def _whole_number(value, name: str) -> int:
@@ -172,10 +189,15 @@ class DecoderContext:
 
     Holds the decoupled matrix that OSD solves on, its Tanner-graph edge
     layout and the slot tables BP sums over, all fixed once built.  It also
-    memoises what every decode with one prior shares: BP's first check
-    messages per prior, and OSD-0's channel columns with their solver (the
-    columns as Python ints) per noise kind.  The memos only ever gain
-    read-only entries, each a pure function of its key.
+    memoises what every decode with one prior shares: BP's half-scale prior
+    and first check messages per prior, and OSD-0's channel columns with
+    their solver (the columns as Python ints) per noise kind.  Those memos
+    are built on first use and only ever gain read-only entries, each a pure
+    function of its key.  The one mutable thing a context keeps is the
+    workspace of the last bp_decode_batch call under _KEEP_SHARE of the full
+    width: the next such call takes it off the context, overwrites every
+    buffer it reads and puts it back, so a call running at the same time
+    builds its own.
     """
 
     def __init__(self, hd: np.ndarray):
@@ -205,8 +227,23 @@ class DecoderContext:
         # Bytes per trial of the gather buffer that both slot tables and the
         # per-edge gathers share.
         self.gather_bytes = 4 * max(self.num_edges, self.check_slots.size, self.var_slots.size)
+        self._half_priors: dict = {}
         self._first_messages: dict = {}
         self._channel_columns: dict = {}
+        self._kept_workspace: list = []  # at most one _Workspace
+
+    def half_prior(self, prior: ChannelPrior) -> tuple[np.ndarray, np.ndarray]:
+        """(half, var_half), built once per prior: the (3n, 1) float32 prior
+        LLRs at half scale, as BP's totals start, and their (V, 1) rows of
+        the variables with edges, in the variable table's order."""
+        hit = self._half_priors.get(prior)
+        if hit is None:
+            half = (prior.llrs(self.nbits // 3) * _MSG_DTYPE(0.5))[:, None]
+            var_half = half[self.var_ids]
+            half.setflags(write=False)
+            var_half.setflags(write=False)
+            hit = self._half_priors.setdefault(prior, (half, var_half))
+        return hit
 
     def first_messages(self, prior: ChannelPrior):
         """BP's first check-to-variable messages for prior, built once (see
@@ -265,31 +302,34 @@ def _in_order(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _decision_bits_from_llr(llr: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Constrained per-qubit decision from posterior LLRs; (3n, B) -> (3n, B) bits.
+def _blocks(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The X, Z and Y blocks (rows) of a (3n, B) array; ValueError for any
+    other shape."""
+    if a.ndim != 2 or a.shape[0] != 3 * n:
+        raise ValueError("expected a (3n, B) array")
+    return a[:n], a[n : 2 * n], a[2 * n :]
+
+
+def _decide(x, z, y, bx, bz, by) -> None:
+    """Constrained per-qubit decision from posterior LLRs: fills the bool
+    blocks bx, bz and by of the (3n, B) decision bits from the LLRs' X, Z
+    and Y blocks (_blocks, which BP's workspace takes once per width).
 
     Picks the most likely of I/X/Z/Y from the product of the three bit
     marginals.  Those four scores divided by P(I) are {1, exp(-llr_x),
     exp(-llr_z), exp(-llr_y)}, so a qubit stays I unless its smallest LLR is
     negative, and exact ties go to the first of X, Z, Y.  The rule reads
-    only signs and order, so exactly halved LLRs give the same bits.  out,
-    if given, is a (3n, B) uint8 array to fill.
+    only signs and order, so exactly halved LLRs give the same bits.
     """
-    if llr.ndim != 2 or llr.shape[0] != 3 * n:
-        raise ValueError("expected a (3n, B) array of posterior LLRs")
-    x, z, y = llr[:n], llr[n : 2 * n], llr[2 * n :]
     low = np.minimum(x, z)
     np.minimum(low, y, out=low)
     hit = low < 0
-    bits = np.empty(llr.shape, dtype=np.uint8) if out is None else out
-    flags = bits.view(bool)
-    bx = np.equal(x, low, out=flags[:n])
+    np.equal(x, low, out=bx)
     bx &= hit
     hit ^= bx
-    bz = np.equal(z, low, out=flags[n : 2 * n])
+    np.equal(z, low, out=bz)
     bz &= hit
-    np.logical_xor(hit, bz, out=flags[2 * n :])
-    return bits
+    np.logical_xor(hit, bz, out=by)
 
 
 def _prefix(buf: np.ndarray, dtype, *shape: int) -> np.ndarray:
@@ -319,6 +359,17 @@ _STALL_ITERATIONS = 2
 # so BP's memory does not grow with the batch.
 _WIDTH_BYTES = 9 << 18
 
+# bp_decode_batch leaves its workspace on the context for the next call when
+# it has fewer columns than this share of a full one: a batch of one on every
+# code with a full width of 17 or more (22-24 on the stretch codes).  Kept,
+# it saves a batch of one about 30 us of allocation and view building per
+# call (_Workspace and resize).  A wider workspace is freed as before: kept
+# at every width, the three sweep benchmarks' peak RSS rose from 45.3-45.5
+# MB to 47.6-48.1 MB, since the 2.25 MiB that BP frees is what OSD-0 and
+# the classification reuse, and a 1,024-trial sweep chunk on a small code
+# would hold up to 2 MiB.
+_KEEP_SHARE = 1 / 16
+
 # osd_post_process ranks the failed trials in blocks whose reliability keys
 # (16 bytes per channel column of a trial) fit in this many bytes.  That is
 # below the 2.25 MiB of a full-width BP workspace (_WIDTH_BYTES): freeing
@@ -330,7 +381,11 @@ _KEY_BYTES = 1 << 21
 # float32 clip bounds: the floor under |tanh| before its log, and the bound
 # on |tanh| and on the check product before arctanh.  The loop clips with
 # the ndarray method, which skips np.clip's dispatch but on numpy 2.x still
-# runs one Python function (numpy/_core/_methods.py's _clip) per call.
+# runs one Python function (numpy/_core/_methods.py's _clip) per call.  On
+# planar_surface(7)'s 624 edges (numpy 2.4, 2 vCPUs) that wrapper costs
+# about 0.4 us per call at one column (1.2 us against 0.8 us for the bare
+# clip ufunc) and nothing measurable at 81-173 columns: under 1% of a
+# batch-of-one decode, not worth reaching for numpy's private ufunc.
 _LG_LO = _MSG_DTYPE(_LOG_FLOOR)
 _PROD_HI = _MSG_DTYPE(1.0 - _TANH_EPS)
 
@@ -367,13 +422,17 @@ class _Workspace:
     row of flip is set.  The check update uses the check rows (unsat) for
     each check's sign before the convergence test refills them.
     prev holds the check rows of flip from the previous iteration, which
-    the stall test compares them against; compact() keeps it too.
+    the stall test compares them against; compact() keeps it too.  A
+    column's first iteration counts as a change whatever prev holds, so
+    nothing resets it, neither for a new call nor for a refilled column.
     pri holds each column's half-scale prior for the variables with edges,
     in the variable table's order.
     """
 
     def __init__(self, ctx: DecoderContext, width: int):
         self.ctx = ctx
+        self.width = width
+        self.cols = 0  # the columns resize last laid out
         sizes = [size * width for size in _column_bytes(ctx)]
         whole = np.empty(sum(sizes) + 64 * len(sizes), np.uint8)
         starts = accumulate([-(-size // 64) * 64 for size in sizes], initial=-whole.ctypes.data % 64)
@@ -396,8 +455,19 @@ class _Workspace:
         self.resize(b)
         np.copyto(self.pri, kept)
 
+    @classmethod
+    def take(cls, ctx: DecoderContext, width: int) -> "_Workspace":
+        """The workspace kept on ctx, taken off it, if it has room for width
+        columns; a new one otherwise."""
+        try:
+            ws = ctx._kept_workspace.pop()
+        except IndexError:
+            return cls(ctx, width)
+        return ws if ws.width >= width else cls(ctx, width)
+
     def resize(self, b: int) -> None:
         ctx = self.ctx
+        self.cols = b
         E, N, C = ctx.num_edges, ctx.nbits, ctx.active_checks.shape[0]
         self.msg, self.lg = [_prefix(buf, _MSG_DTYPE, E + 1, b) for buf in self.edge_bufs]
         self.msg[E] = 0.0
@@ -422,6 +492,8 @@ class _Workspace:
         self.bits[N] = 0
         self.decision = self.bits[:N]
         self.bit_flags = self.bits.view(bool)
+        # _decide's arguments: the totals' and the decision flags' X, Z and Y blocks.
+        self.blocks = _blocks(self.tot, N // 3) + _blocks(self.decision.view(bool), N // 3)
         g = self._gather
         self.edge_g = _prefix(g, _MSG_DTYPE, E, b)
         self.edge_flags = _prefix(g, bool, E, b)
@@ -431,11 +503,6 @@ class _Workspace:
         V = ctx.var_ids.shape[0]
         self.var_sum = self.tot[ctx.var_rows] if type(ctx.var_rows) is slice else _prefix(self._scatter, _MSG_DTYPE, V, b)
         self.pri = _prefix(self._pri, _MSG_DTYPE, V, b)
-
-
-def _half_prior(prior: ChannelPrior, n: int) -> np.ndarray:
-    """(3n,) prior LLRs at half scale, as BP's totals start."""
-    return prior.llrs(n) * _MSG_DTYPE(0.5)
 
 
 def _check_update(ctx: DecoderContext, ws: _Workspace, s_act: np.ndarray) -> None:
@@ -483,7 +550,7 @@ def _first_check_messages(ctx: DecoderContext, prior: ChannelPrior):
     """
     ws = _Workspace(ctx, 2)
     ws.resize(2)
-    np.copyto(ws.t, _half_prior(prior, ctx.nbits // 3)[ctx.edge_var, None])
+    np.copyto(ws.t, ctx.half_prior(prior)[0][ctx.edge_var])
     s = np.zeros((ctx.active_checks.shape[0], 2), dtype=bool)
     s[:, 1] = True
     _check_update(ctx, ws, s)
@@ -544,20 +611,27 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, priors, cfg: BPC
     edge_var = ctx.edge_var
     # Messages and posterior totals are stored at half scale.  Doubling is
     # exact in float32, so T - M is the full-scale (tot - mcv) / 2 bit for
-    # bit, and arctanh gives the new half-scale message directly.
-    half = np.stack([_half_prior(q, n) for q in priors], axis=1)  # (3n, priors)
-    var_half = half[ctx.var_ids]
+    # bit, and arctanh gives the new half-scale message directly.  Each
+    # prior's half prior (its variable rows too) and first-message table
+    # are one column each of the (rows, priors) tables.
+    tables = [ctx.half_prior(q) + ctx.first_messages(q) for q in priors]
+    half, var_half, words, flips = tables[0] if len(tables) == 1 else (np.concatenate(t, axis=1) for t in zip(*tables))
     scatter = None if type(ctx.var_rows) is slice else ctx.var_rows
 
-    b = min(B, max(1, _WIDTH_BYTES // sum(_column_bytes(ctx))))
-    ws = _Workspace(ctx, b)
-    ws.resize(b)
+    # A call under _KEEP_SHARE of a full workspace keeps its workspace on
+    # the context for the next one; a wider one is freed, so that the
+    # memory goes back to the heap for OSD-0 and the callers.
+    full = max(1, _WIDTH_BYTES // sum(_column_bytes(ctx)))
+    b = min(B, full)
+    keep = b < _KEEP_SHARE * full
+    ws = _Workspace.take(ctx, b) if keep else _Workspace(ctx, b)
+    if ws.cols != b:
+        ws.resize(b)
     half.take(which[:b], axis=1, out=ws.tot, mode="clip")
     var_half.take(which[:b], axis=1, out=ws.pri, mode="clip")
     # Each column's first-message table, gathered into buffers that
     # iteration 1 has not yet written: the words into the messages it turns
     # into, the flips into the gather buffer.
-    words, flips = (np.concatenate(part, axis=1) for part in zip(*[ctx.first_messages(q) for q in priors]))
     first_words = words.take(which[:b], axis=1, out=ws.t_words, mode="clip")
     first_flips = flips.take(which[:b], axis=1, out=ws.edge_g.view(np.uint32), mode="clip")
     next_trial = b  # the first trial no column has taken yet
@@ -568,11 +642,11 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, priors, cfg: BPC
     s_act = np.ascontiguousarray(s_trials[:b].T)  # (C, b)
     vac_bad = S[:, ctx.vacuous_checks].any(axis=1)
     ws.stuck[:] = vac_bad[:b]
-    ws.prev[:] = False
     # The iteration in which each column's unsatisfied checks last changed
     # (its first iteration, which has nothing to compare with, counts as
-    # one), and the iteration before its first.  No live column reaches
-    # max_iterations before iteration cap.
+    # one, so what ws.prev holds before it does not matter), and the
+    # iteration before its first.  No live column reaches max_iterations
+    # before iteration cap.
     last = np.ones(b, dtype=np.intp)
     start = np.zeros(b, dtype=np.intp)
     cap = cfg.max_iterations
@@ -600,7 +674,7 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, priors, cfg: BPC
         post += ws.pri
         if scatter is not None:
             T[scatter] = post
-        bits = _decision_bits_from_llr(T, n, out=ws.decision)
+        _decide(*ws.blocks)
         # A trial has converged when each check's decision bits XOR to its
         # syndrome bit and its stuck flag is clear.
         ws.bit_flags.take(ctx.check_var_slots, axis=0, out=ws.check_gb, mode="clip")
@@ -629,7 +703,7 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, priors, cfg: BPC
         if not n_done:
             continue
         idx = active[done]
-        out_bits[idx] = bits[:, done].T
+        out_bits[idx] = ws.decision[:, done].T
         out_conv[idx] = ok[done]
         out_iter[idx] = it - start[done]
         failed = done & ~ok
@@ -662,20 +736,21 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, priors, cfg: BPC
             ws.pri[:, cols] = var_half[:, which[new]]
             s_act[:, cols] = s_trials[new].T
             ws.stuck[cols] = vac_bad[new]
-            ws.prev[:, cols] = False
             last[cols] = it + 1
             start[cols] = it
         else:
             # No trial is left: drop the finished trials' columns.
-            keep = np.flatnonzero(live)
-            active = active[keep]
-            s_act = s_act[:, keep]
-            last = last[keep]
-            start = start[keep]
+            kept = np.flatnonzero(live)
+            active = active[kept]
+            s_act = s_act[:, kept]
+            last = last[kept]
+            start = start[kept]
             b = n_live
             live = np.ones(b, dtype=bool)
-            ws.compact(keep)
+            ws.compact(kept)
             ws.stuck[:] = vac_bad[active]
+    if keep:
+        ctx._kept_workspace[:] = [ws]
     return out_bits, out_post, out_conv, out_iter
 
 
@@ -688,6 +763,11 @@ def bp_decode(ctx: DecoderContext, syndrome: np.ndarray, prior: ChannelPrior, cf
     """
     bits, post, conv, iters = bp_decode_batch(ctx, np.asarray(syndrome)[None, :], [prior], cfg)
     return bits[0], post[0], bool(conv[0]), int(iters[0])
+
+
+# _reliability_order's key shift and column mask, built once rather than per call.
+_KEY_SHIFT = np.uint64(32)
+_KEY_COLUMN = np.uint64(0xFFFFFFFF)
 
 
 def _reliability_order(posteriors: np.ndarray) -> np.ndarray:
@@ -703,10 +783,10 @@ def _reliability_order(posteriors: np.ndarray) -> np.ndarray:
     if post.ndim != 2:
         raise ValueError("expected a (B, 3n) array of posteriors")
     keys = np.invert(post.view(np.uint32)).astype(np.uint64)
-    keys <<= np.uint64(32)
+    keys <<= _KEY_SHIFT
     keys |= np.arange(post.shape[1], dtype=np.uint64)
     keys.sort(axis=1)
-    keys &= np.uint64(0xFFFFFFFF)
+    keys &= _KEY_COLUMN
     return keys.view(np.intp)  # each key is now its column, below 2**32
 
 
@@ -741,11 +821,13 @@ def osd_post_process(
     if S.ndim != 2 or S.shape[1] != ctx.m or post.shape != (S.shape[0], ctx.nbits):
         raise ValueError("expected a (B, m) syndrome batch and (B, 3n) posteriors")
     cols, solver = ctx.channel_columns(prior)
-    B = S.shape[0]
+    B, k = S.shape[0], cols.shape[0]
+    if k and cols[-1] == k - 1:
+        cols = slice(0, k)  # a leading run of Hd's columns, as under both noise kinds: no fancy-index copies
     bits = np.zeros((B, ctx.nbits), dtype=np.uint8)
     # A block's reliability order is built with it: the posteriors' float32
     # copy, their inverted bits and the uint64 keys, 16 bytes per column.
-    block = max(1, _KEY_BYTES // (16 * max(1, cols.shape[0])))
+    block = max(1, _KEY_BYTES // (16 * max(1, k)))
     try:
         for lo in range(0, B, block):
             order = _reliability_order(post[lo : lo + block, cols])

@@ -20,7 +20,6 @@ from __future__ import annotations
 import atexit
 import json
 import math
-import numbers
 import os
 import signal
 import sys
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import pauli
 from .codes import StabilizerCode
-from .decoder import CERTAIN_LLR, BPConfig, ChannelPrior, DecoderContext, NoiseKind, bp_decode_batch, osd_post_process, _whole_number
+from .decoder import CERTAIN_LLR, BPConfig, ChannelPrior, DecoderContext, NoiseKind, bp_decode_batch, osd_post_process, _real_number, _whole_number
 
 SCHEMA_VERSION = 1
 DEFAULT_RATES = (0.01, 0.02, 0.05, 0.08, 0.10, 0.12, 0.15)
@@ -51,11 +50,8 @@ class TrialConfig:
     decoder: BPConfig = field(default_factory=BPConfig)
 
     def __post_init__(self):
-        rates = tuple(self.rates)
         # Stored as a tuple of Python floats, so that a report of them is JSON.
-        if any(isinstance(p, bool) or not isinstance(p, numbers.Real) for p in rates):
-            raise ValueError(f"error rates must be real numbers, not {self.rates!r}")
-        object.__setattr__(self, "rates", tuple(float(p) for p in rates))
+        object.__setattr__(self, "rates", tuple(_real_number(p, "error rate") for p in self.rates))
         if not self.rates:
             raise ValueError("need at least one error rate")
         if any(not 0.0 < p < 1.0 for p in self.rates):
@@ -67,6 +63,8 @@ class TrialConfig:
         if self.master_seed < 0:
             raise ValueError("master seed must be non-negative")
         object.__setattr__(self, "noise_kind", NoiseKind(self.noise_kind))  # ValueError if unknown
+        if not isinstance(self.decoder, BPConfig):
+            raise ValueError(f"decoder must be a BPConfig, not {self.decoder!r}")
 
 
 @dataclass

@@ -180,10 +180,11 @@ class SelectedSolver:
         if orders.shape != (B, cols):
             raise ValueError("need one column order per syndrome")
         # Every column must appear in every order, and no entry may fall
-        # outside the columns (a negative one would index from the end).
+        # outside the columns: one max over the entries read as unsigned,
+        # where a negative one (which would index from the end) is huge.
         seen = np.zeros((B, cols), dtype=bool)
-        if orders.size and 0 <= orders.min() and orders.max() < cols:
-            np.put_along_axis(seen, orders, True, axis=1)
+        if orders.size and orders.view(np.uintp).max() < cols:
+            seen[np.arange(B)[:, None], orders] = True
         if not seen.all():
             raise ValueError("each col_order must be a permutation of the columns")
         width = (rows + 7) // 8
@@ -220,7 +221,7 @@ class SelectedSolver:
                 if r:  # the order ran out with rows left in the residual
                     raise Infeasible("syndrome outside the column space")
             out += (r >> rows).to_bytes((cols + 7) // 8, "little")
-        x = np.frombuffer(bytes(out), dtype=np.uint8).reshape(B, (cols + 7) // 8)
+        x = np.frombuffer(out, dtype=np.uint8).reshape(B, (cols + 7) // 8)
         return np.unpackbits(x, axis=1, count=cols, bitorder="little")
 
 

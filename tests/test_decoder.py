@@ -3,6 +3,8 @@ hard-decision semantics, and OSD behaviour on non-converged syndromes."""
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -44,6 +46,19 @@ def test_channel_prior_validation_and_llr():
     assert decoder.ChannelPrior(0.3, "pureX").noise is NoiseKind.PURE_X
     with pytest.raises(ValueError):
         decoder.ChannelPrior(0.3, "pure-x")
+    # The rate is stored as a Python float, so priors that compare equal
+    # hash equal, as the context's per-prior memos need.
+    narrow = decoder.ChannelPrior(np.float32(0.1))
+    assert type(narrow.p) is float and narrow.p == float(np.float32(0.1))
+    assert narrow != decoder.ChannelPrior(0.1)
+    for same in (np.float64(0.1), 0.1):
+        q = decoder.ChannelPrior(same)
+        assert type(q.p) is float and q == decoder.ChannelPrior(0.1) and hash(q) == hash(decoder.ChannelPrior(0.1))
+    again = decoder.ChannelPrior(np.float32(0.1))
+    assert again == narrow and hash(again) == hash(narrow)
+    for bad in (True, "0.1", None, 0.1 + 0j, np.array([0.1])):
+        with pytest.raises(ValueError, match="real"):
+            decoder.ChannelPrior(bad)
 
 
 def test_noise_kind_is_reexported_by_estimator():
@@ -65,24 +80,31 @@ def _llr(post):
     return np.log((1 - post) / post).astype(np.float32)
 
 
+def _decision_bits(llr, n):
+    """BP's hard decision (decoder._decide) on a (3n, B) LLR array."""
+    bits = np.empty(llr.shape, np.uint8)
+    decoder._decide(*decoder._blocks(llr, n), *decoder._blocks(bits.view(bool), n))
+    return bits
+
+
 def test_hard_decision_prefers_identity_on_ties():
     # All three bit marginals at 0.5 score the four classes equally.
-    bits = decoder._decision_bits_from_llr(_llr(np.full((3, 1), 0.5)), 1)
+    bits = _decision_bits(_llr(np.full((3, 1), 0.5)), 1)
     assert not bits.any()
 
 
 def test_hard_decision_picks_dominant_class():
     # Strong Y marginal on qubit 0, strong X on qubit 1.
     post = np.array([[0.01, 0.9, 0.01, 0.05, 0.95, 0.02]]).T
-    bits = decoder._decision_bits_from_llr(_llr(post), 2)
+    bits = _decision_bits(_llr(post), 2)
     assert pauli.to_string(pauli.to_symplectic(bits[:, 0])) == "YX"
 
 
 def test_hard_decision_rejects_bad_shape():
     with pytest.raises(ValueError):
-        decoder._decision_bits_from_llr(np.zeros((4, 1), np.float32), 1)
+        decoder._blocks(np.zeros((4, 1), np.float32), 1)
     with pytest.raises(ValueError):
-        decoder._decision_bits_from_llr(np.zeros(3, np.float32), 1)
+        decoder._blocks(np.zeros(3, np.float32), 1)
 
 
 def _hard_decision_reference(post, n):
@@ -103,7 +125,7 @@ def test_decision_bits_match_hard_decision():
     rng = np.random.default_rng(7)
     n = 6
     post = rng.uniform(0.01, 0.99, size=(40, 3 * n))
-    batched = decoder._decision_bits_from_llr(_llr(post.T), n)
+    batched = _decision_bits(_llr(post.T), n)
     for i in range(post.shape[0]):
         assert np.array_equal(batched[:, i], _hard_decision_reference(post[i], n))
 
@@ -758,7 +780,7 @@ def test_empty_batch_returns_at_once(monkeypatch):
     def no_iterations(*args):
         raise AssertionError("an empty batch ran a BP iteration")
 
-    monkeypatch.setattr(decoder, "_decision_bits_from_llr", no_iterations)
+    monkeypatch.setattr(decoder, "_decide", no_iterations)  # every iteration's hard decision
     bits, post, conv, iters = decoder.bp_decode_batch(
         ctx, np.zeros((0, ctx.m), np.uint8), [decoder.ChannelPrior(0.1)], decoder.BPConfig())
     assert bits.shape == (0, ctx.nbits) and post.shape == (0, ctx.nbits)
@@ -770,7 +792,7 @@ def test_decision_bits_match_argmax_rule_with_ties():
     rng = np.random.default_rng(5)
     n = 7
     llr = rng.choice(np.array([-2.0, -1.0, -0.0, 0.0, 1.0], np.float32), size=(500, 3 * n))
-    got = decoder._decision_bits_from_llr(np.ascontiguousarray(llr.T), n)
+    got = _decision_bits(np.ascontiguousarray(llr.T), n)
     assert np.array_equal(got, _decision_reference(llr, n).T)
 
 
@@ -937,6 +959,126 @@ def test_bp_batch_priors_share_one_noise_kind():
     two = decoder.bp_decode_batch(ctx, S, [decoder.ChannelPrior(0.1), decoder.ChannelPrior(0.1)], cfg, [1, 0])
     for a, b in zip(one, two):
         assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# The kept workspace: a call under _KEEP_SHARE of the full width leaves its
+# workspace on the context, and the next such call reuses it.
+
+KEPT_PRIORS = [
+    decoder.ChannelPrior(0.04),
+    decoder.ChannelPrior(0.08),
+    decoder.ChannelPrior(0.12),
+    decoder.ChannelPrior(0.05, NoiseKind.PURE_X),
+    decoder.ChannelPrior(0.1, NoiseKind.PURE_X),
+]
+
+
+def _decode_on(ctx, s, prior, cfg):
+    """decode()'s pipeline on the given context: BP, then OSD-0 if BP fails."""
+    bits, post, conv, iters = decoder.bp_decode(ctx, s, prior, cfg)
+    if not conv:
+        bits = decoder.osd_post_process(ctx, s[None, :], post[None, :], prior)[0]
+    return pauli.to_symplectic(bits), conv, iters
+
+
+def _assert_same_bytes(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g.view(np.uint8), w.view(np.uint8))
+
+
+@pytest.mark.parametrize("vacuous", [False, True], ids=["planar_surface_5", "toric_3-vacuous"])
+def test_kept_workspace_carries_no_state_between_calls(vacuous, monkeypatch):
+    # One context serves decode() and bp_decode_batch calls of several
+    # widths, noise kinds and rates in turn; every result equals the same
+    # call's on a fresh context, bit for bit.  With a full width of 64,
+    # widths 1-3 keep their workspace, 20 frees it, and 64 and 90 are full.
+    code = codes.toric(3) if vacuous else codes.planar_surface(5)
+    hd = _with_vacuous_check(code) if vacuous else code.hd
+    ctx = decoder.DecoderContext(hd) if vacuous else decoder.DecoderContext.for_code(code)
+    full = 64
+    monkeypatch.setattr(decoder, "_WIDTH_BYTES", full * sum(decoder._column_bytes(ctx)))
+    cfg = decoder.BPConfig(max_iterations=15)
+    # 100 trials per prior, X-type errors under the pure-X priors; on the
+    # vacuous context every fifth trial has a syndrome bit on the vacuous check.
+    S = {}
+    for k, prior in enumerate(KEPT_PRIORS):
+        ex, ez = estimator._sample_batch(code, prior.p, prior.noise, 17, k, 0, 100)
+        S[prior] = code.syndromes(ex, ez)
+        if vacuous:
+            S[prior] = np.hstack([S[prior][:, :4], (np.arange(100) % 5 == 0)[:, None].astype(np.uint8), S[prior][:, 4:]])
+    rng = np.random.default_rng(3)
+    widths = [1, 90, 1, 2, 1, 20, 3, 1, 64, 1, 1, 2, 90, 3, 1, 1]
+    kept_any = False
+    for i, width in enumerate(widths):
+        kind = NoiseKind.PURE_X if i % 3 == 1 else NoiseKind.DEPOLARIZING
+        priors = [q for q in KEPT_PRIORS if q.noise == kind]
+        which = rng.integers(0, len(priors), width)
+        batch = np.array([S[priors[w]][r] for w, r in zip(which, rng.integers(0, 100, width))])
+        fresh = decoder.DecoderContext(hd)
+        before = list(ctx._kept_workspace)
+        if width == 1 and i % 2 == 0 and not vacuous:
+            prior = priors[which[0]]
+            got = decoder.decode(code, pauli.Syndrome(batch[0]), prior, cfg)
+            assert (got.estimate, got.bp_converged, got.iterations) == _decode_on(fresh, batch[0], prior, cfg)
+        else:
+            _assert_same_bytes(decoder.bp_decode_batch(ctx, batch, priors, cfg, which),
+                               decoder.bp_decode_batch(fresh, batch, priors, cfg, which))
+        kept = ctx._kept_workspace
+        if width < decoder._KEEP_SHARE * full:
+            assert len(kept) == 1 and kept[0].width >= width
+            if before and before[0].width >= width:
+                assert kept[0] is before[0]  # reused, not rebuilt
+                kept_any = True
+        else:
+            # A wider call neither keeps its workspace nor touches the kept one.
+            assert len(kept) == len(before) and all(a is b for a, b in zip(kept, before))
+            assert all(ws.width < decoder._KEEP_SHARE * full for ws in kept)
+    assert kept_any
+
+
+def test_two_threads_decode_on_one_context_as_one_does():
+    # A call takes the kept workspace off the context, so a call running at
+    # the same time builds its own; both threads decode every syndrome.
+    cfg = decoder.BPConfig(max_iterations=15)
+    code = codes.planar_surface(5)
+    ex, ez = estimator._sample_batch(code, 0.1, NoiseKind.DEPOLARIZING, 23, 0, 0, 120)
+    syndromes = [pauli.Syndrome(s) for s in code.syndromes(ex, ez)]
+    prior = decoder.ChannelPrior(0.1)
+
+    def run(c):
+        return [(o.estimate, o.bp_converged, o.iterations) for o in (decoder.decode(c, s, prior, cfg) for s in syndromes)]
+
+    serial = run(codes.planar_surface(5))
+    shared = codes.planar_surface(5)
+    results = [None, None]
+
+    def worker(k):
+        results[k] = run(shared)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so that calls overlap
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] == serial and results[1] == serial
+
+
+def test_half_prior_is_built_once_per_prior():
+    ctx = decoder.DecoderContext.for_code(codes.ztgre(4))
+    n = ctx.nbits // 3
+    for prior in (decoder.ChannelPrior(0.1), decoder.ChannelPrior(0.1, NoiseKind.PURE_X)):
+        half, var_half = ctx.half_prior(prior)
+        assert ctx.half_prior(decoder.ChannelPrior(prior.p, prior.noise)) is ctx.half_prior(prior)  # an equal prior
+        assert half.dtype == np.float32 and half.shape == (3 * n, 1) and not half.flags.writeable
+        assert np.array_equal(half[:, 0], prior.llrs(n) * np.float32(0.5))
+        assert np.array_equal(var_half, half[ctx.var_ids]) and not var_half.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,12 @@ def test_trial_config_validation():
     for bad in ((True,), ("0.1",), (0.1, None)):
         with pytest.raises(ValueError, match="real"):
             TrialConfig(rates=bad)
+    # The decoder setting is a BPConfig: anything else fails here, not partway
+    # through a sweep.
+    for bad in (None, {"max_iterations": 5}, 30):
+        with pytest.raises(ValueError, match="BPConfig"):
+            TrialConfig(decoder=bad)
+    assert TrialConfig(decoder=BPConfig(max_iterations=5)).decoder == BPConfig(max_iterations=5)
 
 
 def test_sample_error_depolarizing_statistics():
