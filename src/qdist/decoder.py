@@ -255,7 +255,9 @@ class DecoderContext:
 
     def channel_columns(self, prior: ChannelPrior) -> tuple[np.ndarray, gf2.SelectedSolver]:
         """(cols, solver): the bits the channel can flip, and OSD-0's solver
-        on their columns of Hd, built once per noise kind."""
+        on their columns of Hd, built once per noise kind.  In the (x|z|y)
+        block order the channel's columns are always Hd's first len(cols):
+        all 3n under depolarizing noise, the X block under pure-X."""
         hit = self._channel_columns.get(prior.noise)
         if hit is None:
             cols = np.flatnonzero(prior.bit_probs(self.nbits // 3) > 0)
@@ -820,10 +822,9 @@ def osd_post_process(
     post = np.asarray(posteriors)
     if S.ndim != 2 or S.shape[1] != ctx.m or post.shape != (S.shape[0], ctx.nbits):
         raise ValueError("expected a (B, m) syndrome batch and (B, 3n) posteriors")
-    cols, solver = ctx.channel_columns(prior)
-    B, k = S.shape[0], cols.shape[0]
-    if k and cols[-1] == k - 1:
-        cols = slice(0, k)  # a leading run of Hd's columns, as under both noise kinds: no fancy-index copies
+    _, solver = ctx.channel_columns(prior)
+    B, k = S.shape[0], solver.cols
+    cols = slice(0, k)  # the channel's columns lead Hd's: views, not fancy-index copies
     bits = np.zeros((B, ctx.nbits), dtype=np.uint8)
     # A block's reliability order is built with it: the posteriors' float32
     # copy, their inverted bits and the uint64 keys, 16 bytes per column.
