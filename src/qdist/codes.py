@@ -106,6 +106,14 @@ def decoupled_parity_check(hx: np.ndarray, hz: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 2-D 0/1 matrices as one broadcast product, without
+    np.kron's general-shape set-up, which costs more than these small
+    products do."""
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+
+
 def hypergraph_product(h1: np.ndarray, h2: np.ndarray, name: str = "hgp") -> StabilizerCode:
     """CSS product of two classical codes, given by their (m, n) uint8
     parity-check matrices.
@@ -115,12 +123,12 @@ def hypergraph_product(h1: np.ndarray, h2: np.ndarray, name: str = "hgp") -> Sta
     """
     (m1, n1), (m2, n2) = h1.shape, h2.shape
     hx_css = np.hstack([
-        np.kron(np.eye(n1, dtype=np.uint8), h2),
-        np.kron(h1.T, np.eye(m2, dtype=np.uint8)),
+        _kron(np.eye(n1, dtype=np.uint8), h2),
+        _kron(h1.T, np.eye(m2, dtype=np.uint8)),
     ]).astype(np.uint8)
     hz_css = np.hstack([
-        np.kron(h1, np.eye(n2, dtype=np.uint8)),
-        np.kron(np.eye(m1, dtype=np.uint8), h2.T),
+        _kron(h1, np.eye(n2, dtype=np.uint8)),
+        _kron(np.eye(m1, dtype=np.uint8), h2.T),
     ]).astype(np.uint8)
     return css_code(name, hx_css, hz_css)
 
@@ -219,7 +227,7 @@ def ztgre(L: int) -> StabilizerCode:
 
 
 def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return np.kron(np.kron(a, b), c).astype(np.uint8)
+    return _kron(_kron(a, b), c).astype(np.uint8, copy=False)
 
 
 def xyz_product(h1: np.ndarray, h2: np.ndarray, h3: np.ndarray, name: str = "xyz") -> StabilizerCode:

@@ -3,22 +3,22 @@
 Every public function takes matrices as 2-D and vectors as 1-D uint8 0/1
 arrays (anything np.asarray turns into one) and returns plain uint8 arrays;
 it raises ValueError on a matrix that is not 2-D and leaves its arguments
-untouched.  Internally, row elimination (rank, row_reduce, kernel_basis,
-RowSpanReducer) packs rows into runs of 64-bit words (little-endian bit
-order within a row), so it is a word-parallel XOR.  OSD-0's greedy solve
-(SelectedSolver) instead holds each column as one Python int and inserts
-a trial's columns into an XOR basis one at a time, so it costs a few
-integer operations per column and its trials stop as soon as they are
-solved.  This is the substrate for OSD solves, code dimension and residual
-classification, where matrices with a few thousand columns get reduced
-over and over.
+untouched.  Internally, both kinds of elimination run on Python ints, one
+per row or column with bit i for its column or row i, so each XOR is one
+integer operation however wide the vector.  Row elimination (rank,
+row_reduce, kernel_basis, solve_selected, RowSpanReducer) inserts each row
+into a basis keyed by lowest set bit, then back-reduces once.  OSD-0's
+greedy solve (SelectedSolver) inserts a trial's columns into an XOR basis
+one at a time, so its trials stop as soon as they are solved.  Only
+RowSpanReducer.contains_batch stays on NumPy: it holds the reduced rows as
+runs of 64-bit words (little-endian bit order within a row) and XORs them
+into a whole batch of residuals at once.  This is the substrate for OSD
+solves, code dimension and residual classification.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-_ONE = np.uint64(1)
 
 
 class Infeasible(Exception):
@@ -37,6 +37,13 @@ def _pack_bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out).view(np.uint64)
 
 
+def _int_rows(a: np.ndarray) -> list[int]:
+    """Row i of a (rows, cols) 0/1 array as one Python int whose bit c is column c."""
+    width = (a.shape[1] + 7) // 8
+    packed = np.packbits(a & 1, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(packed[i * width : (i + 1) * width], "little") for i in range(a.shape[0])]
+
+
 def _unpack_bits(data: np.ndarray, cols: int) -> np.ndarray:
     """Inverse of _pack_bits; returns a (rows, cols) uint8 array."""
     rows = data.shape[0]
@@ -44,38 +51,6 @@ def _unpack_bits(data: np.ndarray, cols: int) -> np.ndarray:
         return np.zeros((rows, 0), dtype=np.uint8)
     as_bytes = np.ascontiguousarray(data).view(np.uint8)
     return np.unpackbits(as_bytes, axis=1, bitorder="little")[:, :cols].copy()
-
-
-def _column_bits(data: np.ndarray, c: int) -> np.ndarray:
-    return (data[:, c >> 6] >> np.uint64(c & 63)) & _ONE
-
-
-def _eliminate(data, cols):
-    """In-place Gauss-Jordan sweep; returns [(pivot_row, pivot_col), ...].
-
-    Pivot search walks columns in ascending order and always takes the
-    topmost available row, so the reduction is deterministic.
-    """
-    m = data.shape[0]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == m:
-            break
-        colbits = _column_bits(data, c)
-        cand = np.nonzero(colbits[r:])[0]
-        if cand.size == 0:
-            continue
-        p = r + int(cand[0])
-        if p != r:
-            data[[r, p]] = data[[p, r]]
-        mask = _column_bits(data, c).astype(bool)
-        mask[r] = False
-        if mask.any():
-            data[mask] ^= data[r]
-        pivots.append((r, c))
-        r += 1
-    return pivots
 
 
 def _matrix(M) -> np.ndarray:
@@ -87,10 +62,42 @@ def _matrix(M) -> np.ndarray:
 
 
 def _reduce(M):
-    """(packed RREF of M, pivot columns in ascending row order, column count)."""
+    """(RREF pivot rows of M packed as (rank, words) uint64, pivot columns
+    in ascending order, column count).
+
+    Each row, as a Python int, is inserted into a basis keyed by lowest set
+    bit, its leading column: while its lowest bit is a key, it XORs that
+    key's vector.  Back-reduction then runs from the highest key down, so
+    every vector a row XORs with is already fully reduced and clears one of
+    the row's pivot bits without setting another.  The RREF is unique, so
+    neither the row order nor the pivot search order changes the result.
+    """
     a = _matrix(M)
-    data = _pack_bits(a)
-    return data, [c for _, c in _eliminate(data, a.shape[1])], a.shape[1]
+    cols = a.shape[1]
+    basis = {}
+    for v in _int_rows(a):
+        while v:
+            low = v & -v
+            p = basis.get(low)
+            if p is None:
+                basis[low] = v
+                break
+            v ^= p
+    keys = sorted(basis, reverse=True)
+    above = 0  # the pivot bits of the keys reduced so far
+    for key in keys:
+        v = basis[key]
+        held = v & above
+        while held:
+            low = held & -held
+            v ^= basis[low]
+            held ^= low
+        basis[key] = v
+        above |= key
+    keys.reverse()
+    nbytes = (cols + 63) // 64 * 8
+    data = np.frombuffer(b"".join(basis[key].to_bytes(nbytes, "little") for key in keys), dtype=np.uint64)
+    return data.reshape(len(keys), nbytes // 8), [key.bit_length() - 1 for key in keys], cols
 
 
 def row_reduce(M):
@@ -100,8 +107,11 @@ def row_reduce(M):
     whose first len(pivot_cols) rows are the pivot rows, and pivot_cols is
     in ascending row order.  The row space is preserved.
     """
-    data, pivot_cols, cols = _reduce(M)
-    return _unpack_bits(data, cols), pivot_cols
+    a = _matrix(M)
+    data, pivot_cols, cols = _reduce(a)
+    reduced = np.zeros(a.shape, dtype=np.uint8)
+    reduced[: len(pivot_cols)] = _unpack_bits(data, cols)
+    return reduced, pivot_cols
 
 
 def rank(M) -> int:
@@ -132,7 +142,7 @@ def solve_selected(M, s, col_order) -> np.ndarray:
     if pivot_cols and pivot_cols[-1] == cols:
         raise Infeasible("syndrome outside the column space")
     x = np.zeros(cols, dtype=np.uint8)
-    x[col_order[pivot_cols]] = _column_bits(data[: len(pivot_cols)], cols)
+    x[col_order[pivot_cols]] = _unpack_bits(data, cols + 1)[:, cols]
     return x
 
 
@@ -154,13 +164,10 @@ class SelectedSolver:
     """
 
     def __init__(self, M):
-        a = _matrix(M) & 1
+        a = _matrix(M)
         self.rows, self.cols = a.shape
-        width = (self.rows + 7) // 8
-        packed = np.packbits(a.T, axis=1, bitorder="little").tobytes()
         # Column c's rows, with its tag bit rows + c.
-        self.columns = tuple(int.from_bytes(packed[c * width : (c + 1) * width], "little") | 1 << (self.rows + c)
-                             for c in range(self.cols))
+        self.columns = tuple(v | 1 << (self.rows + c) for c, v in enumerate(_int_rows(a.T)))
 
     def solve_batch(self, S, col_orders) -> np.ndarray:
         """Row b of the result solves M·x = S[b] with x supported on the
@@ -187,13 +194,10 @@ class SelectedSolver:
             seen[np.arange(B)[:, None], orders] = True
         if not seen.all():
             raise ValueError("each col_order must be a permutation of the columns")
-        width = (rows + 7) // 8
-        packed = np.packbits(S & 1, axis=1, bitorder="little").tobytes()
         columns = self.columns
         row_bits = (1 << rows) - 1
         out = bytearray()
-        for b in range(B):
-            r = int.from_bytes(packed[b * width : (b + 1) * width], "little")
+        for b, r in enumerate(_int_rows(S)):
             low = r & -r
             basis = {}
             for c in memoryview(orders[b]) if r else ():  # a zero syndrome scans no column
@@ -241,9 +245,8 @@ class RowSpanReducer:
     """Precomputed RREF of a matrix for repeated row-span membership tests."""
 
     def __init__(self, M):
-        data, self.pivot_cols, self.cols = _reduce(M)
+        self._pivot_rows, self.pivot_cols, self.cols = _reduce(M)
         self.rank = len(self.pivot_cols)
-        self._pivot_rows = data[: self.rank].copy()
 
     def contains_batch(self, bits: np.ndarray) -> np.ndarray:
         """(batch,) bool: whether each row of a (batch, cols) 0/1 array lies

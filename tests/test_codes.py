@@ -6,6 +6,7 @@ import pytest
 
 from qdist import codes, estimator, gf2, pauli
 from qdist.decoder import DecoderContext
+from test_gf2 import rref_reference
 
 
 def test_repetition_shapes_and_rank():
@@ -98,6 +99,20 @@ def test_hypergraph_product_degenerate_block():
     code = codes.hypergraph_product(h1, empty)
     assert code.n == 3 * 4 + 2 * 0
     assert codes.validate(code) == []
+
+
+def test_kron_matches_np_kron():
+    rng = np.random.default_rng(47)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (4, 3)]
+    for sa in shapes:
+        for sb in shapes:
+            a = rng.integers(0, 2, sa, dtype=np.uint8)
+            b = rng.integers(0, 2, sb, dtype=np.uint8)
+            got, expected = codes._kron(a, b), np.kron(a, b)
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+            # The products take transposed factors, which are not C-contiguous.
+            assert np.array_equal(codes._kron(a.T, b), np.kron(a.T, b))
 
 
 def test_xyz_product_random_inputs_commute():
@@ -378,6 +393,22 @@ def test_dumps_matches_the_per_generator_reference_and_reads_back(family, params
     loaded = codes.loads(text)
     assert loaded.name == code.name and loaded.k == code.k
     assert np.array_equal(loaded.hx, code.hx) and np.array_equal(loaded.hz, code.hz)
+
+
+@pytest.mark.parametrize("family, params", GATE_AND_STRETCH_CODES,
+                         ids=[f"{f}_{'_'.join(map(str, p))}" for f, p in GATE_AND_STRETCH_CODES])
+def test_code_matches_np_kron_and_the_column_loop_reference(family, params, monkeypatch):
+    # Chamon's and toric's generators are dependent, so their eliminations
+    # meet rows that reduce to zero.
+    code = codes.make(family, params)
+    with monkeypatch.context() as m:
+        m.setattr(codes, "_kron", np.kron)
+        expected = codes.make(family, params)
+    assert np.array_equal(code.hx, expected.hx) and np.array_equal(code.hz, expected.hz)
+    reduced, pivots = rref_reference(code.generator_matrix())
+    reducer = code.stabilizer_reducer()
+    assert code.k == code.n - len(pivots) and reducer.pivot_cols == pivots
+    assert np.array_equal(gf2._unpack_bits(reducer._pivot_rows, 2 * code.n), reduced[: len(pivots)])
 
 
 @pytest.mark.parametrize("generator, message", [

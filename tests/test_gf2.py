@@ -25,6 +25,48 @@ def brute_rank(rows):
     return int(np.log2(len(span_set(rows))))
 
 
+def rref_reference(M):
+    """Gauss-Jordan one column at a time on a uint8 copy of M, returning
+    (reduced, pivot_cols) as gf2.row_reduce does.  The pivot search walks
+    the columns in ascending order and takes the topmost available row; each
+    pivot row is XORed into every other row holding its column.  The slow
+    reference that gf2's row elimination on Python ints is compared against."""
+    a = np.array(M, dtype=np.uint8) & 1
+    m, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == m:
+            break
+        cand = np.flatnonzero(a[r:, c])
+        if cand.size == 0:
+            continue
+        p = r + int(cand[0])
+        a[[r, p]] = a[[p, r]]
+        mask = a[:, c].astype(bool)
+        mask[r] = False
+        a[mask] ^= a[r]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def random_matrices(seed, count):
+    """0/1 matrices of 0-12 rows, at widths from 0 to past two 64-bit words
+    (0, 1, 63-65 and 127-129 among them), dense or sparse; every other one is
+    a low-rank product with a duplicated row, so most have dependent rows."""
+    rng = np.random.default_rng(seed)
+    widths = [0, 1, 5, 8, 9, 40, 63, 64, 65, 127, 128, 129, 150]
+    for t in range(count):
+        rows, cols = int(rng.integers(0, 13)), widths[t % len(widths)]
+        a = (rng.random((rows, cols)) < rng.choice([0.05, 0.5])).astype(np.uint8)
+        if t % 2 and rows >= 2:
+            r = int(rng.integers(0, rows))
+            a = (rng.integers(0, 2, (rows, r)) @ a[:r] % 2).astype(np.uint8)
+            a[rng.integers(rows)] = a[rng.integers(rows)]
+        yield a
+
+
 def test_rank_identity_and_zero():
     assert gf2.rank(np.eye(3, dtype=np.uint8)) == 3
     assert gf2.rank(np.zeros((4, 6), np.uint8)) == 0
@@ -62,6 +104,35 @@ def test_row_reduce_preserves_row_space():
         r, _ = gf2.row_reduce(a)
         assert r.shape == a.shape and r.dtype == np.uint8
         assert span_set(a) == span_set(r)
+
+
+def test_row_reduce_meets_the_rref_definition():
+    for a in random_matrices(53, 260):
+        reduced, pivots = gf2.row_reduce(a)
+        rank = len(pivots)
+        assert reduced.shape == a.shape and reduced.dtype == np.uint8
+        assert all(type(c) is int for c in pivots) and pivots == sorted(set(pivots))
+        for i, c in enumerate(pivots):
+            # One leading 1 per pivot row, and its column a unit vector.
+            assert not reduced[i, :c].any() and reduced[i, c] == 1
+            assert np.flatnonzero(reduced[:, c]).tolist() == [i]
+        assert not reduced[rank:].any()
+        # Every row of a is the sum of the pivot rows its pivot bits name, so
+        # a's row space lies in theirs; on small matrices, the two are equal.
+        assert np.array_equal(a[:, pivots].astype(np.int64) @ reduced[:rank] % 2, a)
+        if a.shape[0] <= 8:
+            assert span_set(reduced) == span_set(a)
+            assert rank == brute_rank(a)
+
+
+def test_row_reduce_matches_the_column_loop_reference():
+    for a in random_matrices(59, 260):
+        expected, expected_pivots = rref_reference(a)
+        reduced, pivots = gf2.row_reduce(a)
+        assert np.array_equal(reduced, expected) and pivots == expected_pivots
+        span = gf2.RowSpanReducer(a)
+        assert span.pivot_cols == pivots and span.rank == gf2.rank(a) == len(pivots)
+        assert np.array_equal(gf2._unpack_bits(span._pivot_rows, a.shape[1]), expected[: len(pivots)])
 
 
 def test_in_row_span_trivial_cases():
