@@ -230,58 +230,50 @@ def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return _kron(_kron(a, b), c).astype(np.uint8, copy=False)
 
 
+# Each of xyz_product's four row blocks as (Pauli letter, Kronecker factors)
+# on qubit blocks A, B, C, D.  Factor k is h_k ("h"), its transpose ("t"),
+# or the identity on h_k's columns ("n") or rows ("m"); I places nothing.
+_XYZ_PLACEMENTS = (
+    (("X", "hnn"), ("Y", "mtn"), ("Z", "mnt"), ("I", "")),
+    (("Y", "nhn"), ("X", "tmn"), ("I", ""), ("Z", "nmt")),
+    (("Z", "nnh"), ("I", ""), ("X", "tnm"), ("Y", "ntm")),
+    (("I", ""), ("Z", "mmh"), ("Y", "mhm"), ("X", "hmm")),
+)
+
+
+def _xyz_factor(h: np.ndarray, kind: str) -> np.ndarray:
+    if kind == "h":
+        return h
+    if kind == "t":
+        return h.T
+    return np.eye(h.shape[1] if kind == "n" else h.shape[0], dtype=np.uint8)
+
+
 def xyz_product(h1: np.ndarray, h2: np.ndarray, h3: np.ndarray, name: str = "xyz") -> StabilizerCode:
     """Non-CSS three-fold product of classical codes, given by their (m, n)
     uint8 parity-check matrices.
 
     Qubit blocks A, B, C, D of sizes n1n2n3, m1m2n3, m1n2m3, n1m2m3; four
-    generator row blocks with X/Y/Z tensor placements.  A Pauli tensor over a
-    binary matrix M drops M into the ex block for X, the ez block for Z and
-    both for Y.
+    generator row blocks with X/Y/Z tensor placements (_XYZ_PLACEMENTS).  A
+    Pauli tensor over a binary matrix M drops M into the ex block for X, the
+    ez block for Z and both for Y.
     """
     (m1, n1), (m2, n2), (m3, n3) = h1.shape, h2.shape, h3.shape
-    i = lambda d: np.eye(d, dtype=np.uint8)  # noqa: E731
-
-    sizes = [n1 * n2 * n3, m1 * m2 * n3, m1 * n2 * m3, n1 * m2 * m3]
-
-    def zeros(rows, cols):
-        return np.zeros((rows, cols), dtype=np.uint8)
-
-    # Row block 1: X on A, Y on B, Z on C, I on D.
-    s_x = _kron3(h1, i(n2), i(n3))
-    s_y = _kron3(i(m1), h2.T, i(n3))
-    s_z = _kron3(i(m1), i(n2), h3.T)
-    rows_s = s_x.shape[0]
-    ex_s = [s_x, s_y, zeros(rows_s, sizes[2]), zeros(rows_s, sizes[3])]
-    ez_s = [zeros(rows_s, sizes[0]), s_y, s_z, zeros(rows_s, sizes[3])]
-
-    # Row block 2: Y on A, X on B, I on C, Z on D.
-    t_y = _kron3(i(n1), h2, i(n3))
-    t_x = _kron3(h1.T, i(m2), i(n3))
-    t_z = _kron3(i(n1), i(m2), h3.T)
-    rows_t = t_y.shape[0]
-    ex_t = [t_y, t_x, zeros(rows_t, sizes[2]), zeros(rows_t, sizes[3])]
-    ez_t = [t_y, zeros(rows_t, sizes[1]), zeros(rows_t, sizes[2]), t_z]
-
-    # Row block 3: Z on A, I on B, X on C, Y on D.
-    u_z = _kron3(i(n1), i(n2), h3)
-    u_x = _kron3(h1.T, i(n2), i(m3))
-    u_y = _kron3(i(n1), h2.T, i(m3))
-    rows_u = u_z.shape[0]
-    ex_u = [zeros(rows_u, sizes[0]), zeros(rows_u, sizes[1]), u_x, u_y]
-    ez_u = [u_z, zeros(rows_u, sizes[1]), zeros(rows_u, sizes[2]), u_y]
-
-    # Row block 4: I on A, Z on B, Y on C, X on D.
-    v_z = _kron3(i(m1), i(m2), h3)
-    v_y = _kron3(i(m1), h2, i(m3))
-    v_x = _kron3(h1, i(m2), i(m3))
-    rows_v = v_z.shape[0]
-    ex_v = [zeros(rows_v, sizes[0]), zeros(rows_v, sizes[1]), v_y, v_x]
-    ez_v = [zeros(rows_v, sizes[0]), v_z, v_y, zeros(rows_v, sizes[3])]
-
-    hx = np.vstack([np.hstack(b) for b in (ex_s, ex_t, ex_u, ex_v)])
-    hz = np.vstack([np.hstack(b) for b in (ez_s, ez_t, ez_u, ez_v)])
-    return StabilizerCode(name, hx, hz)
+    starts = np.cumsum([0, n1 * n2 * n3, m1 * m2 * n3, m1 * n2 * m3, n1 * m2 * m3])
+    ex_blocks, ez_blocks = [], []
+    for row in _XYZ_PLACEMENTS:
+        placed = [(letter, q, _kron3(*map(_xyz_factor, (h1, h2, h3), kinds)))
+                  for q, (letter, kinds) in enumerate(row) if letter != "I"]
+        ex = np.zeros((placed[0][2].shape[0], starts[-1]), dtype=np.uint8)
+        ez = np.zeros_like(ex)
+        for letter, q, tensor in placed:
+            if letter != "Z":
+                ex[:, starts[q] : starts[q + 1]] = tensor
+            if letter != "X":
+                ez[:, starts[q] : starts[q + 1]] = tensor
+        ex_blocks.append(ex)
+        ez_blocks.append(ez)
+    return StabilizerCode(name, np.vstack(ex_blocks), np.vstack(ez_blocks))
 
 
 def chamon(n1: int, n2: int, n3: int) -> StabilizerCode:

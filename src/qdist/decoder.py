@@ -253,16 +253,15 @@ class DecoderContext:
             first = self._first_messages.setdefault(prior, _first_check_messages(self, prior))
         return first
 
-    def channel_columns(self, prior: ChannelPrior) -> tuple[np.ndarray, gf2.SelectedSolver]:
-        """(cols, solver): the bits the channel can flip, and OSD-0's solver
-        on their columns of Hd, built once per noise kind.  In the (x|z|y)
-        block order the channel's columns are always Hd's first len(cols):
-        all 3n under depolarizing noise, the X block under pure-X."""
+    def channel_columns(self, prior: ChannelPrior) -> gf2.SelectedSolver:
+        """OSD-0's solver on the columns of Hd that the channel can flip,
+        built once per noise kind.  In the (x|z|y) block order the
+        channel's columns are always Hd's first solver.cols: all 3n under
+        depolarizing noise, the X block under pure-X."""
         hit = self._channel_columns.get(prior.noise)
         if hit is None:
             cols = np.flatnonzero(prior.bit_probs(self.nbits // 3) > 0)
-            cols.setflags(write=False)
-            hit = self._channel_columns.setdefault(prior.noise, (cols, gf2.SelectedSolver(self.hd[:, cols])))
+            hit = self._channel_columns.setdefault(prior.noise, gf2.SelectedSolver(self.hd[:, cols]))
         return hit
 
     @classmethod
@@ -822,7 +821,7 @@ def osd_post_process(
     post = np.asarray(posteriors)
     if S.ndim != 2 or S.shape[1] != ctx.m or post.shape != (S.shape[0], ctx.nbits):
         raise ValueError("expected a (B, m) syndrome batch and (B, 3n) posteriors")
-    _, solver = ctx.channel_columns(prior)
+    solver = ctx.channel_columns(prior)
     B, k = S.shape[0], solver.cols
     cols = slice(0, k)  # the channel's columns lead Hd's: views, not fancy-index copies
     bits = np.zeros((B, ctx.nbits), dtype=np.uint8)

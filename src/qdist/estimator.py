@@ -31,7 +31,7 @@ from math import comb
 
 import numpy as np
 
-from . import pauli
+from . import gf2, pauli
 from .codes import StabilizerCode
 from .decoder import CERTAIN_LLR, BPConfig, ChannelPrior, DecoderContext, NoiseKind, bp_decode_batch, osd_post_process, _real_number, _whole_number
 
@@ -666,7 +666,7 @@ def brute_force_distance(code: StabilizerCode, w_max: int, budget: int = 50_000_
     # rows 0..n-1 are X on qubit q, rows n..2n-1 are Z on qubit q, and Y = X xor Z.
     paulis = np.eye(2 * n, dtype=np.uint8)
     single = code.syndromes(paulis[:, :n], paulis[:, n:])
-    ints = [int.from_bytes(row.tobytes(), "little") for row in np.packbits(single, axis=1, bitorder="little")]
+    ints = gf2._int_rows(single)
     synd = [(0, sx, sz, sx ^ sz) for sx, sz in zip(ints[:n], ints[n:])]  # index by Pauli code 0=I,1=X,2=Z,3=Y
 
     found: list = []

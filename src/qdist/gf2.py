@@ -3,17 +3,17 @@
 Every public function takes matrices as 2-D and vectors as 1-D uint8 0/1
 arrays (anything np.asarray turns into one) and returns plain uint8 arrays;
 it raises ValueError on a matrix that is not 2-D and leaves its arguments
-untouched.  Internally, both kinds of elimination run on Python ints, one
-per row or column with bit i for its column or row i, so each XOR is one
-integer operation however wide the vector.  Row elimination (rank,
-row_reduce, kernel_basis, solve_selected, RowSpanReducer) inserts each row
-into a basis keyed by lowest set bit, then back-reduces once.  OSD-0's
-greedy solve (SelectedSolver) inserts a trial's columns into an XOR basis
-one at a time, so its trials stop as soon as they are solved.  Only
-RowSpanReducer.contains_batch stays on NumPy: it holds the reduced rows as
-runs of 64-bit words (little-endian bit order within a row) and XORs them
-into a whole batch of residuals at once.  This is the substrate for OSD
-solves, code dimension and residual classification.
+untouched.  Internally, everything runs on Python ints, one per row or
+column with bit i for its column or row i (_int_rows packs them and
+_bit_rows unpacks them), so each XOR is one integer operation however wide
+the vector.  Row elimination (rank, row_reduce, kernel_basis,
+solve_selected, RowSpanReducer) inserts each row into a basis keyed by
+lowest set bit, then back-reduces once; RowSpanReducer.contains_batch
+reduces each candidate the same way against the fully reduced rows.
+OSD-0's greedy solve (SelectedSolver) inserts a trial's columns into an
+XOR basis one at a time, so its trials stop as soon as they are solved.
+This is the substrate for OSD solves, code dimension and residual
+classification.
 """
 
 from __future__ import annotations
@@ -25,18 +25,6 @@ class Infeasible(Exception):
     """Raised when a linear system has no solution over GF(2)."""
 
 
-def _pack_bits(a: np.ndarray) -> np.ndarray:
-    """Pack a (rows, cols) 0/1 array into (rows, words) uint64."""
-    a = np.ascontiguousarray(a, dtype=np.uint8) & 1
-    rows, cols = a.shape
-    words = (cols + 63) // 64
-    out = np.zeros((rows, words * 8), dtype=np.uint8)
-    if cols:
-        b = np.packbits(a, axis=1, bitorder="little")
-        out[:, : b.shape[1]] = b
-    return np.ascontiguousarray(out).view(np.uint64)
-
-
 def _int_rows(a: np.ndarray) -> list[int]:
     """Row i of a (rows, cols) 0/1 array as one Python int whose bit c is column c."""
     width = (a.shape[1] + 7) // 8
@@ -44,13 +32,12 @@ def _int_rows(a: np.ndarray) -> list[int]:
     return [int.from_bytes(packed[i * width : (i + 1) * width], "little") for i in range(a.shape[0])]
 
 
-def _unpack_bits(data: np.ndarray, cols: int) -> np.ndarray:
-    """Inverse of _pack_bits; returns a (rows, cols) uint8 array."""
-    rows = data.shape[0]
-    if cols == 0:
-        return np.zeros((rows, 0), dtype=np.uint8)
-    as_bytes = np.ascontiguousarray(data).view(np.uint8)
-    return np.unpackbits(as_bytes, axis=1, bitorder="little")[:, :cols].copy()
+def _bit_rows(ints, cols: int) -> np.ndarray:
+    """Inverse of _int_rows: a (len(ints), cols) uint8 0/1 array whose row i
+    holds bits 0..cols-1 of ints[i]."""
+    width = (cols + 7) // 8
+    packed = np.frombuffer(b"".join(v.to_bytes(width, "little") for v in ints), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(ints), width), axis=1, count=cols, bitorder="little")
 
 
 def _matrix(M) -> np.ndarray:
@@ -61,9 +48,23 @@ def _matrix(M) -> np.ndarray:
     return a
 
 
-def _reduce(M):
-    """(RREF pivot rows of M packed as (rank, words) uint64, pivot columns
-    in ascending order, column count).
+def _clear(v: int, basis: dict, pivots: int) -> int:
+    """v with each of its bits in `pivots` cleared by XOR with basis[that bit].
+
+    Each basis[p] named by `pivots` must hold bit p and no other bit of
+    `pivots`, so every XOR clears one bit without setting another.
+    """
+    held = v & pivots
+    while held:
+        low = held & -held
+        v ^= basis[low]
+        held ^= low
+    return v
+
+
+def _reduce(a: np.ndarray) -> tuple[list[int], list[int]]:
+    """(RREF pivot rows of the 2-D array a as Python ints, their pivot
+    columns), both in ascending pivot column order.
 
     Each row, as a Python int, is inserted into a basis keyed by lowest set
     bit, its leading column: while its lowest bit is a key, it XORs that
@@ -72,8 +73,6 @@ def _reduce(M):
     the row's pivot bits without setting another.  The RREF is unique, so
     neither the row order nor the pivot search order changes the result.
     """
-    a = _matrix(M)
-    cols = a.shape[1]
     basis = {}
     for v in _int_rows(a):
         while v:
@@ -83,21 +82,12 @@ def _reduce(M):
                 basis[low] = v
                 break
             v ^= p
-    keys = sorted(basis, reverse=True)
+    keys = sorted(basis)
     above = 0  # the pivot bits of the keys reduced so far
-    for key in keys:
-        v = basis[key]
-        held = v & above
-        while held:
-            low = held & -held
-            v ^= basis[low]
-            held ^= low
-        basis[key] = v
+    for key in reversed(keys):
+        basis[key] = _clear(basis[key], basis, above)
         above |= key
-    keys.reverse()
-    nbytes = (cols + 63) // 64 * 8
-    data = np.frombuffer(b"".join(basis[key].to_bytes(nbytes, "little") for key in keys), dtype=np.uint64)
-    return data.reshape(len(keys), nbytes // 8), [key.bit_length() - 1 for key in keys], cols
+    return [basis[key] for key in keys], [key.bit_length() - 1 for key in keys]
 
 
 def row_reduce(M):
@@ -108,15 +98,15 @@ def row_reduce(M):
     in ascending row order.  The row space is preserved.
     """
     a = _matrix(M)
-    data, pivot_cols, cols = _reduce(a)
+    pivot_rows, pivot_cols = _reduce(a)
     reduced = np.zeros(a.shape, dtype=np.uint8)
-    reduced[: len(pivot_cols)] = _unpack_bits(data, cols)
+    reduced[: len(pivot_cols)] = _bit_rows(pivot_rows, a.shape[1])
     return reduced, pivot_cols
 
 
 def rank(M) -> int:
     """GF(2) rank of M."""
-    return len(_reduce(M)[1])
+    return len(_reduce(_matrix(M))[1])
 
 
 def solve_selected(M, s, col_order) -> np.ndarray:
@@ -138,11 +128,11 @@ def solve_selected(M, s, col_order) -> np.ndarray:
         raise ValueError("col_order must be a permutation of the columns")
     # Reduce [M | s] with M's columns in col_order: s is solvable iff its
     # column is no pivot, and then x on each pivot is the pivot row's s bit.
-    data, pivot_cols, _ = _reduce(np.hstack([a[:, col_order], s[:, None]]))
+    pivot_rows, pivot_cols = _reduce(np.hstack([a[:, col_order], s[:, None]]))
     if pivot_cols and pivot_cols[-1] == cols:
         raise Infeasible("syndrome outside the column space")
     x = np.zeros(cols, dtype=np.uint8)
-    x[col_order[pivot_cols]] = _unpack_bits(data, cols + 1)[:, cols]
+    x[col_order[pivot_cols]] = [v >> cols & 1 for v in pivot_rows]
     return x
 
 
@@ -196,7 +186,7 @@ class SelectedSolver:
             raise ValueError("each col_order must be a permutation of the columns")
         columns = self.columns
         row_bits = (1 << rows) - 1
-        out = bytearray()
+        xs = []
         for b, r in enumerate(_int_rows(S)):
             low = r & -r
             basis = {}
@@ -224,9 +214,8 @@ class SelectedSolver:
             else:
                 if r:  # the order ran out with rows left in the residual
                     raise Infeasible("syndrome outside the column space")
-            out += (r >> rows).to_bytes((cols + 7) // 8, "little")
-        x = np.frombuffer(out, dtype=np.uint8).reshape(B, (cols + 7) // 8)
-        return np.unpackbits(x, axis=1, count=cols, bitorder="little")
+            xs.append(r >> rows)
+        return _bit_rows(xs, cols)
 
 
 def kernel_basis(M) -> np.ndarray:
@@ -245,18 +234,20 @@ class RowSpanReducer:
     """Precomputed RREF of a matrix for repeated row-span membership tests."""
 
     def __init__(self, M):
-        self._pivot_rows, self.pivot_cols, self.cols = _reduce(M)
+        a = _matrix(M)
+        pivot_rows, self.pivot_cols = _reduce(a)
+        self.cols = a.shape[1]
         self.rank = len(self.pivot_cols)
+        # The fully reduced rows keyed by their pivot bit, in ascending order.
+        self._rows = {1 << c: v for c, v in zip(self.pivot_cols, pivot_rows)}
+        self._pivots = sum(self._rows)
 
     def contains_batch(self, bits: np.ndarray) -> np.ndarray:
         """(batch,) bool: whether each row of a (batch, cols) 0/1 array lies
-        in the row span."""
-        bits = np.asarray(bits)
+        in the row span.  A row lies in it iff clearing its pivot bits
+        against the reduced rows leaves nothing."""
+        bits = np.asarray(bits, dtype=np.uint8)
         if bits.ndim != 2 or bits.shape[1] != self.cols:
             raise ValueError("vector length does not match column count")
-        w = _pack_bits(bits)
-        # The rows are fully reduced: a row's coefficient on pivot i is its bit in pivot column i.
-        coef = bits[:, self.pivot_cols] & 1 != 0
-        for i in np.flatnonzero(coef.any(axis=0)).tolist():
-            np.bitwise_xor(w, self._pivot_rows[i], out=w, where=coef[:, i, None])
-        return ~w.any(axis=1) if w.shape[1] else np.ones(bits.shape[0], dtype=bool)
+        rows, pivots = self._rows, self._pivots
+        return np.array([not _clear(v, rows, pivots) for v in _int_rows(bits)], dtype=bool)

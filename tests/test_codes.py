@@ -408,7 +408,7 @@ def test_code_matches_np_kron_and_the_column_loop_reference(family, params, monk
     reduced, pivots = rref_reference(code.generator_matrix())
     reducer = code.stabilizer_reducer()
     assert code.k == code.n - len(pivots) and reducer.pivot_cols == pivots
-    assert np.array_equal(gf2._unpack_bits(reducer._pivot_rows, 2 * code.n), reduced[: len(pivots)])
+    assert np.array_equal(gf2._bit_rows(list(reducer._rows.values()), 2 * code.n), reduced[: len(pivots)])
 
 
 @pytest.mark.parametrize("generator, message", [

@@ -219,8 +219,8 @@ def test_batched_osd_matches_single_on_failed_trials(make, monkeypatch):
     # reliability keys of 4 trials fill its key budget.
     code = make()
     ctx = decoder.DecoderContext.for_code(code)
-    cols, _ = ctx.channel_columns(decoder.ChannelPrior(0.12))
-    monkeypatch.setattr(decoder, "_KEY_BYTES", 4 * 16 * cols.shape[0])
+    solver = ctx.channel_columns(decoder.ChannelPrior(0.12))
+    monkeypatch.setattr(decoder, "_KEY_BYTES", 4 * 16 * solver.cols)
     blocks = []
     solve_batch = gf2.SelectedSolver.solve_batch
 
@@ -764,8 +764,7 @@ def test_osd_channel_columns_are_built_once_per_noise_kind():
     assert px is ctx.channel_columns(decoder.ChannelPrior(0.3, NoiseKind.PURE_X))
     # Each solver holds its columns as ints: bit i is row i, and bit m + c
     # tags column c.
-    for (cols, solver), want in ((dep, np.arange(3 * n)), (px, np.arange(n))):
-        assert np.array_equal(cols, want) and not cols.flags.writeable
+    for solver, want in ((dep, np.arange(3 * n)), (px, np.arange(n))):
         assert (solver.rows, solver.cols) == (ctx.m, want.shape[0])
         assert isinstance(solver.columns, tuple) and len(solver.columns) == want.shape[0]
         for c, v in enumerate(solver.columns):

@@ -551,6 +551,9 @@ def test_a_worker_killed_mid_sweep_fails_the_sweep(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(estimator, "_run_chunk", kill_then_run)
+    # Stopped, the worker cannot finish its share and reply before the kill:
+    # a reply already in the pipe would still be read after it died.
+    os.kill(victim.pid, signal.SIGSTOP)
     with pytest.raises(RuntimeError, match=f"sweep worker {victim.pid} died mid-sweep"):
         estimator.estimate_upper_bound(code, first, workers=2)
     monkeypatch.setattr(estimator, "_run_chunk", real)

@@ -132,7 +132,18 @@ def test_row_reduce_matches_the_column_loop_reference():
         assert np.array_equal(reduced, expected) and pivots == expected_pivots
         span = gf2.RowSpanReducer(a)
         assert span.pivot_cols == pivots and span.rank == gf2.rank(a) == len(pivots)
-        assert np.array_equal(gf2._unpack_bits(span._pivot_rows, a.shape[1]), expected[: len(pivots)])
+        assert [c.bit_length() - 1 for c in span._rows] == pivots
+        assert np.array_equal(gf2._bit_rows(list(span._rows.values()), a.shape[1]), expected[: len(pivots)])
+
+
+def test_int_rows_round_trip():
+    rng = np.random.default_rng(61)
+    for rows, cols in [(0, 0), (3, 0), (0, 5), (1, 1), (4, 7), (2, 8), (5, 9), (3, 63), (3, 64), (2, 65), (4, 150)]:
+        a = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
+        ints = gf2._int_rows(a)
+        assert ints == [sum(int(a[i, c]) << c for c in range(cols)) for i in range(rows)]
+        back = gf2._bit_rows(ints, cols)
+        assert back.dtype == np.uint8 and back.shape == (rows, cols) and np.array_equal(back, a)
 
 
 def test_in_row_span_trivial_cases():
@@ -166,6 +177,21 @@ def test_in_row_span_closed_under_xor():
         v = np.frombuffer(members[i], dtype=np.uint8)
         w = np.frombuffer(members[j], dtype=np.uint8)
         assert gf2.RowSpanReducer(a).contains_batch((v ^ w)[None, :])[0]
+
+
+def test_in_row_span_matches_rank_across_word_boundaries():
+    # Each batch mixes members (XORs of random subsets of the rows) with
+    # random vectors; a vector is in the span iff appending it keeps the rank.
+    rng = np.random.default_rng(67)
+    for a in random_matrices(71, 260):
+        rows, cols = a.shape
+        members = rng.integers(0, 2, (6, rows)) @ a % 2
+        batch = np.vstack([members, rng.integers(0, 2, (6, cols))]).astype(np.uint8)
+        rng.shuffle(batch)
+        rank = len(rref_reference(a)[1])
+        expected = [len(rref_reference(np.vstack([a, v]))[1]) == rank for v in batch]
+        got = gf2.RowSpanReducer(a).contains_batch(batch)
+        assert got.dtype == bool and got.tolist() == expected
 
 
 def test_in_row_span_length_mismatch():
