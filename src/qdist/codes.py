@@ -44,18 +44,16 @@ class StabilizerCode:
     def __init__(self, name: str, hx: np.ndarray, hz: np.ndarray):
         hx = np.asarray(hx, dtype=np.uint8) & 1
         hz = np.asarray(hz, dtype=np.uint8) & 1
-        if hx.shape != hz.shape:
-            raise ValueError("Hx and Hz must have identical shapes")
+        if hx.ndim != 2 or hx.shape != hz.shape:
+            raise ValueError("Hx and Hz must be 2-D arrays of identical shapes")
         self.name = name
         self.hx = hx
         self.hz = hz
         self.n = hx.shape[1]
         self._generator_matrix = np.hstack([hx, hz])
-        # Row i: the columns of [ex | ez] generator i checks, padded with 2n (kept zero).
+        # Column i: the columns of [ex | ez] generator i checks, padded with 2n (kept zero).
         rows, cols = np.divmod(np.flatnonzero(np.hstack([hz, hx]).view(bool)), 2 * self.n)
-        slot = np.arange(rows.shape[0]) - np.searchsorted(rows, rows)
-        self._syndrome_table = np.full((hx.shape[0], slot.max(initial=-1) + 1), 2 * self.n, dtype=np.intp)
-        self._syndrome_table[rows, slot] = cols
+        self._syndrome_table = np.append(cols, 2 * self.n)[_slot_table(rows, hx.shape[0])]
         self._stabilizer_reducer = gf2.RowSpanReducer(self._generator_matrix)
         self.k = self.n - self._stabilizer_reducer.rank
         self.hd = decoupled_parity_check(hx, hz)
@@ -85,7 +83,7 @@ class StabilizerCode:
         if ex.ndim != 2 or ex.shape != ez.shape or ex.shape[1] != self.n:
             raise ValueError(f"expected two (B, {self.n}) arrays ex and ez")
         bits = np.concatenate([ex.T, ez.T, np.zeros((1, ex.shape[0]), np.uint8)], dtype=np.uint8, casting="unsafe")
-        s = np.bitwise_xor.reduce(bits[self._syndrome_table], axis=1)
+        s = np.bitwise_xor.reduce(bits[self._syndrome_table], axis=0)
         s &= 1
         return s.T.copy()
 
@@ -94,6 +92,20 @@ class StabilizerCode:
 
     def __repr__(self) -> str:
         return f"StabilizerCode({self.name}: [[{self.n}, {self.k}]])"
+
+
+def _slot_table(owner: np.ndarray, count: int) -> np.ndarray:
+    """(D, count) padded gather table of the owners 0..count-1: column k
+    lists the positions i with owner[i] == k in ascending order, padded to
+    D, the most positions any owner has, with len(owner), which callers
+    point at a neutral row.  An owner with no position gets a column of
+    padding only.  Serves the syndrome path and both sides of BP."""
+    order = np.argsort(owner, kind="stable")
+    deg = np.bincount(owner, minlength=count)
+    pos = np.arange(order.shape[0]) - np.repeat(np.cumsum(deg) - deg, deg)
+    slots = np.full((deg.max(initial=0), count), order.shape[0], dtype=np.intp)
+    slots[pos, owner[order]] = order
+    return slots
 
 
 def decoupled_parity_check(hx: np.ndarray, hz: np.ndarray) -> np.ndarray:
@@ -375,6 +387,8 @@ def loads(text: str) -> StabilizerCode:
     idx = 1
     while idx < len(lines) and " " in lines[idx] and lines[idx].split()[0] in ("name", "n", "k"):
         key, _, value = lines[idx].partition(" ")
+        if key in fields:
+            raise ValueError(f"repeated header field {key!r}")
         fields[key] = value.strip()
         idx += 1
     for key in ("name", "n", "k"):

@@ -92,7 +92,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import gf2, pauli
-from .codes import StabilizerCode
+from .codes import StabilizerCode, _slot_table
 
 # Messages are float32 (the batch dimension makes BP memory-bound); the
 # guards below keep tanh/log/arctanh inside the float32 range.
@@ -204,19 +204,18 @@ class DecoderContext:
         hd = np.asarray(hd, dtype=np.uint8) & 1
         self.hd = hd
         self.m, self.nbits = hd.shape
-        # Drop all-zero check rows from the graph (vacuous constraints); a
-        # syndrome bit on one of them can never be met, so it never converges.
-        row_w = hd.sum(axis=1)
-        self.active_checks = np.nonzero(row_w)[0]
-        self.vacuous_checks = np.nonzero(row_w == 0)[0]
         # Edges in row-major order: by check, then by variable.
-        self.edge_check, self.edge_var = np.divmod(np.flatnonzero(hd[self.active_checks]), self.nbits)
+        self.edge_check, self.edge_var = np.divmod(np.flatnonzero(hd), self.nbits)
         self.num_edges = self.edge_check.shape[0]
         # Edge ids ascend along each check's and each variable's edge list,
-        # the order the sums follow.  BP's check rows are the active checks
-        # in order, so edge e belongs to check row edge_check[e].
-        _, self.check_slots = _slot_table(self.edge_check, self.num_edges)
-        self.var_ids, self.var_slots = _slot_table(self.edge_var, self.num_edges)
+        # the order the sums follow, padded with the edge id num_edges (an
+        # all-neutral row).  Every check keeps its column: an all-zero row
+        # (a vacuous check) gets padding only, so its unsatisfied bit is its
+        # syndrome bit and a trial with that bit set never converges.  The
+        # variable table keeps the variables with edges, var_ids, alone.
+        self.check_slots = _slot_table(self.edge_check, self.m)
+        self.var_ids = np.flatnonzero(hd.any(axis=0))
+        self.var_slots = _slot_table(self.edge_var, self.nbits).take(self.var_ids, axis=1)
         # The convergence test's slot table: each check's variables, with the
         # padding edge sent to variable row nbits, which BP keeps at zero.
         self.check_var_slots = np.append(self.edge_var, self.nbits)[self.check_slots]
@@ -271,20 +270,6 @@ class DecoderContext:
         if ctx is None:
             ctx = code._decoder_context = cls(code.hd)
         return ctx
-
-
-def _slot_table(owner: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, slots): the owners (checks or variables) that have edges, in
-    ascending order, and a (D, K) array whose column k lists the edges of
-    owner ids[k] in ascending edge order, padded to the largest degree D
-    with the edge id `pad` (an all-neutral row).
-    """
-    order = np.argsort(owner, kind="stable")
-    ids, deg = np.unique(owner, return_counts=True)
-    pos = np.arange(order.shape[0]) - np.repeat(np.cumsum(deg) - deg, deg)
-    slots = np.full((deg.max(initial=0), ids.shape[0]), pad, dtype=np.intp)
-    slots[pos, np.repeat(np.arange(ids.shape[0]), deg)] = order
-    return ids, slots
 
 
 def _in_order(a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -393,11 +378,11 @@ _PROD_HI = _MSG_DTYPE(1.0 - _TANH_EPS)
 
 def _column_bytes(ctx: DecoderContext) -> list[int]:
     """Bytes per column of each _Workspace buffer."""
-    E, N, C, V = ctx.num_edges, ctx.nbits, ctx.active_checks.shape[0], ctx.var_ids.shape[0]
+    E, N, C, V = ctx.num_edges, ctx.nbits, ctx.m, ctx.var_ids.shape[0]
     # Variable sums that cannot go straight into the totals sum in _scatter.
     scattered = 0 if type(ctx.var_rows) is slice else V
     sizes = [4 * (E + 1)] * 2 + [4 * N] * 2 + [C] * 2 + [E + 1, ctx.gather_bytes]
-    return sizes + [4 * C, C + 1, 1, 1, N + 1, 1, 4 * scattered, 4 * V]
+    return sizes + [4 * C, C, 1, 1, N + 1, 1, 4 * scattered, 4 * V]
 
 
 class _Workspace:
@@ -417,15 +402,13 @@ class _Workspace:
     gather buffer, also spent, and back.  One gather buffer serves both
     slot tables and the per-edge gathers in turn.
 
-    flip has one row per active check, in order, and a last row, stuck,
-    which is set for a trial that can never converge (a syndrome bit on a
-    vacuous check) or has already finished; a trial has converged when no
-    row of flip is set.  The check update uses the check rows (unsat) for
-    each check's sign before the convergence test refills them.
-    prev holds the check rows of flip from the previous iteration, which
-    the stall test compares them against; compact() keeps it too.  A
-    column's first iteration counts as a change whatever prev holds, so
-    nothing resets it, neither for a new call nor for a refilled column.
+    unsat has one row per check of Hd, in order; a trial has converged
+    when no row of it is set.  The check update uses it for each check's
+    sign before the convergence test refills it.  prev holds unsat from the
+    previous iteration, which the stall test compares it against;
+    compact() keeps it too.  A column's first iteration counts as a change
+    whatever prev holds, so nothing resets it, neither for a new call nor
+    for a refilled column.
     pri holds each column's half-scale prior for the variables with edges,
     in the variable table's order.
     """
@@ -439,13 +422,13 @@ class _Workspace:
         starts = accumulate([-(-size // 64) * 64 for size in sizes], initial=-whole.ctypes.data % 64)
         bufs = [whole[at : at + size] for at, size in zip(starts, sizes)]
         self.edge_bufs, self.tot_bufs, self.prev_bufs = bufs[0:2], bufs[2:4], bufs[4:6]  # edge: messages, lg
-        self._neg, self._gather, self._lsum, self._flip = bufs[6:10]
+        self._neg, self._gather, self._lsum, self._unsat = bufs[6:10]
         self._moved, self._done, self._bits, self._ok, self._scatter, self._pri = bufs[10:16]
 
     def compact(self, keep: np.ndarray) -> None:
         """Keep only the message, total, previous-check and prior columns
         listed in keep."""
-        E, N, C, b = self.ctx.num_edges, self.ctx.nbits, self.ctx.active_checks.shape[0], keep.shape[0]
+        E, N, C, b = self.ctx.num_edges, self.ctx.nbits, self.ctx.m, keep.shape[0]
         self.msg.take(keep, axis=1, out=_prefix(self.edge_bufs[1], _MSG_DTYPE, E + 1, b), mode="clip")
         self.tot.take(keep, axis=1, out=_prefix(self.tot_bufs[1], _MSG_DTYPE, N, b), mode="clip")
         self.prev.take(keep, axis=1, out=_prefix(self.prev_bufs[1], bool, C, b), mode="clip")
@@ -469,7 +452,7 @@ class _Workspace:
     def resize(self, b: int) -> None:
         ctx = self.ctx
         self.cols = b
-        E, N, C = ctx.num_edges, ctx.nbits, ctx.active_checks.shape[0]
+        E, N, C = ctx.num_edges, ctx.nbits, ctx.m
         self.msg, self.lg = [_prefix(buf, _MSG_DTYPE, E + 1, b) for buf in self.edge_bufs]
         self.msg[E] = 0.0
         self.lg[E] = 0.0
@@ -482,9 +465,7 @@ class _Workspace:
         self.neg[E] = False
         self.neg_e = self.neg[:E]
         self.lsum = _prefix(self._lsum, _MSG_DTYPE, C, b)
-        self.flip = _prefix(self._flip, bool, C + 1, b)
-        self.stuck = self.flip[C]
-        self.unsat = self.flip[:C]
+        self.unsat = _prefix(self._unsat, bool, C, b)
         self.prev = _prefix(self.prev_bufs[0], bool, C, b)
         self.ok = _prefix(self._ok, bool, b)
         self.moved = _prefix(self._moved, bool, b)
@@ -552,7 +533,7 @@ def _first_check_messages(ctx: DecoderContext, prior: ChannelPrior):
     ws = _Workspace(ctx, 2)
     ws.resize(2)
     np.copyto(ws.t, ctx.half_prior(prior)[0][ctx.edge_var])
-    s = np.zeros((ctx.active_checks.shape[0], 2), dtype=bool)
+    s = np.zeros((ctx.m, 2), dtype=bool)
     s[:, 1] = True
     _check_update(ctx, ws, s)
     words = np.ascontiguousarray(ws.t_words[:, :1])
@@ -639,10 +620,8 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, priors, cfg: BPC
     active = np.arange(b)  # the trial of each kept column
     live = np.ones(b, dtype=bool)  # kept columns whose trial has not finished
     n_live = b
-    s_trials = S[:, ctx.active_checks].astype(bool)
-    s_act = np.ascontiguousarray(s_trials[:b].T)  # (C, b)
-    vac_bad = S[:, ctx.vacuous_checks].any(axis=1)
-    ws.stuck[:] = vac_bad[:b]
+    s_trials = S.astype(bool)
+    s_act = np.ascontiguousarray(s_trials[:b].T)  # (m, b)
     # The iteration in which each column's unsatisfied checks last changed
     # (its first iteration, which has nothing to compare with, counts as
     # one, so what ws.prev holds before it does not matter), and the
@@ -677,29 +656,28 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, priors, cfg: BPC
             T[scatter] = post
         _decide(*ws.blocks)
         # A trial has converged when each check's decision bits XOR to its
-        # syndrome bit and its stuck flag is clear.
+        # syndrome bit.
         ws.bit_flags.take(ctx.check_var_slots, axis=0, out=ws.check_gb, mode="clip")
         np.logical_xor.reduce(ws.check_gb, axis=0, out=ws.unsat)
         ws.unsat ^= s_act
-        ok = np.logical_or.reduce(ws.flip, axis=0, out=ws.ok)
+        ok = np.logical_or.reduce(ws.unsat, axis=0, out=ws.ok)
         np.logical_not(ok, out=ok)
-        # Stall test: has the set of unsatisfied checks (flip without the
-        # stuck row) changed since the previous iteration?
+        # Stall test: has the set of unsatisfied checks changed since the
+        # previous iteration?
         ws.prev ^= ws.unsat
         moved = np.logical_or.reduce(ws.prev, axis=0, out=ws.moved)
         np.copyto(ws.prev, ws.unsat)
         np.copyto(last, it, where=moved)
 
-        # A converged trial finishes as converged even if it also stalled.
+        # A converged trial finishes as converged even if it also stalled;
+        # a finished column, still iterated, never finishes again.
         done = np.less_equal(last, it - _STALL_ITERATIONS, out=ws.done)
         if it >= cap:
             done |= start <= it - cfg.max_iterations
-            done &= live
             rest = start[live & ~done]
             cap = (rest.min() if rest.size else it) + cfg.max_iterations
-        else:
-            done &= live
         done |= ok
+        done &= live
         n_done = np.count_nonzero(done)
         if not n_done:
             continue
@@ -721,7 +699,6 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, priors, cfg: BPC
         if n_live == 0 and next_trial == B:
             break
         live[done] = False
-        ws.stuck[done] = True
         if b - n_live < _COMPACT_DEAD_SHARE * b:
             continue
         if next_trial < B:
@@ -736,7 +713,6 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, priors, cfg: BPC
             ws.tot[:, cols] = half[:, which[new]]
             ws.pri[:, cols] = var_half[:, which[new]]
             s_act[:, cols] = s_trials[new].T
-            ws.stuck[cols] = vac_bad[new]
             last[cols] = it + 1
             start[cols] = it
         else:
@@ -749,7 +725,6 @@ def bp_decode_batch(ctx: DecoderContext, syndromes: np.ndarray, priors, cfg: BPC
             b = n_live
             live = np.ones(b, dtype=bool)
             ws.compact(kept)
-            ws.stuck[:] = vac_bad[active]
     if keep:
         ctx._kept_workspace[:] = [ws]
     return out_bits, out_post, out_conv, out_iter

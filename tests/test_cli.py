@@ -105,7 +105,8 @@ def test_parse_rejects_unwritable_output_paths(tmp_path, capsys):
     None,
     "# qdist stabilizer code v1\nname bad\nn two\nk 1\nXI\n",
     "# qdist stabilizer code v1\nname bad\nn 2\nk 0\nXI\nZI\n",
-], ids=["missing", "malformed", "anticommuting"])
+    "# qdist stabilizer code v1\nname a\nname b\nn 2\nk 1\nZZ\n",
+], ids=["missing", "malformed", "anticommuting", "repeated_field"])
 def test_bad_code_file_is_an_error_line(tmp_path, text):
     path = tmp_path / "bad.code"
     if text is not None:

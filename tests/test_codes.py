@@ -236,6 +236,17 @@ def test_css_code_rejects_anticommuting_blocks():
     assert codes.css_code("ok", np.array([[1, 1, 0]], np.uint8), np.array([[1, 1, 1]], np.uint8)).k == 1
 
 
+@pytest.mark.parametrize("hx, hz", [
+    (np.zeros(3, np.uint8), np.zeros(3, np.uint8)),  # one generator without its row axis
+    (np.zeros((1, 2, 3), np.uint8), np.zeros((1, 2, 3), np.uint8)),
+    (np.uint8(0), np.uint8(0)),
+    (np.zeros((2, 3), np.uint8), np.zeros((2, 4), np.uint8)),
+])
+def test_code_rejects_anything_but_two_matrices_of_one_shape(hx, hz):
+    with pytest.raises(ValueError, match="2-D arrays of identical shapes"):
+        codes.StabilizerCode("bad", hx, hz)
+
+
 def test_built_code_is_read_only():
     code = codes.chamon(2, 2, 2)
     for array in (code.hx, code.hz, code.hd, code.generator_matrix()):
@@ -441,6 +452,10 @@ def test_serialization_rejects_corruption(tmp_path):
         codes.loads("\n".join(bad))
     with pytest.raises(ValueError):
         codes.loads("not a code file")
+    # A repeated header field, even with the same value.
+    for at, line in ((1, "name other"), (2, "n 5"), (3, "k 1")):
+        with pytest.raises(ValueError, match=f"repeated header field {line.split()[0]!r}"):
+            codes.loads("\n".join(lines[: at + 1] + [line] + lines[at + 1 :]))
 
 
 def test_make_registry():

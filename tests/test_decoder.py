@@ -317,7 +317,7 @@ def test_batch_shape_validation():
 
 
 def _reference_layout(ctx):
-    counts = np.bincount(ctx.edge_check, minlength=ctx.active_checks.shape[0])
+    counts = np.bincount(ctx.edge_check, minlength=ctx.m)
     check_ptr = np.concatenate([[0], np.cumsum(counts)])[:-1].astype(np.intp)
     vorder = np.lexsort((ctx.edge_check, ctx.edge_var))
     used_vars = np.unique(ctx.edge_var)
@@ -376,12 +376,15 @@ def _bp_reference(ctx, syndromes, prior_llr, prior_prob, cfg, stall=decoder._STA
 
     edge_var = ctx.edge_var
     edge_check = ctx.edge_check
-    inactive = np.setdiff1d(np.arange(ctx.m), ctx.active_checks)
-    vacuous_ok = ~S[:, inactive].any(axis=1) if inactive.size else np.ones(B, dtype=bool)
+    # All-zero check rows (vacuous checks) stay out of the unsatisfied set;
+    # a syndrome bit on one of them can never be met, so it never converges.
+    has_edges = ctx.hd.any(axis=1)
+    active_checks = np.flatnonzero(has_edges)
+    vacuous_ok = ~S[:, ~has_edges].any(axis=1)
 
     active = np.arange(B)
-    s_act = S[:, ctx.active_checks]
-    sign_act = (1.0 - 2.0 * s_act).astype(_MSG_DTYPE)
+    s_act = S[:, active_checks]
+    sign_act = (1.0 - 2.0 * S).astype(_MSG_DTYPE)
     vac_ok = vacuous_ok
     cur_mcv = np.zeros((B, ctx.num_edges), dtype=_MSG_DTYPE)
     history = []  # (trials, checks) unsatisfied sets of the last stall + 1 iterations
@@ -406,7 +409,7 @@ def _bp_reference(ctx, syndromes, prior_llr, prior_prob, cfg, stall=decoder._STA
 
         tot = posterior_llr(cur_mcv)
         bits = _decision_reference(tot, n)
-        parity = (_segment_sum(bits[:, edge_var].astype(np.int64), check_ptr) & 1).astype(np.uint8)
+        parity = (_segment_sum(bits[:, edge_var].astype(np.int64), check_ptr)[:, active_checks] & 1).astype(np.uint8)
         unsat = parity != s_act
         ok = ~np.any(unsat, axis=1) & vac_ok
         stalled = np.zeros(active.shape[0], dtype=bool)
@@ -596,12 +599,13 @@ def test_random_hgp_has_large_degrees():
 
 
 def test_bp_matches_reference_with_vacuous_check():
-    # An all-zero check row is dropped from the graph; a syndrome bit on it
-    # can never be satisfied, so those trials must not converge.
+    # An all-zero check row keeps a slot column of padding only; a syndrome
+    # bit on it can never be satisfied, so those trials must not converge.
     code = codes.toric(3)
     hd = np.vstack([code.hd[:4], np.zeros((1, code.hd.shape[1]), np.uint8), code.hd[4:]])
     ctx = decoder.DecoderContext(hd)
-    assert ctx.active_checks.shape[0] == ctx.m - 1
+    assert ctx.check_slots.shape[1] == ctx.m
+    assert (ctx.check_slots[:, 4] == ctx.num_edges).all() and (ctx.check_slots[:, 3] < ctx.num_edges).any()
     ex, ez = estimator._sample_batch(code, 0.06, NoiseKind.DEPOLARIZING, 3, 0, 0, 200)
     S0 = code.syndromes(ex, ez)
     S = np.hstack([S0[:, :4], (np.arange(200) % 3 == 0)[:, None].astype(np.uint8), S0[:, 4:]])
@@ -619,7 +623,7 @@ def test_bp_decodes_an_edgeless_graph_in_its_loop(kind):
     # every check is vacuous: BP runs its one loop over no messages.
     code = codes.StabilizerCode("edgeless", np.zeros((2, 3), np.uint8), np.zeros((2, 3), np.uint8))
     ctx = decoder.DecoderContext.for_code(code)
-    assert ctx.num_edges == 0 and ctx.vacuous_checks.shape[0] == ctx.m
+    assert ctx.num_edges == 0 and ctx.check_slots.shape == (0, ctx.m)
     S = np.array([[0, 0], [1, 0], [0, 1], [1, 1], [0, 0]], np.uint8)
     zero = ~S.any(axis=1)
     prior = decoder.ChannelPrior(0.1, kind)

@@ -172,6 +172,31 @@ def test_batched_syndromes_match_decoupled_reference(make):
         code.syndrome(pauli.from_string("X" * (code.n + 1)))
 
 
+@pytest.mark.parametrize("m, n, zero_rows", [
+    (4, 6, [1, 3]),  # identity generators among others
+    (3, 5, [0, 1, 2]),  # every generator the identity
+    (0, 4, []),  # no generators
+])
+def test_batched_syndromes_of_weight_zero_generators(m, n, zero_rows):
+    # Identity generators leave their syndrome table columns all padding,
+    # and with no generators the table has no columns; each syndrome still
+    # equals the dense integer product, for empty batches too.
+    rng = np.random.default_rng(m * 10 + n)
+    hx = rng.integers(0, 2, (m, n), dtype=np.uint8)
+    hz = rng.integers(0, 2, (m, n), dtype=np.uint8)
+    hx[zero_rows] = 0
+    hz[zero_rows] = 0
+    code = codes.StabilizerCode("weight_zero_rows", hx, hz)
+    for batch in (0, 1, 50):
+        ex = rng.integers(0, 2, (batch, n), dtype=np.uint8)
+        ez = rng.integers(0, 2, (batch, n), dtype=np.uint8)
+        want = (ez.astype(np.int64) @ hx.T + ex.astype(np.int64) @ hz.T) % 2
+        got = code.syndromes(ex, ez)
+        assert got.shape == (batch, m) and got.dtype == np.uint8
+        assert np.array_equal(got, want)
+        assert not got[:, zero_rows].any()
+
+
 def test_string_round_trip():
     s = "IXYZXIZY"
     assert pauli.to_string(pauli.from_string(s)) == s
